@@ -63,5 +63,5 @@ if __name__ == "__main__":
     parser.add_argument("--out", default="hierarchy_run")
     parser.add_argument("--b", type=int, default=2, help="branching factor")
     parser.add_argument("--height", type=int, default=30)
-    raise SystemExit(run(parser.parse_args().out, parser.parse_args().b,
-                         parser.parse_args().height))
+    args = parser.parse_args()
+    raise SystemExit(run(args.out, args.b, args.height))

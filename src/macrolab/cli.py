@@ -18,7 +18,7 @@ import sys
 
 from . import analytics, expansion, families, interest, synth
 from .corpus import CorpusError, build_graph, load_corpus, load_graph, save_graph
-from .monoid import LatticeBudgetError, Word, abelian, free
+from .monoid import DEFAULT_LATTICE_BUDGET, LatticeBudgetError, Word, abelian, free
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -93,6 +93,8 @@ def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
         if val is None:
             val = default
         out[key] = val
+    if not 0 <= out["seed"] < 2**64:
+        raise InputError(f"seed must lie in [0, 2**64), got {out['seed']}")
     return out
 
 
@@ -146,7 +148,7 @@ _SIM_SPEC = {
     "out": (str, "."),
     "threads": (int, None),
     "word_budget": (int, expansion.DEFAULT_WORD_BUDGET),
-    "lattice_budget": (int, expansion.DEFAULT_LATTICE_BUDGET),
+    "lattice_budget": (int, DEFAULT_LATTICE_BUDGET),
 }
 
 

@@ -17,10 +17,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .families import FamilySpec, LazyFreeMacroSet, minimal_period
-from .monoid import MacroSet, Word, gprime_length_free
+from .monoid import (
+    DEFAULT_LATTICE_BUDGET,
+    LatticeBudgetError,
+    MacroSet,
+    Word,
+    _abelian_generators,
+    abelian_layers,
+    gprime_length_free,
+)
 
 DEFAULT_WORD_BUDGET = 10**7
-DEFAULT_LATTICE_BUDGET = 10**7
 
 # Smallest number of k-th powers that always suffices, for the exponents
 # where that count is settled.
@@ -60,51 +67,25 @@ class SphereBudgetError(Exception):
         self.budget = budget
 
 
-def _shift_or(dst: np.ndarray, src: np.ndarray, offset: tuple[int, ...]) -> None:
-    """dst |= src translated by the non-negative vector offset."""
-    src_sl = tuple(slice(0, dim - o) for o, dim in zip(offset, src.shape))
-    dst_sl = tuple(slice(o, dim) for o, dim in zip(offset, src.shape))
-    dst[dst_sl] |= src[src_sl]
-
-
 def _abelian_entries(
     M: MacroSet, s_values: list[int], r_max: int, lattice_budget: int
 ) -> dict[int, ExpansionValue]:
-    n = M.monoid.n
-    if (r_max + 1) ** n > lattice_budget:
-        raise SphereBudgetError(0, lattice_budget)
-    dims = (r_max + 1,) * n
-    gens: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
-    ]
-    for m in M:
-        if m.definition.g_length() <= r_max:
-            gens.append(m.definition.data)
-
-    if n == 1:
-        radius = None  # index doubles as radius
-    else:
-        radius = np.indices(dims, dtype=np.int32).sum(axis=0)
-
-    reached = np.zeros(dims, dtype=bool)
-    reached[(0,) * n] = True
+    bound = (r_max,) * M.monoid.n
+    vecs = [v for v, _ in _abelian_generators(M, bound, None)]
+    try:
+        layers = abelian_layers(bound, vecs, lattice_budget)
+    except LatticeBudgetError:
+        raise SphereBudgetError(0, lattice_budget) from None
+    radius = sum(np.indices(tuple(r + 1 for r in bound), dtype=np.int32, sparse=True))
     entries: dict[int, ExpansionValue] = {}
-    s_max = max(s_values)
     wanted = set(s_values)
-    for s in range(1, s_max + 1):
-        nxt = reached.copy()
-        for g in gens:
-            _shift_or(nxt, reached, g)
-        reached = nxt
+    for s, (_, reached) in zip(range(1, max(s_values) + 1), layers):
         if s not in wanted:
             continue
-        if n == 1:
-            uncovered = np.flatnonzero(~reached)
-            first = int(uncovered[0]) if uncovered.size else None
-        else:
-            mask = (~reached) & (radius <= r_max)
-            first = int(radius[mask].min()) if mask.any() else None
-        if first is None:
+        # Points beyond radius r_max only count once everything within it is reached.
+        uncovered = radius[~reached]
+        first = int(uncovered.min()) if uncovered.size else r_max + 1
+        if first > r_max:
             entries[s] = ExpansionValue(r_max, exact=False)
         else:
             entries[s] = ExpansionValue(first - 1, exact=True)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
-from operator import mul
 
-DEFAULT_LATTICE_BUDGET = 10**8
+import numpy as np
+
+DEFAULT_LATTICE_BUDGET = 10**7
 
 
 class Kind(Enum):
@@ -179,7 +179,7 @@ class MacroSet:
 
 
 class LatticeBudgetError(Exception):
-    """The abelian length DP would exceed its lattice-point budget."""
+    """The abelian lattice box would exceed its lattice-point budget."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(f"DP needs {required} lattice points, budget is {budget}")
@@ -206,54 +206,47 @@ def _abelian_generators(
     return gens
 
 
-def _box_min_counts(
-    bound: tuple[int, ...],
-    gens: list[tuple[tuple[int, ...], str | None]],
-    budget: int,
-) -> list[int]:
-    """Minimal generator counts for every lattice point dominated by `bound`.
+def _shift_slices(v: tuple[int, ...], dims: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Source and destination slices that translate a box by the vector v."""
+    src = tuple(slice(0, d - a) for a, d in zip(v, dims))
+    dst = tuple(slice(a, d) for a, d in zip(v, dims))
+    return src, dst
 
-    Flat row-major array over the box prod(bound_i + 1); unreachable points
-    (possible only when some coordinate has no unit generator) stay at a
-    sentinel larger than any true count.
+
+def abelian_layers(bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: int):
+    """Layered reachability over the box of lattice points dominated by `bound`.
+
+    Yields (frontier, reached) for s = 1, 2, ...: boolean arrays over the box
+    of the points first reached with exactly s of the generator vectors
+    `vecs`, and of all points reached with at most s.  Each layer shift-ORs
+    the previous frontier by every vector, so a layer costs |box| x |vecs|
+    and finding g'(w) costs g'(w) x |box| x |vecs|.  A single-pass box DP
+    costs only |box| x |vecs|, which is less when g'(w) is large, but it takes
+    a Python step per lattice point and runs far slower on every box the
+    commands and kernels use; it is kept in the tests, as the oracle this
+    engine is checked against.  Raises LatticeBudgetError at once, before
+    allocating anything, if the box exceeds `budget` points.
     """
     dims = tuple(b + 1 for b in bound)
-    size = reduce(mul, dims, 1)
+    size = math.prod(dims)
     if size > budget:
         raise LatticeBudgetError(size, budget)
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-    offsets = [sum(v[i] * strides[i] for i in range(len(dims))) for v, _ in gens]
-    vecs = [v for v, _ in gens]
+    shifts = [_shift_slices(v, dims) for v in vecs]
 
-    INF = size + 1
-    dist = [INF] * size
-    dist[0] = 0
-    coord = [0] * len(dims)
-    for idx in range(1, size):
-        # advance row-major coordinates
-        for axis in range(len(dims) - 1, -1, -1):
-            coord[axis] += 1
-            if coord[axis] < dims[axis]:
-                break
-            coord[axis] = 0
-        best = INF
-        for v, off in zip(vecs, offsets):
-            ok = True
-            for i, vi in enumerate(v):
-                if coord[i] < vi:
-                    ok = False
-                    break
-            if ok:
-                cand = dist[idx - off]
-                if cand < best:
-                    best = cand
-        if best < INF:
-            dist[idx] = best + 1
-    return dist
+    def layers():
+        reached = np.zeros(dims, dtype=bool)
+        reached[(0,) * len(dims)] = True
+        frontier = reached.copy()
+        while True:
+            nxt = np.zeros(dims, dtype=bool)
+            for src, dst in shifts:
+                nxt[dst] |= frontier[src]
+            nxt &= ~reached
+            reached |= nxt
+            frontier = nxt
+            yield frontier, reached
+
+    return layers()
 
 
 def gprime_length_abelian(
@@ -265,7 +258,8 @@ def gprime_length_abelian(
     """Minimal generator count for w over primitives plus macros.
 
     `exclude` drops one macro by name (used for wrapped lengths).  Unbounded
-    multi-dimensional coin change over the sublattice dominated by w; raises
+    multi-dimensional coin change over the sublattice dominated by w: the
+    answer is the first reachability layer containing w.  Raises
     LatticeBudgetError if that box exceeds `budget` points.
     """
     if not w.monoid.is_abelian:
@@ -275,8 +269,9 @@ def gprime_length_abelian(
     if w.is_identity():
         return 0
     gens = _abelian_generators(M, w.data, exclude)
-    dist = _box_min_counts(w.data, gens, budget)
-    return dist[-1]
+    for s, (frontier, _) in enumerate(abelian_layers(w.data, [v for v, _ in gens], budget), 1):
+        if frontier[w.data]:
+            return s
 
 
 def _free_matches_from(letters: tuple[int, ...], start: int, trie: dict):
@@ -357,53 +352,23 @@ def _best_depth_score(
     """Min over minimal-length representations of max macro depth used (0 = primitives only)."""
     if w.monoid.is_abelian:
         gens = _abelian_generators(M, w.data, exclude)
+        layers = abelian_layers(w.data, [v for v, _ in gens], budget)
+        # Points of layer s take their score only from points of layer s-1,
+        # so scores outside the previous layer stay at the sentinel.
         dims = tuple(b + 1 for b in w.data)
-        size = reduce(mul, dims, 1)
-        if size > budget:
-            raise LatticeBudgetError(size, budget)
-        strides = [0] * len(dims)
-        acc = 1
-        for i in range(len(dims) - 1, -1, -1):
-            strides[i] = acc
-            acc *= dims[i]
-        INF = size + 1
-        dist = [INF] * size
-        score = [INF] * size
-        dist[0] = 0
-        score[0] = 0
-        coord = [0] * len(dims)
-        items = [
-            (v, sum(v[i] * strides[i] for i in range(len(dims))),
-             0 if name is None else macro_depth[name])
-            for v, name in gens
-        ]
-        for idx in range(1, size):
-            for axis in range(len(dims) - 1, -1, -1):
-                coord[axis] += 1
-                if coord[axis] < dims[axis]:
-                    break
-                coord[axis] = 0
-            best = INF
-            best_score = INF
-            for v, off, d in items:
-                ok = True
-                for i, vi in enumerate(v):
-                    if coord[i] < vi:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                prev = idx - off
-                if dist[prev] >= INF:
-                    continue
-                cand = dist[prev] + 1
-                cand_score = score[prev] if score[prev] > d else d
-                if cand < best or (cand == best and cand_score < best_score):
-                    best = cand
-                    best_score = cand_score
-            dist[idx] = best
-            score[idx] = best_score
-        return score[-1]
+        inf = np.iinfo(np.int32).max
+        score = np.full(dims, inf, dtype=np.int32)
+        score[(0,) * len(dims)] = 0
+        items = [(*_shift_slices(v, dims), 0 if name is None else macro_depth[name])
+                 for v, name in gens]
+        for frontier, _ in layers:
+            nxt = np.full(dims, inf, dtype=np.int32)
+            for src, dst, d in items:
+                np.minimum(nxt[dst], np.maximum(score[src], d), out=nxt[dst])
+            if frontier[w.data]:
+                return int(nxt[w.data])
+            nxt[~frontier] = inf
+            score = nxt
 
     letters = w.data
     L = len(letters)

@@ -105,8 +105,8 @@ def synth_mixed(
             ))
             continue
         fanout = int(rng.integers(1, max_fanout + 1))
-        targets = rng.choice(np.arange(i + 1, n_nodes), size=min(fanout, n_nodes - i - 1),
-                             replace=False)
+        targets = rng.choice(n_nodes - i - 1, size=min(fanout, n_nodes - i - 1),
+                             replace=False) + i + 1
         sig_refs: dict[str, int] = {}
         body_refs: dict[str, int] = {}
         for t in sorted(int(t) for t in targets):

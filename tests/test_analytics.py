@@ -7,6 +7,7 @@ expected label is forced rather than frozen from a previous run.
 
 import math
 
+import numpy as np
 import pytest
 
 from macrolab.analytics import (
@@ -30,7 +31,7 @@ from macrolab.analytics import (
     unwrapped_lengths,
 )
 from macrolab.corpus import DepGraph, GraphNode
-from macrolab.synth import synth_flat, synth_hierarchy, synth_mixed
+from macrolab.synth import _rng, synth_flat, synth_hierarchy, synth_mixed
 
 
 def plain_node(name, refs=None, kind="definition", body_refs=None, tokens=None):
@@ -481,6 +482,24 @@ def test_synth_mixed_is_deterministic_and_acyclic():
     assert [(n, g.sig_refs) for n, g in a.nodes.items()] != [
         (n, g.sig_refs) for n, g in c.nodes.items()
     ]
+
+
+def test_synth_mixed_targets_match_an_arange_draw():
+    """Oracle: replay the generator's stream, drawing each node's targets from
+    np.arange(i + 1, n) as a materialised population."""
+    n, prims, fanout, max_weight, seed = 120, 10, 6, 4, 3
+    graph = synth_mixed(n, prims, fanout, max_weight, seed)
+    rng = _rng(seed, 2)
+    for i in range(n - prims):
+        size = min(int(rng.integers(1, fanout + 1)), n - i - 1)
+        targets = sorted(int(t) for t in rng.choice(np.arange(i + 1, n), size=size,
+                                                   replace=False))
+        expected = {}
+        for t in targets:
+            expected[f"node{t:03d}"] = int(rng.integers(1, max_weight + 1))
+            rng.integers(0, 2)  # signature or body side
+        rng.integers(0, 2)  # kind
+        assert graph.nodes[f"node{i:03d}"].merged_refs() == expected
 
 
 def test_synth_validation():

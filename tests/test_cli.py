@@ -152,6 +152,15 @@ def test_sim_without_regime_is_an_input_error(tmp_path):
     assert main(["sim", "--s", "3", "--out", str(tmp_path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_is_an_input_error(tmp_path, capsys, seed):
+    code = main(["sim", "--regime", "prob-free", "--n", "2", "--trials", "1",
+                 "--mc-r", "8", "--seed", seed, "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed" in err
+
+
 def test_sim_missing_r_max_is_an_input_error(tmp_path):
     code = main(["sim", "--regime", "place", "--b", "2", "--s", "3",
                  "--out", str(tmp_path)])

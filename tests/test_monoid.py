@@ -6,6 +6,7 @@ dynamic programs as the library.
 """
 
 import math
+from functools import cache
 from itertools import product
 
 import pytest
@@ -46,6 +47,38 @@ def slow_min_generators_abelian(mults, macro_defs):
         return best
 
     return search(tuple(mults))
+
+
+def slow_depth_abelian(mults, macro_defs):
+    """Oracle for monoid_depth: 0 for words of length at most 1, otherwise 1 plus
+    the least, over minimal-length representations, of the largest macro depth
+    used.  A word equal to a macro definition is that macro, so it is left out
+    of its own representations."""
+    n = len(mults)
+    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    defs = [tuple(d) for d in macro_defs]
+
+    @cache
+    def depth(word):
+        if sum(word) <= 1:
+            return 0
+        return 1 + search(word, word)[1]
+
+    @cache
+    def search(rest, whole):
+        """(fewest generators, least largest depth among those) spelling rest
+        without the macro defined as whole."""
+        if not any(rest):
+            return 0, 0
+        best = (math.inf, math.inf)
+        for g in units + defs:
+            if g == whole or any(a < b for a, b in zip(rest, g)):
+                continue
+            length, score = search(tuple(a - b for a, b in zip(rest, g)), whole)
+            best = min(best, (length + 1, max(score, depth(g))))
+        return best
+
+    return depth(tuple(mults))
 
 
 def slow_min_generators_free(letters, macro_defs):
@@ -284,14 +317,23 @@ abelian_defs = st.lists(
 )
 
 
+# A multiplicity vector and up to three macro definitions, in 1 to 3 dimensions.
+abelian_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.tuples(*[st.integers(0, 6)] * n),
+    st.lists(
+        st.tuples(*[st.integers(0, 4)] * n).filter(lambda d: 2 <= sum(d) <= 5),
+        max_size=3,
+        unique=True,
+    ),
+))
+
+
 @settings(deadline=None)
-@given(
-    st.tuples(st.integers(0, 6), st.integers(0, 6)),
-    abelian_defs,
-)
-def test_gprime_abelian_matches_oracle(mults, defs):
+@given(abelian_cases)
+def test_gprime_abelian_matches_oracle(case):
+    mults, defs = case
     macros = [Macro(f"m{i}", Word.from_multiplicities(d)) for i, d in enumerate(defs)]
-    M = MacroSet(abelian(2), macros)
+    M = MacroSet(abelian(len(mults)), macros)
     w = Word.from_multiplicities(mults)
     assert gprime_length(w, M) == slow_min_generators_abelian(mults, defs)
 
@@ -379,6 +421,18 @@ def test_depth_ignores_macro_ordering():
     for value in (5, 10, 110, 999):
         w = Word.from_multiplicities((value,))
         assert monoid_depth(w, base) == monoid_depth(w, shuffled)
+
+
+@settings(deadline=None)
+@given(abelian_cases)
+def test_depth_abelian_matches_oracle(case):
+    mults, defs = case
+    macros = [Macro(f"m{i}", Word.from_multiplicities(d)) for i, d in enumerate(defs)]
+    M = MacroSet(abelian(len(mults)), macros)
+    w = Word.from_multiplicities(mults)
+    assert monoid_depth(w, M) == slow_depth_abelian(mults, defs)
+    for m in M:
+        assert monoid_depth(m, M) == slow_depth_abelian(m.definition.data, defs)
 
 
 def test_depth_rejects_macros_outside_the_set():
