@@ -1,10 +1,8 @@
 """Command-line pipeline: sim / ingest / analyze / rank / synth.
 
 Every run is deterministic: the same inputs, flags, and seed produce
-byte-identical output files regardless of --threads (computation is
-single-threaded; the flag is validated and reserved).  Exit codes: 0 success
-(all checks passed), 1 input error, 2 verification failure, 3 combinatorial
-budget exceeded.
+byte-identical output files.  Exit codes: 0 success (all checks passed),
+1 input error, 2 verification failure, 3 combinatorial budget exceeded.
 """
 
 from __future__ import annotations
@@ -83,8 +81,11 @@ def read_config(path: str | None) -> dict[str, str]:
 
 
 def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Flags beat config, config beats defaults."""
+    """Flags beat config, config beats defaults; a config key no option has is an input error."""
     cfg = read_config(getattr(args, "config", None))
+    unknown = sorted(set(cfg) - set(spec))
+    if unknown:
+        raise InputError(f"{args.config}: unknown config key {', '.join(unknown)}")
     out = {}
     for key, (conv, default) in spec.items():
         val = getattr(args, key, None)
@@ -146,7 +147,6 @@ _SIM_SPEC = {
     "min_halving_rate": (float, 0.99),
     "seed": (int, 0),
     "out": (str, "."),
-    "threads": (int, None),
     "word_budget": (int, expansion.DEFAULT_WORD_BUDGET),
     "lattice_budget": (int, DEFAULT_LATTICE_BUDGET),
 }
@@ -313,7 +313,6 @@ _INGEST_SPEC = {
     "inp": (str, None),
     "format": (str, "corpus"),
     "out": (str, "."),
-    "threads": (int, None),
     "seed": (int, 0),
 }
 
@@ -352,7 +351,6 @@ _ANALYZE_SPEC = {
     "min_distinct_x": (int, 8),
     "flat_slope": (float, 0.05),
     "min_x_span": (float, 0.0),
-    "threads": (int, None),
     "seed": (int, 0),
 }
 
@@ -484,7 +482,6 @@ _RANK_SPEC = {
     "wrapped_metric": (str, "auto"),
     "sweep": (_float_list, None),
     "alt_deductive": (_to_bool, False),
-    "threads": (int, None),
     "seed": (int, 0),
 }
 
@@ -547,7 +544,6 @@ _SYNTH_SPEC = {
     "max_weight": (int, 5),
     "seed": (int, 0),
     "out": (str, "."),
-    "threads": (int, None),
 }
 
 
@@ -576,8 +572,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", type=str, default=None, help="output directory")
     sp.add_argument("--seed", type=int, default=None, help="base seed for all streams")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="parallelism cap (reserved; results never depend on it)")
     sp.add_argument("--config", type=str, default=None,
                     help="key=value defaults file; flags override")
 
@@ -609,7 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mc-r", dest="mc_r", type=_int_list, default=None)
     sim.add_argument("--min-halving-rate", dest="min_halving_rate", type=float,
                      default=None)
-    sim.add_argument("--word-budget", dest="word_budget", type=int, default=None)
+    sim.add_argument("--word-budget", dest="word_budget", type=int, default=None,
+                     help="free-monoid profile budget, in (match state, letter) "
+                          "transitions of the worst-word DP")
     sim.add_argument("--lattice-budget", dest="lattice_budget", type=int, default=None)
     _add_common(sim)
     sim.set_defaults(func=cmd_sim)

@@ -2,9 +2,11 @@
 
 The expansion value f(s) is the largest radius r such that every word of
 primitive length <= r can be written with at most s generators-plus-macros.
-Exact values come from lattice reachability (abelian) or sphere scans (free);
-the probabilistic regime is handled by sampling (halving checks and a greedy
-recursive parse) since its spheres are far too large to enumerate.
+Exact values come from lattice reachability (abelian) or a forward DP over
+the match states of the macro trie (finite free macro sets); the lazy
+probabilistic family has infinitely many match states, so its profile falls
+back to scanning every word of each length, and its regime is checked by
+sampling (halving checks and a greedy recursive parse) instead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import FamilySpec, LazyFreeMacroSet, minimal_period
+from .families import FamilySpec, LazyFreeMacroSet, prefix_periods
 from .monoid import (
     DEFAULT_LATTICE_BUDGET,
     LatticeBudgetError,
@@ -24,7 +26,7 @@ from .monoid import (
     Word,
     _abelian_generators,
     abelian_layers,
-    gprime_length_free,
+    segment_free,
 )
 
 DEFAULT_WORD_BUDGET = 10**7
@@ -57,14 +59,24 @@ class ExpansionProfile:
 
 
 class SphereBudgetError(Exception):
-    """Sphere enumeration outgrew its word budget before resolving the profile."""
+    """The profile search outgrew its budget before resolving every s."""
 
     def __init__(self, largest_completed: int, budget: int):
         super().__init__(
-            f"sphere scan exceeded budget {budget}; largest completed radius {largest_completed}"
+            f"search exceeded budget {budget}; largest completed radius {largest_completed}"
         )
         self.largest_completed = largest_completed
         self.budget = budget
+
+
+def _largest_box_radius(n: int, budget: int) -> int:
+    """Largest r whose box (r + 1)**n fits in `budget` lattice points (0 if none)."""
+    side = int(max(budget, 1) ** (1 / n))
+    while side > 1 and side**n > budget:
+        side -= 1
+    while (side + 1) ** n <= budget:
+        side += 1
+    return max(side - 1, 0)
 
 
 def _abelian_entries(
@@ -75,7 +87,8 @@ def _abelian_entries(
     try:
         layers = abelian_layers(bound, vecs, lattice_budget)
     except LatticeBudgetError:
-        raise SphereBudgetError(0, lattice_budget) from None
+        raise SphereBudgetError(_largest_box_radius(M.monoid.n, lattice_budget),
+                                lattice_budget) from None
     radius = sum(np.indices(tuple(r + 1 for r in bound), dtype=np.int32, sparse=True))
     entries: dict[int, ExpansionValue] = {}
     wanted = set(s_values)
@@ -92,72 +105,83 @@ def _abelian_entries(
     return entries
 
 
-def _free_entries(
-    M: MacroSet | LazyFreeMacroSet,
-    s_values: list[int],
-    r_max: int,
-    word_budget: int,
-) -> dict[int, ExpansionValue]:
-    n = M.monoid.n
+def _free_entries(worsts, s_values: list[int], r_max: int) -> dict[int, ExpansionValue]:
+    """f(s) = r - 1 for the first radius r whose worst g' exceeds s; `worsts`
+    yields the worst g' over the words of length r = 1, 2, ..."""
     pending = sorted(set(s_values))
     entries: dict[int, ExpansionValue] = {}
-    scanned = 0
-    for r in range(1, r_max + 1):
+    for r, worst in zip(range(1, r_max + 1), worsts):
+        while pending and worst > pending[0]:
+            entries[pending.pop(0)] = ExpansionValue(r - 1, exact=True)
         if not pending:
             break
-        scanned += n**r
-        if scanned > word_budget:
-            raise SphereBudgetError(r - 1, word_budget)
-        worst = 0
-        for letters in itertools.product(range(n), repeat=r):
-            worst = max(worst, _gprime_letters(letters, M))
-            if worst > pending[-1]:
-                break
-        while pending and worst > pending[0]:
-            entries[pending[0]] = ExpansionValue(r - 1, exact=True)
-            pending.pop(0)
     for s in pending:
         entries[s] = ExpansionValue(r_max, exact=False)
     return entries
 
 
-def _gprime_letters(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet) -> int:
-    if isinstance(M, MacroSet):
-        return gprime_length_free(Word(M.monoid, letters), M)
-    return gprime_length_free_lazy(letters, M)
+def _match_state_worsts(M: MacroSet, budget: int):
+    """Worst g' at each length for a finite free macro set, by a forward DP
+    over match states.
+
+    Reading a word letter by letter, the segmentation DP (`segment_free`)
+    needs, besides dp at the current position i, dp[k] for every start k
+    whose letters[k:i] is a proper prefix of some macro.  A match state lists
+    those as (id of trie node, dp[k] - dp[i]) pairs; the node fixes i - k,
+    and the offsets are bounded by the longest macro, so a finite macro set
+    has finitely many states.  The future of dp relative to dp[i] depends only
+    on the state, so keeping the largest dp[i] per state over all words of
+    length i is exact, and the largest over a layer is the worst g' at that
+    length.  Raises SphereBudgetError once the (state, letter) transitions
+    would exceed `budget`.
+    """
+    n = M.monoid.n
+    root = M.trie()
+    nodes = {id(root): root}  # the trie nodes that states name
+    layer = {(): 0}  # match state -> largest dp reaching it
+    spent = 0
+    for r in itertools.count(1):
+        spent += len(layer) * n
+        if spent > budget:
+            raise SphereBudgetError(r - 1, budget)
+        nxt: dict[tuple, int] = {}
+        for state, here in layer.items():
+            for a in range(n):
+                best = 0  # spelling the letter: dp[i + 1] <= dp[i] + 1
+                grown = []
+                for node, off in ((id(root), 0), *state):
+                    child = nodes[node].get(a)
+                    if child is None:
+                        continue
+                    if None in child and off < best:  # child spells a macro
+                        best = off
+                    if len(child) > (None in child):  # a longer macro continues
+                        nodes[id(child)] = child
+                        grown.append((id(child), off))
+                delta = best + 1  # dp[i + 1] - dp[i]
+                key = tuple((child, off - delta) for child, off in grown)
+                if nxt.get(key, -1) < here + delta:
+                    nxt[key] = here + delta
+        layer = nxt
+        yield max(layer.values())
+
+
+def _sphere_worsts(M: LazyFreeMacroSet, budget: int):
+    """Worst g' at each length for the lazy family, whose match states are
+    unbounded, by segmenting every word; raises SphereBudgetError once the
+    words would exceed `budget`."""
+    n = M.monoid.n
+    scanned = 0
+    for r in itertools.count(1):
+        scanned += n**r
+        if scanned > budget:
+            raise SphereBudgetError(r - 1, budget)
+        yield max(gprime_length_free_lazy(w, M) for w in itertools.product(range(n), repeat=r))
 
 
 def gprime_length_free_lazy(letters: tuple[int, ...], M: LazyFreeMacroSet) -> int:
     """Shortest segmentation of letters over primitives plus lazy macro membership."""
-    L = len(letters)
-    INF = L + 1
-    dp = [0] + [INF] * L
-    log_e = math.log
-    for j in range(L):
-        base = dp[j]
-        if base >= INF:
-            continue
-        if base + 1 < dp[j + 1]:
-            dp[j + 1] = base + 1
-        # incremental failure function gives per(letters[j:j+l]) for every l
-        sub = letters[j:]
-        m = len(sub)
-        fail = [0] * m
-        k = 0
-        for t in range(1, m):
-            while k > 0 and sub[t] != sub[k]:
-                k = fail[k - 1]
-            if sub[t] == sub[k]:
-                k += 1
-            fail[t] = k
-            length = t + 1
-            period = length - k
-            member = period <= M.big_b * log_e(math.e + length)
-            if not member:
-                member = M.random_included(sub[:length])
-            if member and base + 1 < dp[j + length]:
-                dp[j + length] = base + 1
-    return dp[L]
+    return segment_free(len(letters), M.matches(letters))[0]
 
 
 def expansion_profile(
@@ -172,10 +196,12 @@ def expansion_profile(
     s_values = [int(s) for s in s_values]
     if not s_values or min(s_values) < 1:
         raise ValueError("expansion profiles need s >= 1")
-    if isinstance(M, MacroSet) and M.monoid.is_abelian:
+    if isinstance(M, LazyFreeMacroSet):
+        entries = _free_entries(_sphere_worsts(M, word_budget), s_values, r_max)
+    elif M.monoid.is_abelian:
         entries = _abelian_entries(M, s_values, r_max, lattice_budget)
     else:
-        entries = _free_entries(M, s_values, r_max, word_budget)
+        entries = _free_entries(_match_state_worsts(M, word_budget), s_values, r_max)
     if spec is None:
         monoid = M.monoid
         spec = FamilySpec("finite", monoid, r_max, words=())
@@ -376,10 +402,15 @@ def find_halving_macro(
         C = M.big_c
     k = math.ceil(C * math.log(math.e + r))
     half = (r + 1) // 2
+    lazy = isinstance(M, LazyFreeMacroSet)
     for start in range(1, min(k, r) + 1):
-        top = r - start + 1
-        for length in range(top, max(half, 2) - 1, -1):
-            if M.contains_letters(letters[start - 1 : start - 1 + length]):
+        lengths = range(r - start + 1, max(half, 2) - 1, -1)
+        if lazy and lengths:
+            # one failure-function pass gives the period of every length
+            periods = prefix_periods(letters, start - 1)
+        for length in lengths:
+            sub = letters[start - 1 : start - 1 + length]
+            if (M.includes(sub, periods[length - 1]) if lazy else M.contains_letters(sub)):
                 return start, length
     return None
 

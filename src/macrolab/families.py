@@ -92,23 +92,30 @@ class FamilySpec:
         return FamilySpec("prob_free", free(n), r_max, big_b=big_b, big_c=big_c, seed=seed)
 
 
+def prefix_periods(letters: tuple[int, ...], start: int = 0) -> list[int]:
+    """Minimal periods of letters[start:start+l] for l = 1, 2, ..., in one pass.
+
+    This is the KMP failure function of the suffix letters[start:]: entry
+    l-1 is l minus the longest proper border of the length-l prefix, so the
+    border of a border of length k is k - periods[k-1].
+    """
+    periods = [1] * (len(letters) - start)
+    k = 0  # longest proper border of the prefix read so far
+    for t in range(1, len(periods)):
+        a = letters[start + t]
+        while k > 0 and a != letters[start + k]:
+            k -= periods[k - 1]
+        if a == letters[start + k]:
+            k += 1
+        periods[t] = t + 1 - k
+    return periods
+
+
 def minimal_period(letters: tuple[int, ...] | list[int] | Word) -> int:
     """Smallest d >= 1 with w[j] == w[j+d] for all valid j (need not divide |w|)."""
     if isinstance(letters, Word):
         letters = letters.data
-    L = len(letters)
-    if L == 0:
-        return 0
-    # KMP failure function; the period is L minus the longest proper border.
-    fail = [0] * L
-    k = 0
-    for i in range(1, L):
-        while k > 0 and letters[i] != letters[k]:
-            k = fail[k - 1]
-        if letters[i] == letters[k]:
-            k += 1
-        fail[i] = k
-    return L - fail[L - 1]
+    return prefix_periods(letters)[-1] if letters else 0
 
 
 class LazyFreeMacroSet:
@@ -137,18 +144,31 @@ class LazyFreeMacroSet:
         h = hashlib.blake2b(bytes(letters), key=self._key, digest_size=8)
         return int.from_bytes(h.digest(), "little") / 2.0**64
 
-    def is_log_periodic(self, letters: tuple[int, ...]) -> bool:
-        return minimal_period(letters) <= self.big_b * math.log(math.e + len(letters))
+    def is_log_periodic(self, letters: tuple[int, ...], period: int | None = None) -> bool:
+        if period is None:
+            period = minimal_period(letters)
+        return period <= self.big_b * math.log(math.e + len(letters))
 
     def random_included(self, letters: tuple[int, ...]) -> bool:
         return self._hash_unit(letters) < self.inclusion_probability(len(letters))
 
+    def includes(self, letters: tuple[int, ...], period: int) -> bool:
+        """Membership of a word of length >= 2 whose minimal period is `period`."""
+        return self.is_log_periodic(letters, period) or self.random_included(letters)
+
     def contains_letters(self, letters: tuple[int, ...]) -> bool:
-        if len(letters) < 2:
-            return False
-        if self.is_log_periodic(letters):
-            return True
-        return self.random_included(letters)
+        return len(letters) >= 2 and self.includes(letters, minimal_period(letters))
+
+    def matches(self, letters: tuple[int, ...]):
+        """Match iterator for `monoid.segment_free`: start j -> (end, None) for
+        every macro spelling letters[j:end], shortest first."""
+
+        def from_start(j: int):
+            for length, period in enumerate(prefix_periods(letters, j), 1):
+                if length >= 2 and self.includes(letters[j : j + length], period):
+                    yield j + length, None
+
+        return from_start
 
     def window(self, r: int) -> int:
         """Prefix window k(r) = ceil(C ln(e + r)) scanned for a halving macro."""

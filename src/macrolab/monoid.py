@@ -141,6 +141,7 @@ class MacroSet:
         self._by_name = {m.name: m for m in self.macros}
         self._by_def = {m.definition.data: m for m in self.macros}
         self._trie: dict | None = None
+        self._depths: dict[int, dict[str, int]] = {}  # lattice budget -> macro depths
 
     def __len__(self) -> int:
         return len(self.macros)
@@ -176,6 +177,24 @@ class MacroSet:
                 node[None] = m.name
             self._trie = root
         return self._trie
+
+    def matches(self, letters: tuple[int, ...], exclude: str | None = None):
+        """Match iterator for `segment_free`: start j -> (end, name) for every
+        macro other than `exclude` spelling letters[j:end], shortest first."""
+        trie = self.trie()
+        L = len(letters)
+
+        def from_start(j: int):
+            node = trie
+            for i in range(j, L):
+                node = node.get(letters[i])
+                if node is None:
+                    return
+                name = node.get(None)
+                if name is not None and name != exclude:
+                    yield i + 1, name
+
+        return from_start
 
 
 class LatticeBudgetError(Exception):
@@ -274,16 +293,29 @@ def gprime_length_abelian(
             return s
 
 
-def _free_matches_from(letters: tuple[int, ...], start: int, trie: dict):
-    """Yield (end, name) for every macro matching letters[start:end]."""
-    node = trie
-    for i in range(start, len(letters)):
-        node = node.get(letters[i])
-        if node is None:
-            return
-        name = node.get(None)
-        if name is not None:
-            yield i + 1, name
+def segment_free(length: int, matches, depth: dict[str, int] | None = None) -> tuple[int, int]:
+    """Shortest segmentation of a length-`length` free-monoid word into letters and macros.
+
+    `matches(j)` yields (end, name) for every macro spelling letters[j:end]
+    (see `MacroSet.matches`).  Returns (tokens, score): the fewest tokens, and,
+    when `depth` maps macro names to depths, the smallest largest depth among
+    the segmentations with that few tokens (0 when no macro is used or
+    `depth` is None).
+    """
+    dp = [0] + [length + 1] * length
+    sc = [0] * (length + 1)
+    for j in range(length):
+        cand = dp[j] + 1
+        score = sc[j]
+        if cand < dp[j + 1] or (cand == dp[j + 1] and score < sc[j + 1]):
+            dp[j + 1] = cand
+            sc[j + 1] = score
+        for end, name in matches(j):
+            d = score if depth is None or depth[name] <= score else depth[name]
+            if cand < dp[end] or (cand == dp[end] and d < sc[end]):
+                dp[end] = cand
+                sc[end] = d
+    return dp[length], sc[length]
 
 
 def gprime_length_free(
@@ -296,23 +328,7 @@ def gprime_length_free(
         raise ValueError("gprime_length_free needs a free-monoid word")
     if M.monoid != w.monoid:
         raise ValueError("word and macro set live in different monoids")
-    letters = w.data
-    L = len(letters)
-    trie = M.trie()
-    excluded = M.get(exclude).definition.data if exclude is not None else None
-    INF = L + 1
-    dp = [0] + [INF] * L
-    for j in range(L):
-        if dp[j] == INF:
-            continue
-        if dp[j] + 1 < dp[j + 1]:
-            dp[j + 1] = dp[j] + 1  # single letter
-        for end, _name in _free_matches_from(letters, j, trie):
-            if excluded is not None and letters[j:end] == excluded:
-                continue
-            if dp[j] + 1 < dp[end]:
-                dp[end] = dp[j] + 1
-    return dp[L]
+    return segment_free(len(w.data), M.matches(w.data, exclude))[0]
 
 
 def gprime_length(
@@ -333,17 +349,19 @@ def wrapped_length(m: Macro, M: MacroSet, budget: int = DEFAULT_LATTICE_BUDGET) 
 
 
 def _macro_depths(M: MacroSet, budget: int) -> dict[str, int]:
-    """Depth of every macro, in increasing definition length.
+    """Depth of every macro, in increasing definition length, computed once per budget.
 
     A macro's minimal representation (itself excluded) only ever uses macros
     of strictly smaller length: an equal-length macro would have to equal the
     definition, and definitions are unique.  So increasing-length order makes
     each depth depend only on already-computed ones.
     """
-    depths: dict[str, int] = {}
-    for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
-        depths[m.name] = 1 + _best_depth_score(m.definition, M, m.name, depths, budget)
-    return depths
+    if budget not in M._depths:
+        depths: dict[str, int] = {}
+        for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
+            depths[m.name] = 1 + _best_depth_score(m.definition, M, m.name, depths, budget)
+        M._depths[budget] = depths
+    return M._depths[budget]
 
 
 def _best_depth_score(
@@ -370,31 +388,7 @@ def _best_depth_score(
             nxt[~frontier] = inf
             score = nxt
 
-    letters = w.data
-    L = len(letters)
-    trie = M.trie()
-    excluded = M.get(exclude).definition.data if exclude is not None else None
-    INF = L + 1
-    dp = [INF] * (L + 1)
-    sc = [INF] * (L + 1)
-    dp[0] = 0
-    sc[0] = 0
-    for j in range(L):
-        if dp[j] >= INF:
-            continue
-        cand = dp[j] + 1
-        if cand < dp[j + 1] or (cand == dp[j + 1] and sc[j] < sc[j + 1]):
-            dp[j + 1] = cand
-            sc[j + 1] = sc[j]
-        for end, name in _free_matches_from(letters, j, trie):
-            if excluded is not None and letters[j:end] == excluded:
-                continue
-            d = macro_depth[name]
-            cand_score = sc[j] if sc[j] > d else d
-            if cand < dp[end] or (cand == dp[end] and cand_score < sc[end]):
-                dp[end] = cand
-                sc[end] = cand_score
-    return sc[L]
+    return segment_free(len(w.data), M.matches(w.data, exclude), macro_depth)[1]
 
 
 def monoid_depth(

@@ -117,6 +117,17 @@ def test_sim_budget_exhaustion_exits_three(tmp_path):
     assert "largest_completed_radius" in report[1]
 
 
+def test_lattice_overflow_reports_the_largest_box_that_fits(tmp_path):
+    # The default budget is 10**7 lattice points and 215**3 <= 10**7 < 216**3.
+    out = tmp_path / "overflow"
+    code = main(["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
+                 "--r-max", "400", "--out", str(out)])
+    assert code == EXIT_BUDGET
+    report = read_jsonl(out / "report.jsonl")
+    assert report[1]["status"] == "budget_exceeded"
+    assert report[1]["largest_completed_radius"] == 214
+
+
 def test_sim_probabilistic_monte_carlo(tmp_path):
     out = tmp_path / "prob"
     code = main([
@@ -192,6 +203,14 @@ def test_config_values_go_through_the_validators(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("regime=place\nb=2\ns=0\nr-max=50\n")
     assert main(["sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+
+
+def test_unknown_config_key_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("regime=place\nb=2\ns=1:2\nr-max=50\nr_mx=50\n")
+    assert main(["sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "r_mx" in err
 
 
 def test_malformed_config_line_is_an_input_error(tmp_path):

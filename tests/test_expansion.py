@@ -6,9 +6,11 @@ and direct coin counting for small finite families.
 """
 
 import math
+from functools import cache
+from itertools import islice, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from macrolab.expansion import (
     ExpansionValue,
@@ -28,8 +30,18 @@ from macrolab.expansion import (
     verify_bounds,
     word_str,
 )
+from macrolab.expansion import _match_state_worsts
 from macrolab.families import FamilySpec, LazyFreeMacroSet, build_macro_family
-from macrolab.monoid import Macro, MacroSet, Word, abelian, free
+from macrolab.monoid import (
+    LatticeBudgetError,
+    Macro,
+    MacroSet,
+    Word,
+    abelian,
+    free,
+    gprime_length,
+    monoid_depth,
+)
 
 
 def digit_sum(value: int, base: int) -> int:
@@ -160,6 +172,62 @@ def test_sphere_budget_error_reports_progress():
         expansion_profile(M, [6], r_max=12, word_budget=40)
     assert err.value.budget == 40
     assert 0 <= err.value.largest_completed < 12
+
+
+def sphere_worsts(M, r_max):
+    """Oracle: the largest g' over every word of each length 1..r_max."""
+    return [max(gprime_length(Word(M.monoid, w), M) for w in product(range(M.monoid.n), repeat=r))
+            for r in range(1, r_max + 1)]
+
+
+def profile_oracle(worsts, s_values):
+    """f(s) = r - 1 for the first length r whose worst g' exceeds s."""
+    fallback = ExpansionValue(len(worsts), exact=False)
+    return {s: next((ExpansionValue(r, exact=True) for r, w in enumerate(worsts) if w > s),
+                    fallback)
+            for s in s_values}
+
+
+@st.composite
+def free_macro_sets(draw, max_macros=6):
+    """(n, definitions) with n in 2..3 and definitions of length 2..4."""
+    n = draw(st.integers(2, 3))
+    defs = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=4).map(tuple),
+                         max_size=max_macros, unique=True))
+    return n, defs
+
+
+def macro_set(n, defs):
+    return MacroSet(free(n), [Macro(f"m{i}", Word(free(n), d)) for i, d in enumerate(defs)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(free_macro_sets(max_macros=10), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       st.data())
+def test_match_state_profile_matches_sphere_scan(case, s_values, data):
+    n, defs = case
+    r_max = data.draw(st.integers(1, 9 if n == 2 else 7), label="r_max")
+    M = macro_set(n, defs)
+    worsts = sphere_worsts(M, r_max)
+    assert list(islice(_match_state_worsts(M, 10**7), r_max)) == worsts
+    assert expansion_profile(M, s_values, r_max).entries == profile_oracle(worsts, s_values)
+
+
+def test_free_linear_ceiling_is_checked_far_past_the_sphere_scan():
+    # A scan of every word would need more than 2**40 segmentations here; the
+    # word budget of 10**5 stops it at radius 15.
+    words = [Word.from_letters(letters_of_str(t), n=2) for t in ("aa", "bb", "ab", "ba")]
+    spec = FamilySpec.finite(words, r_max=100)
+    profile = expansion_profile(build_macro_family(spec), range(1, 41), r_max=100,
+                                spec=spec, word_budget=10**5)
+    assert profile.entries == {s: ExpansionValue(2 * s, True) for s in range(1, 41)}
+    assert verify_bounds(profile).all_passed
+
+    spec = FamilySpec.poly_density_free(c=2.0, p=1.0, n=2, r_max=80)
+    profile = expansion_profile(build_macro_family(spec), range(1, 13), r_max=80,
+                                spec=spec, word_budget=10**5)
+    assert all(v.exact for v in profile.entries.values())
+    assert verify_bounds(profile).all_passed
 
 
 # --- bound reports ---
@@ -293,6 +361,43 @@ def test_find_halving_macro_picks_first_window_start():
     assert count == 3
 
 
+def halving_oracle(letters, M, C=None):
+    """The per-length search: one membership query, with its own minimal
+    period, for every candidate (start, length)."""
+    r = len(letters)
+    k = math.ceil((M.big_c if C is None else C) * math.log(math.e + r))
+    for start in range(1, min(k, r) + 1):
+        for length in range(r - start + 1, max((r + 1) // 2, 2) - 1, -1):
+            if M.contains_letters(letters[start - 1 : start - 1 + length]):
+                return start, length
+    return None
+
+
+class PeriodicOnly(LazyFreeMacroSet):
+    """The lazy family without its random inclusions, so that membership
+    turns on the minimal period alone."""
+
+    def random_included(self, letters):
+        return False
+
+
+# noise, then a repeated block, then noise
+periodic_words = st.tuples(
+    st.lists(st.integers(0, 1), max_size=3), st.lists(st.integers(0, 1), min_size=1, max_size=4),
+    st.integers(1, 30), st.lists(st.integers(0, 1), max_size=3),
+).map(lambda t: tuple(t[0] + t[1] * t[2] + t[3]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.lists(st.integers(0, 1), min_size=1, max_size=120).map(tuple),
+                 periodic_words),
+       st.sampled_from([LazyFreeMacroSet, PeriodicOnly]), st.integers(0, 5),
+       st.sampled_from([0.5, 1.0, 8.0]), st.sampled_from([None, 1.5, 6.0]))
+def test_halving_search_matches_per_length_queries(letters, kind, seed, big_b, C):
+    M = kind(free(2), big_b=big_b, big_c=4.0, seed=seed)
+    assert find_halving_macro(letters, M, C) == halving_oracle(letters, M, C)
+
+
 def test_materialized_sets_need_an_explicit_window_constant():
     M = MacroSet(free(2))
     with pytest.raises(ValueError):
@@ -362,3 +467,61 @@ def test_fit_parse_constant_covers_every_observation():
     for sr in rates:
         for count in sr.parse_counts:
             assert count <= K * math.log(sr.r) ** 2 + 1e-9
+
+
+# --- macro depths ---
+
+
+def slow_depth_free(letters, defs):
+    """Oracle: depth by exhaustive segmentation, each macro's depth memoised."""
+    defs = set(defs)
+
+    @cache
+    def best(word, exclude):
+        """Lexicographically least (tokens, largest macro depth) over segmentations."""
+        if not word:
+            return 0, 0
+        t, s = best(word[1:], exclude)
+        options = [(t + 1, s)]
+        for end in range(2, len(word) + 1):
+            head = word[:end]
+            if head in defs and head != exclude:
+                t, s = best(word[end:], exclude)
+                options.append((t + 1, max(s, macro_depth(head))))
+        return min(options)
+
+    @cache
+    def macro_depth(d):
+        return 1 + best(d, d)[1]
+
+    if len(letters) <= 1:
+        return 0
+    return 1 + best(letters, letters if letters in defs else None)[1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(free_macro_sets(max_macros=8),
+       st.lists(st.lists(st.integers(0, 1), max_size=14).map(tuple), min_size=1, max_size=4),
+       st.lists(st.integers(0, 1), min_size=2, max_size=5).map(tuple))
+@example((2, [(0, 0, 0, 0)]), [(0,) * 8], (0, 0))
+def test_cached_depths_match_oracle_and_follow_with_macro(case, words, extra):
+    n, defs = case
+    M = macro_set(n, defs)
+    expected = [slow_depth_free(w, defs) for w in words]
+    assert [monoid_depth(Word(free(n), w), M) for w in words] == expected
+    assert [monoid_depth(Word(free(n), w), M) for w in words] == expected
+    if extra not in defs:
+        bigger = M.with_macro(Macro("extra", Word(free(n), extra)))
+        assert [monoid_depth(Word(free(n), w), bigger) for w in words] == [
+            slow_depth_free(w, defs + [extra]) for w in words]
+        assert [monoid_depth(m, bigger) for m in bigger] == [
+            slow_depth_free(m.definition.data, defs + [extra]) for m in bigger]
+
+
+def test_cached_depths_still_honour_a_smaller_lattice_budget():
+    # The 31 x 31 box of the macro's own depth exceeds a budget of 100 points.
+    M = MacroSet(abelian(2), [Macro("big", Word.from_multiplicities((30, 30)))])
+    w = Word.from_multiplicities((2, 0))
+    assert monoid_depth(w, M) == 1
+    with pytest.raises(LatticeBudgetError):
+        monoid_depth(w, M, budget=100)

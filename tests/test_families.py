@@ -11,6 +11,7 @@ from macrolab.families import (
     LazyFreeMacroSet,
     build_macro_family,
     minimal_period,
+    prefix_periods,
 )
 from macrolab.monoid import Word, abelian, free
 
@@ -150,7 +151,11 @@ def test_minimal_period_accepts_words():
 @settings(deadline=None)
 @given(st.lists(st.integers(0, 2), max_size=14))
 def test_minimal_period_matches_oracle(letters):
-    assert minimal_period(tuple(letters)) == slow_minimal_period(tuple(letters))
+    letters = tuple(letters)
+    assert minimal_period(letters) == slow_minimal_period(letters)
+    for start in range(len(letters)):
+        assert prefix_periods(letters, start) == [
+            slow_minimal_period(letters[start:end]) for end in range(start + 1, len(letters) + 1)]
 
 
 # --- lazy probabilistic macro set ---
