@@ -94,7 +94,7 @@ def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
         if val is None:
             val = default
         out[key] = val
-    if not 0 <= out["seed"] < 2**64:
+    if "seed" in out and not 0 <= out["seed"] < 2**64:
         raise InputError(f"seed must lie in [0, 2**64), got {out['seed']}")
     return out
 
@@ -214,6 +214,9 @@ def _bound_rows(report: expansion.BoundReport) -> list[list]:
 
 def cmd_sim(args: argparse.Namespace) -> int:
     opts = _merge(args, _SIM_SPEC)
+    for key in ("word_budget", "lattice_budget"):
+        if opts[key] < 1:
+            raise InputError(f"{key} must be >= 1, got {opts[key]}")
     out = _ensure_out(opts["out"])
     spec = _family_spec(opts)
 
@@ -313,7 +316,6 @@ _INGEST_SPEC = {
     "inp": (str, None),
     "format": (str, "corpus"),
     "out": (str, "."),
-    "seed": (int, 0),
 }
 
 
@@ -351,7 +353,6 @@ _ANALYZE_SPEC = {
     "min_distinct_x": (int, 8),
     "flat_slope": (float, 0.05),
     "min_x_span": (float, 0.0),
-    "seed": (int, 0),
 }
 
 
@@ -482,7 +483,6 @@ _RANK_SPEC = {
     "wrapped_metric": (str, "auto"),
     "sweep": (_float_list, None),
     "alt_deductive": (_to_bool, False),
-    "seed": (int, 0),
 }
 
 
@@ -571,7 +571,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", type=str, default=None, help="output directory")
-    sp.add_argument("--seed", type=int, default=None, help="base seed for all streams")
     sp.add_argument("--config", type=str, default=None,
                     help="key=value defaults file; flags override")
 
@@ -607,6 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="free-monoid profile budget, in (match state, letter) "
                           "transitions of the worst-word DP")
     sim.add_argument("--lattice-budget", dest="lattice_budget", type=int, default=None)
+    sim.add_argument("--seed", type=int, default=None, help="base seed for all streams")
     _add_common(sim)
     sim.set_defaults(func=cmd_sim)
 
@@ -662,6 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--primitives", type=int, default=None)
     syn.add_argument("--macros", type=int, default=None)
     syn.add_argument("--max-weight", dest="max_weight", type=int, default=None)
+    syn.add_argument("--seed", type=int, default=None, help="base seed for all streams")
     _add_common(syn)
     syn.set_defaults(func=cmd_synth)
     return parser

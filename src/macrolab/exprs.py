@@ -9,12 +9,20 @@ The grammar mirrors a proof-assistant kernel term language::
 name "Sort"; `(other)` covers constructs that reference nothing (bound
 variables, literals, metavariables).  Parsing and printing are iterative so
 deeply nested bodies cannot overflow the interpreter stack.
+
+The parser splits the text with one regex pass and works on bare token
+strings; an error's (line, column) is worked out from the text only once
+parsing has failed.  Nodes are immutable, so leaves are shared: `(sort)` and
+`(other)` are module-wide singletons, and repeated `(const NAME)` leaves of one
+parse are one object.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 SORT_NAME = "Sort"
 
@@ -32,7 +40,7 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExprNode:
     tag: str
     name: str | None = None
@@ -77,12 +85,17 @@ def proj(struct: ExprNode) -> ExprNode:
     return ExprNode("proj", children=(struct,))
 
 
+_LEAVES = {"sort": ExprNode("sort"), "other": ExprNode("other")}
+_PARENS = ("(", ")")
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def sort() -> ExprNode:
-    return ExprNode("sort")
+    return _LEAVES["sort"]
 
 
 def other() -> ExprNode:
-    return ExprNode("other")
+    return _LEAVES["other"]
 
 
 class ExprParseError(ValueError):
@@ -94,91 +107,72 @@ class ExprParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class _Token:
-    text: str
-    line: int
-    col: int
+def _error(text: str, index: int, message: str) -> ExprParseError:
+    """Locate the index-th token; only a failed parse pays for positions.
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and not text[i].isspace() and text[i] not in "()":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    return tokens
+    Columns count every character since the last newline, tabs and carriage
+    returns included, as one each."""
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start()
+    line = text.count("\n", 0, offset) + 1
+    return ExprParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 def parse_expr(text: str) -> ExprNode:
     """Parse one S-expression; trailing input or malformed forms are rejected."""
-    tokens = _tokenize(text)
-    if not tokens:
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    if not end:
         raise ExprParseError("empty input", 1, 1)
+    consts: dict[str, ExprNode] = {}
+    # frames: (tag, tag token index, name, children of the enclosing form)
+    frames: list[tuple[str, int, str | None, list[ExprNode]]] = []
+    root: list[ExprNode] = []
+    children = root
     pos = 0
-
-    # frames: [tag, tag_token, children-list]
-    stack: list[list] = []
-    result: ExprNode | None = None
-    while pos < len(tokens):
+    while pos < end:
         tok = tokens[pos]
-        if result is not None:
-            raise ExprParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
-        if tok.text == "(":
-            pos += 1
-            if pos >= len(tokens) or tokens[pos].text in "()":
-                bad = tokens[pos] if pos < len(tokens) else tok
-                raise ExprParseError("expected a tag after '('", bad.line, bad.col)
-            tag_tok = tokens[pos]
-            if tag_tok.text not in _ARITY:
-                raise ExprParseError(f"unknown tag {tag_tok.text!r}", tag_tok.line, tag_tok.col)
-            pos += 1
+        if tok == "(":
+            at = pos + 1
+            tag = tokens[at] if at < end else "("  # a missing token reads as a paren
+            if tag not in _ARITY:
+                if tag in _PARENS:
+                    raise _error(text, min(at, end - 1), "expected a tag after '('")
+                raise _error(text, at, f"unknown tag {tag!r}")
             name = None
-            if tag_tok.text == "const":
-                if pos >= len(tokens) or tokens[pos].text in "()":
-                    raise ExprParseError("const needs a name", tag_tok.line, tag_tok.col)
-                name = tokens[pos].text
+            pos = at + 1
+            if tag == "const":
+                name = tokens[pos] if pos < end else "("
+                if name in _PARENS:
+                    raise _error(text, at, "const needs a name")
                 pos += 1
-            stack.append([tag_tok.text, tag_tok, name, []])
-        elif tok.text == ")":
-            if not stack:
-                raise ExprParseError("unmatched ')'", tok.line, tok.col)
-            tag, tag_tok, name, children = stack.pop()
+            frames.append((tag, at, name, children))
+            children = []
+        elif tok == ")":
+            if not frames:
+                raise _error(text, pos, "unmatched ')'")
+            tag, at, name, parent = frames.pop()
             if len(children) != _ARITY[tag]:
-                raise ExprParseError(
-                    f"{tag} takes {_ARITY[tag]} children, got {len(children)}",
-                    tag_tok.line, tag_tok.col,
-                )
-            node = ExprNode(tag, name=name, children=tuple(children))
-            pos += 1
-            if stack:
-                stack[-1][3].append(node)
+                raise _error(text, at, f"{tag} takes {_ARITY[tag]} children, got {len(children)}")
+            if name is not None:
+                node = consts.get(name)
+                if node is None:
+                    node = consts[name] = ExprNode("const", name)
+            elif tag in _LEAVES:
+                node = _LEAVES[tag]
             else:
-                result = node
+                node = ExprNode(tag, None, tuple(children))
+            parent.append(node)
+            children = parent
+            pos += 1
+            if not frames:
+                break
         else:
-            raise ExprParseError(f"unexpected atom {tok.text!r}", tok.line, tok.col)
-    if result is None:
-        last = tokens[-1]
-        raise ExprParseError("unclosed '('", last.line, last.col)
-    return result
+            raise _error(text, pos, f"unexpected atom {tok!r}")
+    else:
+        raise _error(text, end - 1, "unclosed '('")
+    if pos < end:
+        raise _error(text, pos, f"unexpected trailing {tokens[pos]!r}")
+    return root[0]
 
 
 def print_expr(node: ExprNode) -> str:

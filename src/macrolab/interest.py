@@ -135,24 +135,6 @@ def alt_deductive_scores(splits: dict[str, ElementSplit]) -> dict[str, float | N
     return out
 
 
-def transition_probability(
-    v: str,
-    u: str,
-    graph: DepGraph,
-    j0: dict[str, float],
-    params: RankParams = RankParams(),
-) -> float:
-    """Walk probability of stepping u -> v; sinks teleport with probability 1."""
-    z = sum(j0.values())
-    if z <= 0:
-        raise ValueError("teleport weights must have positive total")
-    refs = graph.nodes[u].merged_refs()
-    total = sum(refs.values())
-    if total == 0:
-        return j0[v] / z
-    return params.alpha * refs.get(v, 0) / total + (1 - params.alpha) * j0[v] / z
-
-
 @dataclass
 class RankResult:
     pi: dict[str, float]
@@ -225,16 +207,3 @@ def pagerank(
             return RankResult({name: float(pi[index[name]]) for name in names},
                               it, residual, tuple(history))
     raise PowerIterationError(params.max_iterations, residual)
-
-
-def dense_transition_matrix(
-    graph: DepGraph, j0: dict[str, float], params: RankParams = RankParams()
-) -> tuple[list[str], np.ndarray]:
-    """Full column-stochastic matrix P[v, u]; for small-graph cross-checks."""
-    names = graph.names()
-    n = len(names)
-    P = np.zeros((n, n), dtype=np.float64)
-    for ui, u in enumerate(names):
-        for vi, v in enumerate(names):
-            P[vi, ui] = transition_probability(v, u, graph, j0, params)
-    return names, P

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per headline guarantee of the library.
 
 Every expected value below is either produced by an independent oracle
-written inside this module (brute force, direct recurrence, dense linear
+written in the tests (brute force, direct recurrence, dense linear
 algebra) or is a closed-form constant checked against that oracle.  The
 conftest hook prints a PASS/FAIL line per criterion.
 """
@@ -38,12 +38,12 @@ from macrolab.families import FamilySpec, build_macro_family
 from macrolab.interest import (
     RankParams,
     compression_scores,
-    dense_transition_matrix,
     element_splits,
     pagerank,
 )
 from macrolab.monoid import Word, gprime_length
 from macrolab.synth import synth_mixed
+from test_interest import dense_transition_matrix
 
 # --- 1: base-2 place notation, exact growth and two-sided bounds ---
 

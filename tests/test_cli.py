@@ -128,6 +128,19 @@ def test_lattice_overflow_reports_the_largest_box_that_fits(tmp_path):
     assert report[1]["largest_completed_radius"] == 214
 
 
+@pytest.mark.parametrize("args", [
+    ["--regime", "finite", "--monoid", "free", "--n", "2", "--word", "aa;bb",
+     "--word-budget", "-5"],
+    ["--regime", "place", "--b", "2", "--n", "1", "--lattice-budget", "0"],
+])
+def test_non_positive_budget_is_an_input_error(tmp_path, capsys, args):
+    code = main(["sim", *args, "--s", "1:3", "--r-max", "10", "--out", str(tmp_path)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "budget" in err
+    assert not (tmp_path / "report.jsonl").exists()
+
+
 def test_sim_probabilistic_monte_carlo(tmp_path):
     out = tmp_path / "prob"
     code = main([
@@ -211,6 +224,16 @@ def test_unknown_config_key_is_an_input_error(tmp_path, capsys):
     assert main(["sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "r_mx" in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "analyze", "rank"])
+def test_commands_without_randomness_take_no_seed(tmp_path, capsys, command):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=3\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
+    assert "unknown config key seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([command, "--seed", "3", "--out", str(tmp_path / "o")])
 
 
 def test_malformed_config_line_is_an_input_error(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for expression parsing, printing, and reference counting."""
 
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,103 @@ SIMPLE_BODY = (
     "(lam (sort) (lam (sort) (lam (app (app (const And) (other)) (other)) "
     "(app (app (app (const And.right) (other)) (other)) (other)))))"
 )
+
+
+# --- character-by-character reference parser (the oracle) ---
+
+
+@dataclass
+class _Token:
+    text: str
+    line: int
+    col: int
+
+
+def _slow_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch.isspace():
+            col += 1
+            i += 1
+        elif ch in "()":
+            tokens.append(_Token(ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < len(text) and not text[i].isspace() and text[i] not in "()":
+                i += 1
+                col += 1
+            tokens.append(_Token(text[start:i], line, start_col))
+    return tokens
+
+
+def slow_parse_expr(text: str) -> ExprNode:
+    """Token records with positions, one fresh node per form."""
+    arity = {"const": 0, "app": 2, "lam": 2, "forallE": 2, "letE": 3,
+             "mdata": 1, "proj": 1, "sort": 0, "other": 0}
+    tokens = _slow_tokenize(text)
+    if not tokens:
+        raise ExprParseError("empty input", 1, 1)
+    pos = 0
+    stack: list[list] = []  # frames: [tag, tag_token, name, children]
+    result: ExprNode | None = None
+    while pos < len(tokens):
+        tok = tokens[pos]
+        if result is not None:
+            raise ExprParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        if tok.text == "(":
+            pos += 1
+            if pos >= len(tokens) or tokens[pos].text in "()":
+                bad = tokens[pos] if pos < len(tokens) else tok
+                raise ExprParseError("expected a tag after '('", bad.line, bad.col)
+            tag_tok = tokens[pos]
+            if tag_tok.text not in arity:
+                raise ExprParseError(f"unknown tag {tag_tok.text!r}", tag_tok.line, tag_tok.col)
+            pos += 1
+            name = None
+            if tag_tok.text == "const":
+                if pos >= len(tokens) or tokens[pos].text in "()":
+                    raise ExprParseError("const needs a name", tag_tok.line, tag_tok.col)
+                name = tokens[pos].text
+                pos += 1
+            stack.append([tag_tok.text, tag_tok, name, []])
+        elif tok.text == ")":
+            if not stack:
+                raise ExprParseError("unmatched ')'", tok.line, tok.col)
+            tag, tag_tok, name, children = stack.pop()
+            if len(children) != arity[tag]:
+                raise ExprParseError(
+                    f"{tag} takes {arity[tag]} children, got {len(children)}",
+                    tag_tok.line, tag_tok.col,
+                )
+            node = ExprNode(tag, name=name, children=tuple(children))
+            pos += 1
+            if stack:
+                stack[-1][3].append(node)
+            else:
+                result = node
+        else:
+            raise ExprParseError(f"unexpected atom {tok.text!r}", tok.line, tok.col)
+    if result is None:
+        last = tokens[-1]
+        raise ExprParseError("unclosed '('", last.line, last.col)
+    return result
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ExprParseError as exc:
+        return str(exc), exc.line, exc.col
 
 
 # --- parsing ---
@@ -91,6 +189,18 @@ def test_parse_rejects_bare_atoms_and_empty_input():
         parse_expr(")")
 
 
+@pytest.mark.parametrize("text", [
+    "(app (const f)", "(const)", "((", "(", ")", "(sort) x", "(sort))", "(sort", "(const",
+    "(const x y)", "(const x (sort))", "(sort (other))", "(app (sort) (other) (sort))",
+    "(bogus)", "x", "\t\r\n  (app\t(sort)\r\n\t(mdata))", "(lam (sort)\n\t(x))",
+    "\u2028(app (sort)\u00a0\n\x1c(other)) \n(sort)", "(const a)\r\n\r\n)",
+])
+def test_parse_errors_match_the_oracle(text):
+    expected = _outcome(slow_parse_expr, text)
+    assert isinstance(expected, tuple)
+    assert _outcome(parse_expr, text) == expected
+
+
 def test_parse_survives_deep_nesting():
     depth = 40000
     text = "(mdata " * depth + "(other)" + ")" * depth
@@ -141,6 +251,47 @@ expr_nodes = st.deferred(
 @given(expr_nodes)
 def test_print_parse_round_trip(node):
     assert parse_expr(print_expr(node)) == node
+
+
+_WHITESPACE = [" ", "\t", "\r\n", "\n", "\u00a0", "\x1c", "\u2028"]
+_separators = st.lists(st.sampled_from(_WHITESPACE), max_size=3).map("".join)
+
+
+def _tokens(node: ExprNode) -> list[str]:
+    return print_expr(node).replace("(", " ( ").replace(")", " ) ").split()
+
+
+@settings(deadline=None, max_examples=200)
+@given(expr_nodes, st.data())
+def test_parse_matches_the_oracle_on_mangled_text(node, data):
+    tokens = _tokens(node)
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(["drop", "repeat"]),
+                                         st.integers(0, len(tokens) - 1)), max_size=3))
+    for op, i in edits:
+        if i < len(tokens):
+            tokens[i:i + 1] = [] if op == "drop" else [tokens[i], tokens[i]]
+    text = data.draw(_separators)
+    for prev, tok in zip([None, *tokens], tokens):
+        sep = data.draw(_separators)
+        if prev not in (None, "(", ")") and tok not in ("(", ")") and not sep:
+            sep = " "  # two atoms need whitespace between them
+        text += sep + tok
+    text += data.draw(_separators)
+    assert _outcome(parse_expr, text) == _outcome(slow_parse_expr, text)
+
+
+def test_repeated_leaves_are_one_object():
+    node = parse_expr("(app (const a) (const a))")
+    assert node.children[0] is node.children[1]
+    assert collect_elems(node) == Counter({"a": 2})
+    pair = parse_expr("(app (sort) (sort))")
+    assert pair.children[0] is pair.children[1] is sort()
+    assert collect_elems(pair) == Counter({"Sort": 2})
+
+
+def test_nodes_have_no_instance_dict():
+    assert not hasattr(parse_expr("(const a)"), "__dict__")
+    assert not hasattr(app(sort(), other()), "__dict__")
 
 
 # --- reference counting ---

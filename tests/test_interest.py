@@ -14,11 +14,33 @@ from macrolab.interest import (
     RankParams,
     alt_deductive_scores,
     compression_scores,
-    dense_transition_matrix,
     element_splits,
     pagerank,
-    transition_probability,
 )
+
+
+def transition_probability(v, u, graph, j0, params=RankParams()):
+    """Walk probability of stepping u -> v; sinks teleport with probability 1."""
+    z = sum(j0.values())
+    if z <= 0:
+        raise ValueError("teleport weights must have positive total")
+    refs = graph.nodes[u].merged_refs()
+    total = sum(refs.values())
+    if total == 0:
+        return j0[v] / z
+    return params.alpha * refs.get(v, 0) / total + (1 - params.alpha) * j0[v] / z
+
+
+def dense_transition_matrix(graph, j0, params=RankParams()):
+    """Full column-stochastic matrix P[v, u], one entry at a time: the
+    O(n^2 * degree) oracle that `pagerank` is checked against."""
+    names = graph.names()
+    n = len(names)
+    P = np.zeros((n, n), dtype=np.float64)
+    for ui, u in enumerate(names):
+        for vi, v in enumerate(names):
+            P[vi, ui] = transition_probability(v, u, graph, j0, params)
+    return names, P
 
 
 def node(name, sig=None, body=None, kind="definition", tok_sig=None, tok_body=None):
