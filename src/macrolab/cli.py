@@ -575,8 +575,16 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="key=value defaults file; flags override")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit EXIT_INPUT: exit 2 means a bound failed."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="macrolab",
         description="macro-set expansion simulations and dependency-graph compression analytics",
     )

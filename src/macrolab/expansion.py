@@ -16,8 +16,6 @@ import math
 import string
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .families import FamilySpec, LazyFreeMacroSet, prefix_periods
 from .monoid import (
     DEFAULT_LATTICE_BUDGET,
@@ -89,6 +87,8 @@ def _abelian_entries(
     except LatticeBudgetError:
         raise SphereBudgetError(_largest_box_radius(M.monoid.n, lattice_budget),
                                 lattice_budget) from None
+    import numpy as np
+
     radius = sum(np.indices(tuple(r + 1 for r in bound), dtype=np.int32, sparse=True))
     entries: dict[int, ExpansionValue] = {}
     wanted = set(s_values)
@@ -476,6 +476,8 @@ def recursive_parse_free(
 
 def sample_words(n: int, length: int, count: int, seed: int, stream: int = 0) -> list[tuple[int, ...]]:
     """Uniform random words from one counter-derived PCG64 stream."""
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, length))))
     draws = rng.integers(0, n, size=(count, length))
     return [tuple(int(a) for a in row) for row in draws]

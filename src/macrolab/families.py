@@ -259,6 +259,7 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
             rng = numpy.random.Generator(
                 numpy.random.PCG64(numpy.random.SeedSequence(spec.seed))
             )
+        digit = [str(a) for a in range(n)].__getitem__
         macros = []
         for length in range(2, spec.r_max + 1):
             count = int(spec.c * length**spec.p)
@@ -269,8 +270,7 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
             else:
                 words = _sampled_words(length, count, n, rng)
             for w in words:
-                name = "w" + "".join(str(a) for a in w)
-                macros.append(Macro(name, Word(spec.monoid, w)))
+                macros.append(Macro("w" + "".join(map(digit, w)), Word(spec.monoid, w)))
         return MacroSet(spec.monoid, macros)
 
     assert spec.regime == "prob_free"

@@ -4,14 +4,14 @@ The walk follows dependency edges with probability alpha and teleports in
 proportion to a per-node interest weight otherwise; sink nodes always
 teleport.  Stationary mass is found by power iteration on the exact column-
 stochastic operator, so total probability is conserved to rounding.
+numpy is imported on first array use, by `pagerank` only, so the score
+functions run without loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .analytics import CondensedGraph, split_unwrapped
 from .corpus import DepGraph
@@ -166,6 +166,8 @@ def pagerank(
     n = len(names)
     if n == 0:
         raise ValueError("empty graph")
+    import numpy as np
+
     index = {name: i for i, name in enumerate(names)}
     weights = np.array([j0[name] for name in names], dtype=np.float64)
     if np.any(weights <= 0):

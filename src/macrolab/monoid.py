@@ -5,6 +5,9 @@ Two ambient monoids are supported: the free abelian monoid on n generators
 are letter sequences).  A macro set adjoins named shorthands for longer
 words; the central quantity is the minimal number of generators-plus-macros
 needed to write a word.
+
+numpy is imported on first array use, by the abelian lattice engine only,
+so free-monoid code runs without loading it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 DEFAULT_LATTICE_BUDGET = 10**7
 
@@ -58,11 +59,10 @@ class Word:
                 raise ValueError(
                     f"expected {self.monoid.n} multiplicities, got {len(self.data)}"
                 )
-            if any(m < 0 for m in self.data):
+            if min(self.data) < 0:
                 raise ValueError("multiplicities must be non-negative")
-        else:
-            if any(not 0 <= a < self.monoid.n for a in self.data):
-                raise ValueError(f"letters must lie in [0, {self.monoid.n})")
+        elif self.data and (min(self.data) < 0 or max(self.data) >= self.monoid.n):
+            raise ValueError(f"letters must lie in [0, {self.monoid.n})")
 
     @staticmethod
     def from_multiplicities(mults: tuple[int, ...] | list[int], n: int | None = None) -> Word:
@@ -250,6 +250,8 @@ def abelian_layers(bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: 
     size = math.prod(dims)
     if size > budget:
         raise LatticeBudgetError(size, budget)
+    import numpy as np
+
     shifts = [_shift_slices(v, dims) for v in vecs]
 
     def layers():
@@ -371,6 +373,8 @@ def _best_depth_score(
     if w.monoid.is_abelian:
         gens = _abelian_generators(M, w.data, exclude)
         layers = abelian_layers(w.data, [v for v, _ in gens], budget)
+        import numpy as np
+
         # Points of layer s take their score only from points of layer s-1,
         # so scores outside the previous layer stay at the sentinel.
         dims = tuple(b + 1 for b in w.data)

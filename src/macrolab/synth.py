@@ -8,12 +8,17 @@ and a seeded random DAG.  Generation is deterministic: one PCG64 stream per
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import DepGraph, GraphNode
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 

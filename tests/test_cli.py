@@ -7,8 +7,10 @@ compare output bytes across repeated runs.
 import csv
 import json
 import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,8 +234,9 @@ def test_commands_without_randomness_take_no_seed(tmp_path, capsys, command):
     cfg.write_text("seed=3\n")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     assert "unknown config key seed" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([command, "--seed", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_INPUT
 
 
 def test_malformed_config_line_is_an_input_error(tmp_path):
@@ -243,9 +246,10 @@ def test_malformed_config_line_is_an_input_error(tmp_path):
 
 
 def test_bad_s_flag_raises_usage_error(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["sim", "--regime", "place", "--b", "2", "--s", "0",
               "--r-max", "50", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_INPUT
 
 
 # --- ingest ---
@@ -459,3 +463,80 @@ def test_console_script_runs():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sim" in proc.stdout
+
+
+
+def _src_env():
+    """The environment of a fresh interpreter that imports macrolab from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_runs():
+    proc = subprocess.run([sys.executable, "-m", "macrolab.cli", "--help"],
+                          capture_output=True, text=True, env=_src_env())
+    assert proc.returncode == 0
+    for command in ("sim", "ingest", "analyze", "rank", "synth"):
+        assert command in proc.stdout
+
+
+# --- numpy is imported only by the code that builds arrays ---
+
+
+def _run_fresh(script, tmp_path, *args):
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, cwd=tmp_path, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+NUMPY_FREE_SCRIPT = """
+import sys
+
+import macrolab
+from macrolab.cli import main
+from macrolab.families import FamilySpec, build_macro_family
+from macrolab.monoid import Word, gprime_length, monoid_depth
+
+assert "numpy" not in sys.modules, "import macrolab loaded numpy"
+with open("corpus.jsonl", "w") as fh:
+    fh.write(sys.argv[1])
+for argv in (
+    ["sim", "--regime", "finite", "--monoid", "free", "--n", "2",
+     "--word", "aa;bb;ab;ba", "--s", "1:3", "--r-max", "12", "--out", "sim"],
+    ["ingest", "--in", "corpus.jsonl", "--format", "corpus", "--out", "ingest"],
+    ["analyze", "--graph", "ingest/graph.jsonl", "--out", "analyze"],
+    ["synth", "--kind", "hierarchy", "--b", "2", "--height", "4", "--out", "synth"],
+):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+M = build_macro_family(FamilySpec.poly_density_free(1, 1, 2, 8))
+w = Word.from_letters((0, 1, 1, 0, 1, 0, 0, 1), 2)
+print(gprime_length(w, M), monoid_depth(w, M))
+assert "numpy" not in sys.modules, "free kernels loaded numpy"
+"""
+
+
+def test_free_monoid_and_corpus_paths_never_import_numpy(tmp_path):
+    out = _run_fresh(NUMPY_FREE_SCRIPT, tmp_path, WORKED_CORPUS)
+    assert out.splitlines()[-1] == "4 3"
+
+
+PLACE_SCRIPT = """
+import sys
+
+from macrolab.cli import main
+
+assert "numpy" not in sys.modules
+assert main(["sim", "--regime", "place", "--b", "2", "--n", "1",
+             "--s", "1:4", "--r-max", "100", "--out", "place"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_abelian_sim_imports_numpy_on_first_use(tmp_path):
+    _run_fresh(PLACE_SCRIPT, tmp_path)
+    profile = read_csv(tmp_path / "place" / "profile.csv")
+    assert [r["value"] for r in profile] == ["2", "6", "14", "30"]

@@ -137,6 +137,17 @@ def test_word_rejects_out_of_range_letters():
         Word.from_letters((0, 2), n=2)
 
 
+@pytest.mark.parametrize("letters", [(0, -1, 1), (2, 0), (1, 1, 2)])
+def test_out_of_range_letter_error_names_the_alphabet(letters):
+    with pytest.raises(ValueError, match=r"^letters must lie in \[0, 2\)$"):
+        Word.from_letters(letters, n=2)
+
+
+def test_negative_multiplicity_error_message():
+    with pytest.raises(ValueError, match="^multiplicities must be non-negative$"):
+        Word.from_multiplicities((0, -3, 1))
+
+
 def test_concat_rejects_mixed_monoids():
     u = Word.from_multiplicities((1,))
     v = Word.from_letters((0,), n=1)
