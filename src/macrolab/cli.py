@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import Any, Callable, NamedTuple
 
 from . import analytics, expansion, families, interest, synth
 from .corpus import CorpusError, build_graph, load_corpus, load_graph, save_graph
@@ -59,9 +60,17 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
+def _semicolon_list(text: str) -> list[str]:
+    return text.split(";")
+
+
 def read_config(path: str | None) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; keys use option names with
-    underscores (e.g. r_max=100)."""
+    """key=value lines; '#' starts a comment; a key is an option's dest, with
+    '_' or '-' between words (r_max=100 or r-max=100)."""
     if path is None:
         return {}
     cfg: dict[str, str] = {}
@@ -80,22 +89,42 @@ def read_config(path: str | None) -> dict[str, str]:
     return cfg
 
 
-def _merge(args: argparse.Namespace, spec: dict[str, tuple]) -> dict:
-    """Flags beat config, config beats defaults; a config key no option has is an input error."""
-    cfg = read_config(getattr(args, "config", None))
-    unknown = sorted(set(cfg) - set(spec))
+def _from_config(opt: Opt, text: str, path: str) -> Any:
+    try:
+        val = _to_bool(text) if opt.conv is bool else opt.conv(text)
+    except ValueError as exc:
+        raise InputError(f"{path}: bad {opt.dest} value {text!r}: {exc}") from exc
+    if opt.choices is not None and val not in opt.choices:
+        raise InputError(f"{path}: {opt.dest} must be one of {', '.join(opt.choices)}, "
+                         f"got {text!r}")
+    return val
+
+
+def _merge(args: argparse.Namespace) -> dict:
+    """Flags beat config, config beats defaults; a config key no option has is an input error.
+
+    A config value goes through its flag's converter and choices; the required
+    and range checks apply to a value from either source.
+    """
+    # --config names the file, so it is the one option that is no key in it.
+    opts = [opt for opt in COMMANDS[args.command].options if opt.dest != "config"]
+    cfg = read_config(args.config)
+    unknown = sorted(set(cfg) - {opt.dest for opt in opts})
     if unknown:
         raise InputError(f"{args.config}: unknown config key {', '.join(unknown)}")
     out = {}
-    for key, (conv, default) in spec.items():
-        val = getattr(args, key, None)
-        if val is None and key in cfg:
-            val = conv(cfg[key])
+    for opt in opts:
+        val = getattr(args, opt.dest)
+        if val is None and opt.dest in cfg:
+            val = _from_config(opt, cfg[opt.dest], args.config)
         if val is None:
-            val = default
-        out[key] = val
-    if "seed" in out and not 0 <= out["seed"] < 2**64:
-        raise InputError(f"seed must lie in [0, 2**64), got {out['seed']}")
+            if opt.required:
+                raise InputError(f"{args.command} needs {opt.flag}")
+            val = opt.default
+        elif opt.bounds and not opt.bounds[0] <= val < opt.bounds[1]:
+            raise InputError(f"{opt.dest} must lie in [{opt.bounds[0]}, {opt.bounds[1]}), "
+                             f"got {val}")
+        out[opt.dest] = val
     return out
 
 
@@ -128,29 +157,6 @@ def _ensure_out(out: str) -> str:
 
 # --- sim ---
 
-_SIM_SPEC = {
-    "regime": (str, None),
-    "monoid": (str, "abelian"),
-    "n": (int, 1),
-    "b": (int, None),
-    "k": (int, None),
-    "c": (float, None),
-    "p": (float, None),
-    "big_b": (float, 8.0),
-    "big_c": (float, 4.0),
-    "s": (_s_range, None),
-    "r_max": (int, None),
-    "word": (lambda t: t.split(";"), None),
-    "sampler": (str, "lex"),
-    "trials": (int, 1000),
-    "mc_r": (_int_list, [64, 128, 256]),
-    "min_halving_rate": (float, 0.99),
-    "seed": (int, 0),
-    "out": (str, "."),
-    "word_budget": (int, expansion.DEFAULT_WORD_BUDGET),
-    "lattice_budget": (int, DEFAULT_LATTICE_BUDGET),
-}
-
 
 def _parse_finite_words(texts: list[str], monoid_name: str, n: int) -> list[Word]:
     words = []
@@ -170,8 +176,6 @@ def _family_spec(opts: dict) -> families.FamilySpec:
     regime = opts["regime"]
     n = opts["n"]
     r_max = opts["r_max"]
-    if regime is None:
-        raise InputError("sim needs --regime")
     if regime in ("place", "waring", "double-log", "poly-free", "finite") and r_max is None:
         raise InputError("this regime needs --r-max")
     if regime == "place":
@@ -195,28 +199,18 @@ def _family_spec(opts: dict) -> families.FamilySpec:
             raise InputError("polynomial density needs --c and --p")
         return families.FamilySpec.poly_density_free(
             opts["c"], opts["p"], n, r_max, seed=opts["seed"], sampler=opts["sampler"])
-    if regime == "prob-free":
-        return families.FamilySpec.probabilistic_free(
-            opts["big_b"], opts["big_c"], n, r_max if r_max is not None else 1, opts["seed"])
-    raise InputError(f"unknown regime {regime!r}")
+    return families.FamilySpec.probabilistic_free(  # prob-free, the last choice
+        opts["big_b"], opts["big_c"], n, r_max if r_max is not None else 1, opts["seed"])
 
 
 def _bound_rows(report: expansion.BoundReport) -> list[list]:
-    rows = []
-    for row in report.rows:
-        rows.append([
-            report.regime, report.params, row.s, row.lower,
-            "exact" if row.measured.exact else "at_least", row.measured.value,
-            row.upper, row.passed, row.note,
-        ])
-    return rows
+    return [[report.regime, report.params, row.s, row.lower,
+             "exact" if row.measured.exact else "at_least", row.measured.value,
+             row.upper, row.passed, row.note] for row in report.rows]
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    opts = _merge(args, _SIM_SPEC)
-    for key in ("word_budget", "lattice_budget"):
-        if opts[key] < 1:
-            raise InputError(f"{key} must be >= 1, got {opts[key]}")
+    opts = _merge(args)
     out = _ensure_out(opts["out"])
     spec = _family_spec(opts)
 
@@ -312,24 +306,14 @@ def _sim_probabilistic(spec: families.FamilySpec, opts: dict, out: str) -> int:
 
 # --- ingest ---
 
-_INGEST_SPEC = {
-    "inp": (str, None),
-    "format": (str, "corpus"),
-    "out": (str, "."),
-}
-
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    opts = _merge(args, _INGEST_SPEC)
-    if opts["inp"] is None:
-        raise InputError("ingest needs --in")
+    opts = _merge(args)
     out = _ensure_out(opts["out"])
     if opts["format"] == "corpus":
         graph = build_graph(load_corpus(opts["inp"]))
-    elif opts["format"] == "graph":
-        graph = load_graph(opts["inp"])
     else:
-        raise InputError(f"unknown ingest format {opts['format']!r}")
+        graph = load_graph(opts["inp"])
     path = os.path.join(out, "graph.jsonl")
     save_graph(graph, path)
     print(f"{len(graph)} elements, {graph.total_edge_weight()} total edge weight -> {path}")
@@ -338,45 +322,24 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 # --- analyze ---
 
-_ANALYZE_SPEC = {
-    "graph": (str, None),
-    "out": (str, "."),
-    "wrapped_metric": (str, "auto"),
-    "bin_log2": (float, 5.0),
-    "bin_wrapped": (float, 10.0),
-    "bin_depth": (float, 1.0),
-    "fit_lo": (float, None),
-    "fit_hi": (float, None),
-    "filter_percentile": (float, None),
-    "filter_kinds": (lambda t: t.split(","), None),
-    "full_unwrapped": (_to_bool, False),
-    "min_distinct_x": (int, 8),
-    "flat_slope": (float, 0.05),
-    "min_x_span": (float, 0.0),
-}
 
-
-def _resolve_metric(metric: str, metrics: dict) -> str:
-    if metric in ("tokens", "refs"):
-        return metric
+def _resolve_metric(metric: str, nodes) -> str:
+    """`auto` is `tokens` when any of the graph nodes has a token count, else `refs`."""
     if metric != "auto":
-        raise InputError(f"unknown wrapped metric {metric!r}")
-    has_tokens = any(m.wrapped_tokens is not None for m in metrics.values())
+        return metric
+    has_tokens = any(node.token_count_signature is not None
+                     or node.token_count_body is not None for node in nodes)
     return "tokens" if has_tokens else "refs"
 
 
 def _wrapped_of(m: analytics.NodeMetrics, metric: str) -> int | None:
     if metric == "tokens":
-        if m.generated:
-            return None
-        return m.wrapped_tokens
+        return None if m.generated else m.wrapped_tokens
     return m.wrapped_refs
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    opts = _merge(args, _ANALYZE_SPEC)
-    if opts["graph"] is None:
-        raise InputError("analyze needs --graph")
+    opts = _merge(args)
     out = _ensure_out(opts["out"])
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
@@ -390,7 +353,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             cg, analytics.FilterPolicy("indegree_percentile",
                                        percentile=opts["filter_percentile"]))
     metrics = analytics.node_metrics(graph, cg)
-    metric_name = _resolve_metric(opts["wrapped_metric"], metrics)
+    metric_name = _resolve_metric(opts["wrapped_metric"],
+                                  (graph.nodes[name] for name in metrics))
 
     header = ["name", "kind", "wrapped_tokens", "wrapped_refs", "log2_unwrapped",
               "unwrapped_decimal_digits", "depth"]
@@ -473,18 +437,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 # --- rank ---
 
-_RANK_SPEC = {
-    "graph": (str, None),
-    "out": (str, "."),
-    "alpha": (float, 0.85),
-    "beta": (float, 0.5),
-    "tolerance": (float, 1e-12),
-    "max_iter": (int, 10_000),
-    "wrapped_metric": (str, "auto"),
-    "sweep": (_float_list, None),
-    "alt_deductive": (_to_bool, False),
-}
-
 
 def _rank_rows(graph, splits, params, alt) -> list[list]:
     scores = interest.compression_scores(splits, params.beta)
@@ -501,14 +453,11 @@ def _rank_rows(graph, splits, params, alt) -> list[list]:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    opts = _merge(args, _RANK_SPEC)
-    if opts["graph"] is None:
-        raise InputError("rank needs --graph")
+    opts = _merge(args)
     out = _ensure_out(opts["out"])
     graph = load_graph(opts["graph"])
     cg = analytics.condense_scc(graph)
-    metrics = analytics.node_metrics(graph, cg)
-    metric_name = _resolve_metric(opts["wrapped_metric"], metrics)
+    metric_name = _resolve_metric(opts["wrapped_metric"], graph.nodes.values())
     splits = interest.element_splits(graph, cg, metric_name)
     alt = interest.alt_deductive_scores(splits) if opts["alt_deductive"] else None
 
@@ -533,46 +482,129 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 # --- synth ---
 
-_SYNTH_SPEC = {
-    "kind": (str, None),
-    "b": (int, 2),
-    "height": (int, 10),
-    "fanout": (int, 4),
-    "nodes": (int, 1000),
-    "primitives": (int, 20),
-    "macros": (int, 50),
-    "max_weight": (int, 5),
-    "seed": (int, 0),
-    "out": (str, "."),
-}
-
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opts = _merge(args, _SYNTH_SPEC)
+    opts = _merge(args)
     out = _ensure_out(opts["out"])
     if opts["kind"] == "hierarchy":
         graph = synth.synth_hierarchy(opts["b"], opts["height"])
     elif opts["kind"] == "flat":
         graph = synth.synth_flat(opts["primitives"], opts["macros"], opts["fanout"],
                                  opts["seed"])
-    elif opts["kind"] == "mixed":
+    else:
         graph = synth.synth_mixed(opts["nodes"], opts["primitives"], opts["fanout"],
                                   opts["max_weight"], opts["seed"])
-    else:
-        raise InputError("synth needs --kind hierarchy|flat|mixed")
     path = os.path.join(out, "graph.jsonl")
     save_graph(graph, path)
     print(f"{len(graph)} elements -> {path}")
     return EXIT_OK
 
 
-# --- parser assembly ---
+# --- the option table ---
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", type=str, default=None, help="output directory")
-    sp.add_argument("--config", type=str, default=None,
-                    help="key=value defaults file; flags override")
+class Opt(NamedTuple):
+    """One option: its flag, and its key in a config file (the dest, e.g. r_max).
+
+    ``conv`` turns the flag's text into the value; ``bool`` makes a switch
+    whose config value is one of true/false, yes/no, on/off, 1/0.  ``bounds``
+    is an inclusive lower and an exclusive upper limit.  A ``required`` option
+    left out of both flags and config is an input error.
+    """
+
+    flag: str
+    conv: Callable[[str], Any] = str
+    default: Any = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    bounds: tuple[int, float] | None = None
+    key: str | None = None  # when the dest is not the flag's name
+
+    @property
+    def dest(self) -> str:
+        return self.key or self.flag[2:].replace("-", "_")
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    options: tuple[Opt, ...]
+
+
+_SEED = Opt("--seed", int, 0, "base seed for all streams", bounds=(0, 2**64))
+_GRAPH = Opt("--graph", required=True)
+_METRIC = Opt("--wrapped-metric", default="auto", choices=("auto", "tokens", "refs"))
+_COMMON = (
+    Opt("--out", default=".", help="output directory"),
+    Opt("--config", help="key=value defaults file; flags override"),
+)
+
+COMMANDS = {
+    "sim": Command("expansion profile and bound checks for one macro family", cmd_sim, (
+        Opt("--regime", required=True, choices=(
+            "place", "waring", "double-log", "finite", "poly-free", "prob-free")),
+        Opt("--monoid", default="abelian", choices=("abelian", "free")),
+        Opt("--n", int, 1, "number of primitive generators"),
+        Opt("--b", int),
+        Opt("--k", int),
+        Opt("--c", float),
+        Opt("--p", float),
+        Opt("--big-b", float, 8.0),
+        Opt("--big-c", float, 4.0),
+        Opt("--s", _s_range, help="budget s or lo:hi range"),
+        Opt("--r-max", int),
+        Opt("--word", _semicolon_list, help="finite-regime definitions, ';'-separated"),
+        Opt("--sampler", default="lex", choices=("lex", "random")),
+        Opt("--trials", int, 1000),
+        Opt("--mc-r", _int_list, [64, 128, 256]),
+        Opt("--min-halving-rate", float, 0.99),
+        Opt("--word-budget", int, expansion.DEFAULT_WORD_BUDGET,
+            "free-monoid profile budget, in (match state, letter) transitions of the "
+            "worst-word DP", bounds=(1, math.inf)),
+        Opt("--lattice-budget", int, DEFAULT_LATTICE_BUDGET, bounds=(1, math.inf)),
+        _SEED, *_COMMON)),
+    "ingest": Command("corpus or edge-list file -> canonical graph file", cmd_ingest, (
+        Opt("--in", required=True, key="inp"),
+        Opt("--format", default="corpus", choices=("corpus", "graph")),
+        *_COMMON)),
+    "analyze": Command("metrics, histograms, median curves, regime labels", cmd_analyze, (
+        _GRAPH,
+        _METRIC,
+        Opt("--bin-log2", float, 5.0),
+        Opt("--bin-wrapped", float, 10.0),
+        Opt("--bin-depth", float, 1.0),
+        Opt("--fit-lo", float),
+        Opt("--fit-hi", float),
+        Opt("--filter-percentile", float),
+        Opt("--filter-kinds", _comma_list),
+        Opt("--full-unwrapped", bool, False),
+        Opt("--min-distinct-x", int, 8),
+        Opt("--flat-slope", float, 0.05),
+        Opt("--min-x-span", float, 0.0),
+        *_COMMON)),
+    "rank": Command("compression scores and walk-based ranking", cmd_rank, (
+        _GRAPH,
+        Opt("--alpha", float, 0.85),
+        Opt("--beta", float, 0.5),
+        Opt("--tolerance", float, 1e-12),
+        Opt("--max-iter", int, 10_000),
+        _METRIC,
+        Opt("--sweep", _float_list, help="comma-separated alphas for a sweep file"),
+        Opt("--alt-deductive", bool, False,
+            "add the unwrapped body-to-signature ratio column"),
+        *_COMMON)),
+    "synth": Command("generate a synthetic corpus graph", cmd_synth, (
+        Opt("--kind", required=True, choices=("hierarchy", "flat", "mixed")),
+        Opt("--b", int, 2),
+        Opt("--height", int, 10),
+        Opt("--fanout", int, 4),
+        Opt("--nodes", int, 1000),
+        Opt("--primitives", int, 20),
+        Opt("--macros", int, 50),
+        Opt("--max-weight", int, 5),
+        _SEED, *_COMMON)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -584,95 +616,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommands and flags from COMMANDS; every flag defaults to None so that
+    _merge can tell a given flag from an absent one."""
     parser = _Parser(
         prog="macrolab",
         description="macro-set expansion simulations and dependency-graph compression analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("sim", help="expansion profile and bound checks for one macro family")
-    sim.add_argument("--regime", choices=["place", "waring", "double-log", "finite",
-                                          "poly-free", "prob-free"])
-    sim.add_argument("--monoid", choices=["abelian", "free"], default=None)
-    sim.add_argument("--n", type=int, default=None, help="number of primitive generators")
-    sim.add_argument("--b", type=int, default=None)
-    sim.add_argument("--k", type=int, default=None)
-    sim.add_argument("--c", type=float, default=None)
-    sim.add_argument("--p", type=float, default=None)
-    sim.add_argument("--big-b", dest="big_b", type=float, default=None)
-    sim.add_argument("--big-c", dest="big_c", type=float, default=None)
-    sim.add_argument("--s", type=_s_range, default=None, help="budget s or lo:hi range")
-    sim.add_argument("--r-max", dest="r_max", type=int, default=None)
-    sim.add_argument("--word", type=lambda t: t.split(";"), default=None,
-                     help="finite-regime definitions, ';'-separated")
-    sim.add_argument("--sampler", choices=["lex", "random"], default=None)
-    sim.add_argument("--trials", type=int, default=None)
-    sim.add_argument("--mc-r", dest="mc_r", type=_int_list, default=None)
-    sim.add_argument("--min-halving-rate", dest="min_halving_rate", type=float,
-                     default=None)
-    sim.add_argument("--word-budget", dest="word_budget", type=int, default=None,
-                     help="free-monoid profile budget, in (match state, letter) "
-                          "transitions of the worst-word DP")
-    sim.add_argument("--lattice-budget", dest="lattice_budget", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None, help="base seed for all streams")
-    _add_common(sim)
-    sim.set_defaults(func=cmd_sim)
-
-    ing = sub.add_parser("ingest", help="corpus or edge-list file -> canonical graph file")
-    ing.add_argument("--in", dest="inp", type=str, default=None)
-    ing.add_argument("--format", choices=["corpus", "graph"], default=None)
-    _add_common(ing)
-    ing.set_defaults(func=cmd_ingest)
-
-    ana = sub.add_parser("analyze", help="metrics, histograms, median curves, regime labels")
-    ana.add_argument("--graph", type=str, default=None)
-    ana.add_argument("--wrapped-metric", dest="wrapped_metric",
-                     choices=["auto", "tokens", "refs"], default=None)
-    ana.add_argument("--bin-log2", dest="bin_log2", type=float, default=None)
-    ana.add_argument("--bin-wrapped", dest="bin_wrapped", type=float, default=None)
-    ana.add_argument("--bin-depth", dest="bin_depth", type=float, default=None)
-    ana.add_argument("--fit-lo", dest="fit_lo", type=float, default=None)
-    ana.add_argument("--fit-hi", dest="fit_hi", type=float, default=None)
-    ana.add_argument("--filter-percentile", dest="filter_percentile", type=float,
-                     default=None)
-    ana.add_argument("--filter-kinds", dest="filter_kinds",
-                     type=lambda t: t.split(","), default=None)
-    ana.add_argument("--full-unwrapped", dest="full_unwrapped", action="store_const",
-                     const=True, default=None)
-    ana.add_argument("--min-distinct-x", dest="min_distinct_x", type=int, default=None)
-    ana.add_argument("--flat-slope", dest="flat_slope", type=float, default=None)
-    ana.add_argument("--min-x-span", dest="min_x_span", type=float, default=None)
-    _add_common(ana)
-    ana.set_defaults(func=cmd_analyze)
-
-    rank = sub.add_parser("rank", help="compression scores and walk-based ranking")
-    rank.add_argument("--graph", type=str, default=None)
-    rank.add_argument("--alpha", type=float, default=None)
-    rank.add_argument("--beta", type=float, default=None)
-    rank.add_argument("--tolerance", type=float, default=None)
-    rank.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    rank.add_argument("--wrapped-metric", dest="wrapped_metric",
-                      choices=["auto", "tokens", "refs"], default=None)
-    rank.add_argument("--sweep", type=_float_list, default=None,
-                      help="comma-separated alphas for a sweep file")
-    rank.add_argument("--alt-deductive", dest="alt_deductive", action="store_const",
-                      const=True, default=None,
-                      help="add the unwrapped body-to-signature ratio column")
-    _add_common(rank)
-    rank.set_defaults(func=cmd_rank)
-
-    syn = sub.add_parser("synth", help="generate a synthetic corpus graph")
-    syn.add_argument("--kind", choices=["hierarchy", "flat", "mixed"], default=None)
-    syn.add_argument("--b", type=int, default=None)
-    syn.add_argument("--height", type=int, default=None)
-    syn.add_argument("--fanout", type=int, default=None)
-    syn.add_argument("--nodes", type=int, default=None)
-    syn.add_argument("--primitives", type=int, default=None)
-    syn.add_argument("--macros", type=int, default=None)
-    syn.add_argument("--max-weight", dest="max_weight", type=int, default=None)
-    syn.add_argument("--seed", type=int, default=None, help="base seed for all streams")
-    _add_common(syn)
-    syn.set_defaults(func=cmd_synth)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            if opt.conv is bool:
+                sp.add_argument(opt.flag, dest=opt.dest, action="store_const", const=True,
+                                help=opt.help)
+            else:
+                sp.add_argument(opt.flag, dest=opt.dest, type=opt.conv, choices=opt.choices,
+                                help=opt.help)
+        sp.set_defaults(func=command.run)
     return parser
 
 
@@ -681,19 +641,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (expansion.SphereBudgetError, LatticeBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except interest.PowerIterationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # InputError and CorpusError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

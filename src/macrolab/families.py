@@ -260,6 +260,7 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
                 numpy.random.PCG64(numpy.random.SeedSequence(spec.seed))
             )
         digit = [str(a) for a in range(n)].__getitem__
+        sep = "_" if n > 10 else ""  # past 10 letters "w010" could be (0, 10) or (0, 1, 0)
         macros = []
         for length in range(2, spec.r_max + 1):
             count = int(spec.c * length**spec.p)
@@ -270,7 +271,7 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
             else:
                 words = _sampled_words(length, count, n, rng)
             for w in words:
-                macros.append(Macro("w" + "".join(map(digit, w)), Word(spec.monoid, w)))
+                macros.append(Macro("w" + sep.join(map(digit, w)), Word(spec.monoid, w)))
         return MacroSet(spec.monoid, macros)
 
     assert spec.regime == "prob_free"

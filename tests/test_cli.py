@@ -14,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from macrolab.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from macrolab import analytics, cli
+from macrolab.cli import (
+    COMMANDS, EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _merge, build_parser, main,
+)
 from macrolab.corpus import load_graph
 
 WORKED_CORPUS = (
@@ -174,6 +177,14 @@ def test_sim_probabilistic_unreachable_rate_exits_two(tmp_path):
     assert report[-1]["status"] == "bound_violation"
 
 
+def test_poly_free_past_ten_letters_names_every_macro_apart(tmp_path):
+    # (0, 10) and (0, 1, 0) are both macros here; they once shared the name "w010".
+    code = main(["sim", "--regime", "poly-free", "--n", "11", "--c", "12", "--p", "1",
+                 "--s", "1:2", "--r-max", "3", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert [r["value"] for r in read_csv(tmp_path / "profile.csv")] == ["1", "2"]
+
+
 def test_sim_without_regime_is_an_input_error(tmp_path):
     assert main(["sim", "--s", "3", "--out", str(tmp_path)]) == EXIT_INPUT
 
@@ -191,6 +202,154 @@ def test_sim_missing_r_max_is_an_input_error(tmp_path):
     code = main(["sim", "--regime", "place", "--b", "2", "--s", "3",
                  "--out", str(tmp_path)])
     assert code == EXIT_INPUT
+
+
+# --- the parser the option table generates ---
+
+
+# Captured from build_parser() and _merge() before the option table replaced the
+# hand-written argparse calls: per subcommand its help and, per flag, (flags, dest,
+# choices, help, is a switch), in --help order; then each command's merged defaults
+# given only its required options.
+PINNED_PARSER = {
+    "sim": ("expansion profile and bound checks for one macro family", [
+        (("--regime",), "regime",
+         ("place", "waring", "double-log", "finite", "poly-free", "prob-free"), None, False),
+        (("--monoid",), "monoid", ("abelian", "free"), None, False),
+        (("--n",), "n", None, "number of primitive generators", False),
+        (("--b",), "b", None, None, False),
+        (("--k",), "k", None, None, False),
+        (("--c",), "c", None, None, False),
+        (("--p",), "p", None, None, False),
+        (("--big-b",), "big_b", None, None, False),
+        (("--big-c",), "big_c", None, None, False),
+        (("--s",), "s", None, "budget s or lo:hi range", False),
+        (("--r-max",), "r_max", None, None, False),
+        (("--word",), "word", None, "finite-regime definitions, ';'-separated", False),
+        (("--sampler",), "sampler", ("lex", "random"), None, False),
+        (("--trials",), "trials", None, None, False),
+        (("--mc-r",), "mc_r", None, None, False),
+        (("--min-halving-rate",), "min_halving_rate", None, None, False),
+        (("--word-budget",), "word_budget", None,
+         "free-monoid profile budget, in (match state, letter) "
+         "transitions of the worst-word DP", False),
+        (("--lattice-budget",), "lattice_budget", None, None, False),
+        (("--seed",), "seed", None, "base seed for all streams", False),
+        (("--out",), "out", None, "output directory", False),
+        (("--config",), "config", None, "key=value defaults file; flags override", False),
+    ]),
+    "ingest": ("corpus or edge-list file -> canonical graph file", [
+        (("--in",), "inp", None, None, False),
+        (("--format",), "format", ("corpus", "graph"), None, False),
+        (("--out",), "out", None, "output directory", False),
+        (("--config",), "config", None, "key=value defaults file; flags override", False),
+    ]),
+    "analyze": ("metrics, histograms, median curves, regime labels", [
+        (("--graph",), "graph", None, None, False),
+        (("--wrapped-metric",), "wrapped_metric", ("auto", "tokens", "refs"), None, False),
+        (("--bin-log2",), "bin_log2", None, None, False),
+        (("--bin-wrapped",), "bin_wrapped", None, None, False),
+        (("--bin-depth",), "bin_depth", None, None, False),
+        (("--fit-lo",), "fit_lo", None, None, False),
+        (("--fit-hi",), "fit_hi", None, None, False),
+        (("--filter-percentile",), "filter_percentile", None, None, False),
+        (("--filter-kinds",), "filter_kinds", None, None, False),
+        (("--full-unwrapped",), "full_unwrapped", None, None, True),
+        (("--min-distinct-x",), "min_distinct_x", None, None, False),
+        (("--flat-slope",), "flat_slope", None, None, False),
+        (("--min-x-span",), "min_x_span", None, None, False),
+        (("--out",), "out", None, "output directory", False),
+        (("--config",), "config", None, "key=value defaults file; flags override", False),
+    ]),
+    "rank": ("compression scores and walk-based ranking", [
+        (("--graph",), "graph", None, None, False),
+        (("--alpha",), "alpha", None, None, False),
+        (("--beta",), "beta", None, None, False),
+        (("--tolerance",), "tolerance", None, None, False),
+        (("--max-iter",), "max_iter", None, None, False),
+        (("--wrapped-metric",), "wrapped_metric", ("auto", "tokens", "refs"), None, False),
+        (("--sweep",), "sweep", None, "comma-separated alphas for a sweep file", False),
+        (("--alt-deductive",), "alt_deductive", None,
+         "add the unwrapped body-to-signature ratio column", True),
+        (("--out",), "out", None, "output directory", False),
+        (("--config",), "config", None, "key=value defaults file; flags override", False),
+    ]),
+    "synth": ("generate a synthetic corpus graph", [
+        (("--kind",), "kind", ("hierarchy", "flat", "mixed"), None, False),
+        (("--b",), "b", None, None, False),
+        (("--height",), "height", None, None, False),
+        (("--fanout",), "fanout", None, None, False),
+        (("--nodes",), "nodes", None, None, False),
+        (("--primitives",), "primitives", None, None, False),
+        (("--macros",), "macros", None, None, False),
+        (("--max-weight",), "max_weight", None, None, False),
+        (("--seed",), "seed", None, "base seed for all streams", False),
+        (("--out",), "out", None, "output directory", False),
+        (("--config",), "config", None, "key=value defaults file; flags override", False),
+    ]),
+}
+
+PINNED_DEFAULTS = {
+    "sim": {
+        "regime": "place", "monoid": "abelian", "n": 1, "b": None, "k": None, "c": None,
+        "p": None, "big_b": 8.0, "big_c": 4.0, "s": None, "r_max": None, "word": None,
+        "sampler": "lex", "trials": 1000, "mc_r": [64, 128, 256], "min_halving_rate": 0.99,
+        "seed": 0, "out": ".", "word_budget": 10000000, "lattice_budget": 10000000,
+    },
+    "ingest": {
+        "inp": "corpus.jsonl", "format": "corpus", "out": ".",
+    },
+    "analyze": {
+        "graph": "graph.jsonl", "out": ".", "wrapped_metric": "auto", "bin_log2": 5.0,
+        "bin_wrapped": 10.0, "bin_depth": 1.0, "fit_lo": None, "fit_hi": None,
+        "filter_percentile": None, "filter_kinds": None, "full_unwrapped": False,
+        "min_distinct_x": 8, "flat_slope": 0.05, "min_x_span": 0.0,
+    },
+    "rank": {
+        "graph": "graph.jsonl", "out": ".", "alpha": 0.85, "beta": 0.5, "tolerance": 1e-12,
+        "max_iter": 10000, "wrapped_metric": "auto", "sweep": None, "alt_deductive": False,
+    },
+    "synth": {
+        "kind": "mixed", "b": 2, "height": 10, "fanout": 4, "nodes": 1000, "primitives": 20,
+        "macros": 50, "max_weight": 5, "seed": 0, "out": ".",
+    },
+}
+
+
+def describe_parser(parser):
+    """Per subcommand: its help and (flags, dest, choices, help, is a switch) per flag."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        name: (helps[name], [
+            (tuple(a.option_strings), a.dest, None if a.choices is None else tuple(a.choices),
+             a.help, a.nargs == 0)
+            for a in sp._actions if a.dest != "help"])
+        for name, sp in sub.choices.items()
+    }
+
+
+def test_parser_keeps_every_flag_dest_choice_and_help():
+    assert describe_parser(build_parser()) == PINNED_PARSER
+
+
+def test_merged_defaults_are_unchanged():
+    parser = build_parser()
+    required = {"sim": ["--regime", "place"], "ingest": ["--in", "corpus.jsonl"],
+                "analyze": ["--graph", "graph.jsonl"], "rank": ["--graph", "graph.jsonl"],
+                "synth": ["--kind", "mixed"]}
+    merged = {name: _merge(parser.parse_args([name, *flags]))
+              for name, flags in required.items()}
+    assert merged == PINNED_DEFAULTS
+
+
+@pytest.mark.parametrize("command", list(PINNED_PARSER))
+def test_command_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(flags[0] in out for flags, *_ in PINNED_PARSER[command][1])
 
 
 # --- config files ---
@@ -237,6 +396,85 @@ def test_commands_without_randomness_take_no_seed(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--seed", "3", "--out", str(tmp_path / "o")])
     assert exc.value.code == EXIT_INPUT
+
+
+# Flags that give each command its required options (and sim a finite family).
+BASE_FLAGS = {
+    "sim": ["--regime", "finite", "--n", "2", "--word", "aa;bb", "--s", "1:3",
+            "--r-max", "10"],
+    "ingest": ["--in", "corpus.jsonl"],
+    "analyze": ["--graph", "graph.jsonl"],
+    "rank": ["--graph", "graph.jsonl"],
+    "synth": ["--kind", "flat"],
+}
+
+CHOICE_OPTIONS = [("sim", "regime"), ("sim", "monoid"), ("sim", "sampler"),
+                  ("ingest", "format"), ("analyze", "wrapped_metric"),
+                  ("rank", "wrapped_metric"), ("synth", "kind")]
+
+
+def _option(command, dest):
+    return next(opt for opt in COMMANDS[command].options if opt.dest == dest)
+
+
+def _flags_without(command, dest):
+    """BASE_FLAGS of the command, less the flag (and value) of `dest`."""
+    flags = BASE_FLAGS[command]
+    skip = _option(command, dest).flag
+    return [x for i in range(0, len(flags), 2) if flags[i] != skip for x in flags[i:i + 2]]
+
+
+def test_choice_options_cover_the_table():
+    assert sorted(CHOICE_OPTIONS) == sorted(
+        (name, opt.dest) for name, command in COMMANDS.items() for opt in command.options
+        if opt.choices is not None)
+
+
+@pytest.mark.parametrize("command, dest", CHOICE_OPTIONS)
+def test_config_value_outside_the_choices_is_an_input_error(tmp_path, capsys, command, dest):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(f"{dest}=abelain\n")
+    out = tmp_path / "o"
+    code = main([command, *_flags_without(command, dest), "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and dest in err and "abelain" in err
+    assert all(choice in err for choice in _option(command, dest).choices)
+    assert not out.exists()
+
+
+def test_config_conversion_error_names_the_file_and_the_key(tmp_path, capsys):
+    cfg = tmp_path / "rank.cfg"
+    cfg.write_text("alpha=abc\n")
+    code = main(["rank", "--graph", "graph.jsonl", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(cfg) in err and "alpha" in err and "'abc'" in err
+
+
+SAMPLE_TEXT = {int: "3", float: "0.25", str: "some-name", cli._s_range: "1:3",
+               cli._int_list: "8,16", cli._float_list: "0.5,0.85",
+               cli._comma_list: "definition,theorem", cli._semicolon_list: "aa;bb", bool: "on"}
+
+MERGED_OPTIONS = [(name, opt) for name, command in COMMANDS.items()
+                  for opt in command.options if opt.dest != "config"]
+
+
+@pytest.mark.parametrize("command, opt", MERGED_OPTIONS,
+                         ids=[f"{name}-{opt.dest}" for name, opt in MERGED_OPTIONS])
+def test_flag_and_config_line_merge_to_the_same_value(tmp_path, command, opt):
+    text = opt.choices[-1] if opt.choices else SAMPLE_TEXT[opt.conv]
+    flag = [opt.flag] if opt.conv is bool else [opt.flag, text]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{opt.dest}={text}\n")
+    parser = build_parser()
+    base = [command, *_flags_without(command, opt.dest)]
+    from_flag = _merge(parser.parse_args([*base, *flag]))[opt.dest]
+    from_config = _merge(parser.parse_args([*base, "--config", str(cfg)]))[opt.dest]
+    assert from_flag == from_config != opt.default
 
 
 def test_malformed_config_line_is_an_input_error(tmp_path):
@@ -438,6 +676,23 @@ def test_rank_sweep_blocks(tmp_path):
     for alpha in ("0.5", "0.85"):
         block = [float(r["pi"]) for r in sweep if r["alpha"] == alpha]
         assert sum(block) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("token_counts, metric", [(True, "tokens"), (False, "refs")])
+def test_rank_resolves_auto_metric_from_token_counts(tmp_path, capsys, monkeypatch,
+                                                     token_counts, metric):
+    src = tmp_path / "corpus.jsonl"
+    src.write_text(WORKED_CORPUS if token_counts else WORKED_CORPUS.replace(
+        ',"token_count_signature":18,"token_count_body":24', ""))
+    assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "g")]) == EXIT_OK
+
+    def no_metrics(*args):
+        raise AssertionError("rank computed node metrics")
+
+    monkeypatch.setattr(analytics, "node_metrics", no_metrics)
+    assert main(["rank", "--graph", str(tmp_path / "g" / "graph.jsonl"),
+                 "--out", str(tmp_path / "r")]) == EXIT_OK
+    assert f"({metric} wrapped metric)" in capsys.readouterr().out
 
 
 def test_rank_rejects_bad_alpha(tmp_path):

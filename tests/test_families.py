@@ -104,18 +104,17 @@ def test_poly_family_random_sampler_is_deterministic():
     assert len(first) == len(set(first))
 
 
-def old_name(letters):
-    """The macro name as the family builder first spelled it, one str() per letter."""
-    return "w" + "".join(str(a) for a in letters)
+def poly_name(letters, n):
+    """A poly-free macro name: one str() per letter, joined by "_" past 10 letters,
+    where (0, 10) and (0, 1, 0) would otherwise both spell "w010"."""
+    return "w" + ("_" if n > 10 else "").join(str(a) for a in letters)
 
 
-# Longer words over 11 letters would give two macros one name: (0, 10) and
-# (0, 1, 0) both spell "w010".
 @pytest.mark.parametrize("n, r_max", [(2, 5), (3, 5), (11, 2)])
 def test_poly_family_lex_names_and_definitions(n, r_max):
     M = build_macro_family(FamilySpec.poly_density_free(c=12.0, p=1.0, n=n, r_max=r_max))
     expected = [
-        (old_name(w), w)
+        (poly_name(w, n), w)
         for length in range(2, r_max + 1)
         for w in itertools.islice(itertools.product(range(n), repeat=length), 12 * length)
     ]
@@ -130,7 +129,7 @@ def test_poly_family_random_names_spell_each_letter(n, r_max):
                                         sampler="random")
     M = build_macro_family(spec)
     assert len(M) == sum(min(12 * length, n**length) for length in range(2, r_max + 1))
-    assert all(m.name == old_name(m.definition.data) for m in M)
+    assert all(m.name == poly_name(m.definition.data, n) for m in M)
 
 
 def test_family_constructor_validation():
