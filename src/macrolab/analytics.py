@@ -1,7 +1,9 @@
 """Whole-corpus compression analytics on dependency graphs.
 
-Cycles are collapsed first (iterative strongly-connected-component pass), so
-unwrapped lengths and depths propagate over an acyclic condensation.
+Cycles are collapsed first (iterative strongly-connected-component pass over
+the graph's CSR rows), so unwrapped lengths and depths propagate over an
+acyclic condensation; every pass works on integer indices, and names appear
+only in the name-keyed results.
 Unwrapped lengths are exact big integers; their base-2 logarithm is taken
 once per node from the exact value, never accumulated in floating point.
 """
@@ -9,7 +11,8 @@ once per node from the exact value, never accumulated in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from statistics import fmean
 
 from .corpus import DepGraph
@@ -17,16 +20,26 @@ from .corpus import DepGraph
 
 @dataclass
 class CondensedGraph:
-    """Acyclic condensation: supernode -> sorted member names, summed edges."""
+    """Acyclic condensation: supernode -> sorted member names, summed edges.
+
+    ``comp_of[v]`` is the supernode of the graph's element ``v`` (-1 once it
+    is inlined away) and ``names`` the graph's sorted names; ``node_of``, the
+    same map keyed by name, is built from them on first use.
+    """
 
     members: list[tuple[str, ...]]
     edges: list[dict[int, int]]
-    node_of: dict[str, int]
     topo: list[int]  # dependents before dependencies
-    kinds: list[tuple[str, ...]] = field(default_factory=list)
+    kinds: list[tuple[str, ...]]
+    names: list[str]
+    comp_of: list[int]
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def node_of(self) -> dict[str, int]:
+        return self.per_element(range(len(self.members)))
 
     def is_sink(self, i: int) -> bool:
         return not self.edges[i]
@@ -44,23 +57,21 @@ class CondensedGraph:
     def label(self, i: int) -> str:
         return self.members[i][0]
 
+    def per_element(self, values: list) -> dict:
+        """Name -> the value of its supernode, in name order, inlined elements left out."""
+        return {name: values[c] for name, c in zip(self.names, self.comp_of) if c >= 0}
+
 
 def condense_scc(graph: DepGraph) -> CondensedGraph:
     """Collapse strongly connected components; inter-component weights are
-    summed and self-loops dropped.  Iterative Tarjan, safe on deep graphs."""
-    names = graph.names()
-    index_of = {name: i for i, name in enumerate(names)}
-    adj: list[list[tuple[int, int]]] = []
-    for name in names:
-        merged = graph.nodes[name].merged_refs()
-        adj.append([(index_of[t], w) for t, w in sorted(merged.items())])
-
-    n = len(names)
+    summed and self-loops dropped.  Iterative Tarjan (1972) over the graph's
+    CSR rows, safe on deep graphs."""
+    off, dst, ref_w = graph.off, graph.dst, graph.ref_w
+    n = len(graph)
     UNSEEN = -1
     index = [UNSEEN] * n
     low = [0] * n
-    on_stack = [False] * n
-    comp = [UNSEEN] * n
+    comp = [UNSEEN] * n  # still UNSEEN for a visited node means it is on the stack
     stack: list[int] = []
     counter = 0
     comp_members: list[list[int]] = []
@@ -68,57 +79,55 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
     for root in range(n):
         if index[root] != UNSEEN:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work = [(root, UNSEEN)]  # (node, next edge), UNSEEN until the node is entered
         while work:
-            v, ei = work[-1]
-            if ei == 0:
+            v, e = work[-1]
+            if e == UNSEEN:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei][0]
-                ei += 1
+                e = off[v]
+            end = off[v + 1]
+            while e < end:
+                w = dst[e]
+                e += 1
                 if index[w] == UNSEEN:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+                    work[-1] = (v, e)
+                    work.append((w, UNSEEN))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp[u] = len(comp_members)
-                    members.append(u)
-                    if u == v:
-                        break
-                comp_members.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if comp[w] == UNSEEN and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    members = []
+                    while True:
+                        u = stack.pop()
+                        comp[u] = len(comp_members)
+                        members.append(u)
+                        if u == v:
+                            break
+                    comp_members.append(members)
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
 
     # Tarjan pops dependencies first, so pop order reversed puts dependents first.
     n_comp = len(comp_members)
-    members = [tuple(sorted(names[u] for u in ms)) for ms in comp_members]
-    kinds = [tuple(sorted({graph.nodes[name].kind for name in m})) for m in members]
+    names, kinds = graph.sorted_names, graph.kinds
+    members = [tuple(names[u] for u in sorted(ms)) for ms in comp_members]
+    comp_kinds = [tuple(sorted({kinds[u] for u in ms})) for ms in comp_members]
     edges: list[dict[int, int]] = [{} for _ in range(n_comp)]
     for v in range(n):
         cv = comp[v]
-        for w, weight in adj[v]:
-            cw = comp[w]
-            if cw == cv:
-                continue
-            edges[cv][cw] = edges[cv].get(cw, 0) + weight
-    node_of = {names[v]: comp[v] for v in range(n)}
+        adj = edges[cv]
+        for e in range(off[v], off[v + 1]):
+            cw = comp[dst[e]]
+            if cw != cv:
+                adj[cw] = adj.get(cw, 0) + ref_w[e]
     topo = list(range(n_comp - 1, -1, -1))
-    return CondensedGraph(members, edges, node_of, topo, kinds)
+    return CondensedGraph(members, edges, topo, comp_kinds, names, comp)
 
 
 def unwrapped_lengths(cg: CondensedGraph) -> dict[str, int]:
@@ -130,7 +139,7 @@ def unwrapped_lengths(cg: CondensedGraph) -> dict[str, int]:
             value[i] = 1
         else:
             value[i] = sum(w * value[j] for j, w in cg.edges[i].items())
-    return {name: value[i] for name, i in cg.node_of.items()}
+    return cg.per_element(value)
 
 
 def depths(cg: CondensedGraph) -> dict[str, int]:
@@ -139,7 +148,7 @@ def depths(cg: CondensedGraph) -> dict[str, int]:
     for i in reversed(cg.topo):
         if cg.edges[i]:
             depth[i] = 1 + max(depth[j] for j in cg.edges[i])
-    return {name: depth[i] for name, i in cg.node_of.items()}
+    return cg.per_element(depth)
 
 
 def log2_exact(x: int) -> float:
@@ -176,43 +185,46 @@ def node_metrics(graph: DepGraph, cg: CondensedGraph | None = None) -> dict[str,
     unwrapped = unwrapped_lengths(cg)
     depth = depths(cg)
     out: dict[str, NodeMetrics] = {}
-    for name, node in graph.nodes.items():
-        if name not in cg.node_of:
+    for v, c in enumerate(cg.comp_of):
+        if c < 0:
             continue
-        i = cg.node_of[name]
-        tokens = None
-        if node.token_count_signature is not None or node.token_count_body is not None:
-            tokens = (node.token_count_signature or 0) + (node.token_count_body or 0)
+        name = graph.sorted_names[v]
+        sig, body = graph.tokens_sig[v], graph.tokens_body[v]
+        u = unwrapped[name]
         out[name] = NodeMetrics(
             name=name,
-            kind=node.kind,
-            generated=node.generated,
-            wrapped_tokens=tokens,
-            wrapped_refs=cg.out_weight(i),
-            unwrapped=unwrapped[name],
-            log2_unwrapped=log2_exact(unwrapped[name]),
+            kind=graph.kinds[v],
+            generated=graph.generated[v],
+            wrapped_tokens=None if sig is None and body is None else (sig or 0) + (body or 0),
+            wrapped_refs=cg.out_weight(c),
+            unwrapped=u,
+            log2_unwrapped=log2_exact(u),
             depth=depth[name],
         )
     return out
 
 
 def split_unwrapped(graph: DepGraph, cg: CondensedGraph) -> dict[str, tuple[int, int]]:
-    """(signature, body) unwrapped lengths per element.
+    """(signature, body) unwrapped lengths per element, in name order.
 
     Each side sums reference weight times the target's full unwrapped length;
     references inside the element's own component are dropped, matching the
-    condensation's treatment of self-loops.
+    condensation's treatment of self-loops.  ``cg`` must be the unfiltered
+    condensation of ``graph``.
     """
-    unwrapped = unwrapped_lengths(cg)
+    value = list(unwrapped_lengths(cg).values())  # name order is index order
+    if len(value) != len(graph):
+        raise ValueError("split_unwrapped needs an unfiltered condensation")
+    comp, off, dst, sig_w, body_w = cg.comp_of, graph.off, graph.dst, graph.sig_w, graph.body_w
     out: dict[str, tuple[int, int]] = {}
-    for name, node in graph.nodes.items():
-        own = cg.node_of[name]
-        sig = sum(
-            w * unwrapped[t] for t, w in node.sig_refs.items() if cg.node_of[t] != own
-        )
-        body = sum(
-            w * unwrapped[t] for t, w in node.body_refs.items() if cg.node_of[t] != own
-        )
+    for v, name in enumerate(graph.sorted_names):
+        own = comp[v]
+        sig = body = 0
+        for e in range(off[v], off[v + 1]):
+            t = dst[e]
+            if comp[t] != own:
+                sig += sig_w[e] * value[t]
+                body += body_w[e] * value[t]
         out[name] = (sig, body)
     return out
 
@@ -477,7 +489,9 @@ def inline_nodes(cg: CondensedGraph, remove: set[int]) -> CondensedGraph:
         expanded[i] = new_out
 
     keep = [i for i in range(len(cg)) if i not in remove]
-    new_index = {old: new for new, old in enumerate(keep)}
+    new_index = [-1] * len(cg)
+    for new, old in enumerate(keep):
+        new_index[old] = new
     members = [cg.members[i] for i in keep]
     kinds = [cg.kinds[i] for i in keep]
     edges: list[dict[int, int]] = []
@@ -490,13 +504,9 @@ def inline_nodes(cg: CondensedGraph, remove: set[int]) -> CondensedGraph:
             else:
                 adj[new_index[j]] = adj.get(new_index[j], 0) + w
         edges.append(adj)
-    node_of = {
-        name: new_index[i]
-        for name, i in cg.node_of.items()
-        if i in new_index
-    }
-    topo = [new_index[i] for i in cg.topo if i in new_index]
-    return CondensedGraph(members, edges, node_of, topo, kinds)
+    comp_of = [new_index[c] if c >= 0 else -1 for c in cg.comp_of]
+    topo = [new_index[i] for i in cg.topo if new_index[i] >= 0]
+    return CondensedGraph(members, edges, topo, kinds, cg.names, comp_of)
 
 
 def filter_macro_set(cg: CondensedGraph, policy: FilterPolicy) -> CondensedGraph:

@@ -13,10 +13,12 @@ import json
 import math
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from . import analytics, expansion, families, interest, synth
-from .corpus import CorpusError, build_graph, load_corpus, load_graph, save_graph
+from .corpus import ingest_corpus, load_graph, save_graph
 from .monoid import DEFAULT_LATTICE_BUDGET, LatticeBudgetError, Word, abelian, free
 
 EXIT_OK = 0
@@ -128,20 +130,21 @@ def _merge(args: argparse.Namespace) -> dict:
     return out
 
 
+def _bool_cell(v):
+    return ("true" if v else "false") if type(v) is bool else v
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """One formatter per column: csv.writer itself writes None as "" and any
+    other value with str(), which for a float is its repr; a column holding a
+    bool gets `_bool_cell`, which spells it true or false."""
+    cols = [c for c in range(len(header)) if bool in map(type, map(itemgetter(c), rows))]
+    if cols:
+        rows = [[_bool_cell(v) if c in cols else v for c, v in enumerate(row)] for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else _cell(v) for v in row])
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        writer.writerows(rows)
 
 
 def _write_jsonl(path: str, records: list[dict]) -> None:
@@ -211,15 +214,14 @@ def _bound_rows(report: expansion.BoundReport) -> list[list]:
 
 def cmd_sim(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    out = _ensure_out(opts["out"])
     spec = _family_spec(opts)
-
-    if spec.regime == "prob_free":
-        return _sim_probabilistic(spec, opts, out)
-
-    if opts["s"] is None:
+    if spec.regime != "prob_free" and opts["s"] is None:
         raise InputError("sim needs --s (a value or lo:hi range)")
     M = families.build_macro_family(spec)
+    out = _ensure_out(opts["out"])
+    if spec.regime == "prob_free":
+        return _sim_probabilistic(M, spec, opts, out)
+
     try:
         profile = expansion.expansion_profile(
             M, opts["s"], spec.r_max, spec=spec,
@@ -266,8 +268,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
-def _sim_probabilistic(spec: families.FamilySpec, opts: dict, out: str) -> int:
-    M = families.build_macro_family(spec)
+def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict, out: str) -> int:
     rates = [
         expansion.sampled_rates(M, r, opts["trials"], opts["seed"])
         for r in opts["mc_r"]
@@ -309,12 +310,11 @@ def _sim_probabilistic(spec: families.FamilySpec, opts: dict, out: str) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    out = _ensure_out(opts["out"])
     if opts["format"] == "corpus":
-        graph = build_graph(load_corpus(opts["inp"]))
+        graph = ingest_corpus(opts["inp"])
     else:
         graph = load_graph(opts["inp"])
-    path = os.path.join(out, "graph.jsonl")
+    path = os.path.join(_ensure_out(opts["out"]), "graph.jsonl")
     save_graph(graph, path)
     print(f"{len(graph)} elements, {graph.total_edge_weight()} total edge weight -> {path}")
     return EXIT_OK
@@ -323,13 +323,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 # --- analyze ---
 
 
-def _resolve_metric(metric: str, nodes) -> str:
-    """`auto` is `tokens` when any of the graph nodes has a token count, else `refs`."""
+def _resolve_metric(metric: str, token_counts) -> str:
+    """`auto` is `tokens` when any of the token counts is known, else `refs`."""
     if metric != "auto":
         return metric
-    has_tokens = any(node.token_count_signature is not None
-                     or node.token_count_body is not None for node in nodes)
-    return "tokens" if has_tokens else "refs"
+    return "tokens" if any(t is not None for t in token_counts) else "refs"
 
 
 def _wrapped_of(m: analytics.NodeMetrics, metric: str) -> int | None:
@@ -340,7 +338,6 @@ def _wrapped_of(m: analytics.NodeMetrics, metric: str) -> int | None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    out = _ensure_out(opts["out"])
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
         raise InputError("graph has no elements")
@@ -352,9 +349,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cg = analytics.filter_macro_set(
             cg, analytics.FilterPolicy("indegree_percentile",
                                        percentile=opts["filter_percentile"]))
+    out = _ensure_out(opts["out"])
     metrics = analytics.node_metrics(graph, cg)
     metric_name = _resolve_metric(opts["wrapped_metric"],
-                                  (graph.nodes[name] for name in metrics))
+                                  (m.wrapped_tokens for m in metrics.values()))
 
     header = ["name", "kind", "wrapped_tokens", "wrapped_refs", "log2_unwrapped",
               "unwrapped_decimal_digits", "depth"]
@@ -438,8 +436,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # --- rank ---
 
 
-def _rank_rows(graph, splits, params, alt) -> list[list]:
-    scores = interest.compression_scores(splits, params.beta)
+def _rank_rows(graph, scores, params, alt) -> list[list]:
     result = interest.pagerank(graph, {k: v.j0 for k, v in scores.items()}, params)
     order = sorted(result.pi, key=lambda name: (-result.pi[name], name))
     rows = []
@@ -454,28 +451,26 @@ def _rank_rows(graph, splits, params, alt) -> list[list]:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    out = _ensure_out(opts["out"])
     graph = load_graph(opts["graph"])
+    if len(graph) == 0:
+        raise InputError("graph has no elements")
+    params, *sweep = [interest.RankParams(a, opts["beta"], opts["tolerance"], opts["max_iter"])
+                      for a in [opts["alpha"], *(opts["sweep"] or [])]]
+    out = _ensure_out(opts["out"])
     cg = analytics.condense_scc(graph)
-    metric_name = _resolve_metric(opts["wrapped_metric"], graph.nodes.values())
+    metric_name = _resolve_metric(opts["wrapped_metric"],
+                                  chain(graph.tokens_sig, graph.tokens_body))
     splits = interest.element_splits(graph, cg, metric_name)
     alt = interest.alt_deductive_scores(splits) if opts["alt_deductive"] else None
+    scores = interest.compression_scores(splits, opts["beta"])
 
-    params = interest.RankParams(opts["alpha"], opts["beta"], opts["tolerance"],
-                                 opts["max_iter"])
     header = ["name", "t0", "i0", "j0", "pi", "rank"]
     if alt is not None:
         header.append("i0_alt")
-    _write_csv(os.path.join(out, "rank.csv"), header,
-               _rank_rows(graph, splits, params, alt))
-    if opts["sweep"]:
-        sweep_rows = []
-        for alpha in opts["sweep"]:
-            p = interest.RankParams(alpha, opts["beta"], opts["tolerance"],
-                                    opts["max_iter"])
-            for row in _rank_rows(graph, splits, p, alt):
-                sweep_rows.append([alpha, *row])
-        _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header], sweep_rows)
+    _write_csv(os.path.join(out, "rank.csv"), header, _rank_rows(graph, scores, params, alt))
+    if sweep:
+        _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header],
+                   [[p.alpha, *row] for p in sweep for row in _rank_rows(graph, scores, p, alt)])
     print(f"ranked {len(graph)} elements ({metric_name} wrapped metric)")
     return EXIT_OK
 
@@ -485,7 +480,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     opts = _merge(args)
-    out = _ensure_out(opts["out"])
     if opts["kind"] == "hierarchy":
         graph = synth.synth_hierarchy(opts["b"], opts["height"])
     elif opts["kind"] == "flat":
@@ -494,7 +488,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         graph = synth.synth_mixed(opts["nodes"], opts["primitives"], opts["fanout"],
                                   opts["max_weight"], opts["seed"])
-    path = os.path.join(out, "graph.jsonl")
+    path = os.path.join(_ensure_out(opts["out"]), "graph.jsonl")
     save_graph(graph, path)
     print(f"{len(graph)} elements -> {path}")
     return EXIT_OK

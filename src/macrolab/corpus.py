@@ -7,6 +7,14 @@ they give the usual weighted edge multiset.  Names referenced but never
 declared become synthetic sink nodes, one per name, so unknown references
 stay distinguishable.
 
+A `DepGraph` holds the graph as integer-indexed arrays: sorted names, kinds,
+flags, token counts and one CSR row of references per element.  `load_graph`
+fills them straight from a graph file, `build_graph` from parsed elements,
+and `ingest_corpus` from a corpus file in one pass: each expression's
+references are counted while it is parsed, and its tree is dropped before
+the next element is read.  Every analytics pass reads the arrays; the
+name-keyed `GraphNode` view is built only when something asks for it.
+
 Both file formats are line-delimited JSON with a leading header record, one
 canonical byte rendering per graph (sorted names, sorted keys, no float
 fields), so save(load(path)) reproduces the file exactly.
@@ -15,8 +23,9 @@ fields), so save(load(path)) reproduces the file exactly.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 
 from .exprs import ExprNode, collect_elems, parse_expr, print_expr
 
@@ -26,6 +35,8 @@ _KIND_ALIASES = {"lemma": "theorem"}
 GRAPH_FORMAT = "macrolab-graph"
 CORPUS_FORMAT = "macrolab-corpus"
 FORMAT_VERSION = 1
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class CorpusError(ValueError):
@@ -95,98 +106,143 @@ class GraphNode:
 
 
 class DepGraph:
-    """Weighted dependency graph over named elements, name-ordered."""
+    """Weighted dependency graph over named elements, held as index arrays.
 
-    def __init__(self, nodes: list[GraphNode]):
-        self.nodes: dict[str, GraphNode] = {}
-        for node in sorted(nodes, key=lambda nd: nd.name):
-            if node.name in self.nodes:
-                raise CorpusError(f"duplicate element name {node.name!r}")
-            self.nodes[node.name] = node
-        for node in self.nodes.values():
-            for target in (*node.sig_refs, *node.body_refs):
-                if target not in self.nodes:
-                    raise CorpusError(
-                        f"{node.name!r} references undeclared {target!r}; "
-                        "build_graph adds synthetic sinks for these"
-                    )
+    Element ``i`` is ``sorted_names[i]`` (``index`` maps a name back to it),
+    with ``kinds[i]``, ``generated[i]`` and the token counts ``tokens_sig[i]``
+    and ``tokens_body[i]``.  Its references form one CSR row: the targets
+    ``dst[off[i]:off[i + 1]]`` in ascending order, which is name order, each
+    with its signature-origin weight ``sig_w[e]``, its body-origin weight
+    ``body_w[e]`` (one of the two may be 0) and their sum ``ref_w[e]``.  The
+    arrays are not changed once built.  ``nodes`` gives the same graph as
+    name-keyed `GraphNode`s; it is built on first use, and no command uses it.
+    """
+
+    def __init__(self, nodes: list[GraphNode] = (), rows: list[tuple] | None = None):
+        """From `GraphNode`s, or from rows (name, kind, generated,
+        token_count_signature, token_count_body, sig_refs, body_refs) as
+        `load_graph` and `build_graph` read them, refs name -> weight.  The
+        rows list is consumed: it is left empty, and each reference dict it
+        held is dropped as soon as its CSR row is written."""
+        if rows is None:
+            rows = [(nd.name, nd.kind, nd.generated, nd.token_count_signature,
+                     nd.token_count_body, nd.sig_refs, nd.body_refs) for nd in nodes]
+        rows.sort(key=itemgetter(0))
+        names, self.kinds, self.generated, self.tokens_sig, self.tokens_body, sigs, bodies = (
+            list(col) for col in (zip(*rows) if rows else [()] * 7))
+        rows.clear()
+        sigs.reverse()
+        bodies.reverse()
+        self.sorted_names = names
+        self.index = index = {name: i for i, name in enumerate(names)}
+        if len(index) < len(names):
+            dup = next(a for a, b in zip(names, names[1:]) if a == b)
+            raise CorpusError(f"duplicate element name {dup!r}")
+        self.off, self.dst, self.sig_w, self.body_w = off, dst, sig_w, body_w = [0], [], [], []
+        for name in names:
+            sig, body = sigs.pop(), bodies.pop()
+            targets = sorted(sig.keys() | body.keys())
+            try:
+                dst.extend([index[t] for t in targets])
+            except KeyError as exc:
+                raise CorpusError(
+                    f"{name!r} references undeclared {exc.args[0]!r}; "
+                    "build_graph adds synthetic sinks for these"
+                ) from None
+            sig_w.extend([sig.get(t, 0) for t in targets])
+            body_w.extend([body.get(t, 0) for t in targets])
+            off.append(len(dst))
+        self.ref_w = [s + b for s, b in zip(sig_w, body_w)]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.sorted_names)
 
     def names(self) -> list[str]:
-        return list(self.nodes)
+        return list(self.sorted_names)
+
+    def refs(self, i: int, weights: list[int]) -> dict[str, int]:
+        """Target name -> weight over element i's row, for one weight array."""
+        lo, hi = self.off[i], self.off[i + 1]
+        names = self.sorted_names
+        return {names[t]: w for t, w in zip(self.dst[lo:hi], weights[lo:hi]) if w}
+
+    def has_body(self, i: int) -> bool:
+        return self.tokens_body[i] is not None or any(self.body_w[self.off[i]:self.off[i + 1]])
+
+    @cached_property
+    def nodes(self) -> dict[str, GraphNode]:
+        return {
+            name: GraphNode(name, self.kinds[i], self.generated[i], self.tokens_sig[i],
+                            self.tokens_body[i], self.refs(i, self.sig_w),
+                            self.refs(i, self.body_w))
+            for i, name in enumerate(self.sorted_names)
+        }
+
+    @cached_property
+    def edge_arrays(self):
+        """(source, target, summed weight, out total per element) as numpy
+        arrays, one entry per CSR entry in row order; numpy is imported here,
+        on first use, and the arrays are built once per graph."""
+        import numpy as np
+
+        n = len(self)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.off))
+        w = np.array(self.ref_w, dtype=np.float64)
+        # exact: the sums of integer weights stay below 2**53
+        return src, np.array(self.dst, dtype=np.int64), w, np.bincount(src, w, minlength=n)
 
     def edges(self):
         """Yield (source, target, summed weight), deterministic order."""
-        for node in self.nodes.values():
-            merged = node.merged_refs()
-            for target in sorted(merged):
-                yield node.name, target, merged[target]
+        names = self.sorted_names
+        for i, name in enumerate(names):
+            for e in range(self.off[i], self.off[i + 1]):
+                yield name, names[self.dst[e]], self.ref_w[e]
 
     def total_edge_weight(self) -> int:
-        return sum(w for _, _, w in self.edges())
+        return sum(self.ref_w)
+
+
+def _with_sinks(rows: list[tuple]) -> DepGraph:
+    """The graph of the given rows plus one synthetic sink per undeclared name."""
+    referenced: set[str] = set()
+    for name, kind, _, _, _, sig_refs, body_refs in rows:
+        if kind in ("primitive", "synthetic") and (sig_refs or body_refs):
+            raise CorpusError(f"{kind} element {name!r} must reference nothing")
+        referenced.update(sig_refs, body_refs)
+    referenced.difference_update(row[0] for row in rows)
+    rows += [(name, "synthetic", True, None, None, {}, {}) for name in referenced]
+    return DepGraph(rows=rows)
+
+
+def _element_row(el: Element, sig_refs: dict[str, int], body_refs: dict[str, int]) -> tuple:
+    return (el.name, el.kind, el.generated, el.token_count_signature, el.token_count_body,
+            sig_refs, body_refs)
 
 
 def build_graph(elements: list[Element]) -> DepGraph:
     """Assemble the dependency graph, adding synthetic sinks for unknown names."""
-    declared: set[str] = set()
-    for el in elements:
-        if el.name in declared:
-            raise CorpusError(f"duplicate element name {el.name!r}")
-        declared.add(el.name)
-
-    nodes: list[GraphNode] = []
-    referenced: set[str] = set()
-    for el in elements:
-        sig_refs = dict(collect_elems(el.signature)) if el.signature is not None else {}
-        body_refs = dict(collect_elems(el.body)) if el.body is not None else {}
-        if el.kind in ("primitive", "synthetic") and (sig_refs or body_refs):
-            raise CorpusError(f"{el.kind} element {el.name!r} must reference nothing")
-        referenced.update(sig_refs)
-        referenced.update(body_refs)
-        nodes.append(GraphNode(
-            name=el.name,
-            kind=el.kind,
-            generated=el.generated,
-            token_count_signature=el.token_count_signature,
-            token_count_body=el.token_count_body,
-            sig_refs=sig_refs,
-            body_refs=body_refs,
-        ))
-    for name in sorted(referenced - declared):
-        nodes.append(GraphNode(
-            name=name,
-            kind="synthetic",
-            generated=True,
-            token_count_signature=None,
-            token_count_body=None,
-        ))
-    return DepGraph(nodes)
-
-
-def _node_record(node: GraphNode) -> str:
-    rec = {
-        "name": node.name,
-        "kind": node.kind,
-        "generated": node.generated,
-        "token_count_signature": node.token_count_signature,
-        "token_count_body": node.token_count_body,
-        "sig_refs": {k: node.sig_refs[k] for k in sorted(node.sig_refs)},
-        "body_refs": {k: node.body_refs[k] for k in sorted(node.body_refs)},
-    }
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return _with_sinks([
+        _element_row(el, *(dict(collect_elems(e)) if e is not None else {}
+                           for e in (el.signature, el.body)))
+        for el in elements
+    ])
 
 
 def save_graph(graph: DepGraph, path: str) -> None:
-    header = json.dumps(
-        {"format": GRAPH_FORMAT, "version": FORMAT_VERSION},
-        sort_keys=True, separators=(",", ":"),
-    )
+    header = _encode({"format": GRAPH_FORMAT, "version": FORMAT_VERSION})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for name in sorted(graph.nodes):
-            fh.write(_node_record(graph.nodes[name]) + "\n")
+        for i, name in enumerate(graph.sorted_names):
+            rec = {
+                "name": name,
+                "kind": graph.kinds[i],
+                "generated": graph.generated[i],
+                "token_count_signature": graph.tokens_sig[i],
+                "token_count_body": graph.tokens_body[i],
+                "sig_refs": graph.refs(i, graph.sig_w),
+                "body_refs": graph.refs(i, graph.body_w),
+            }
+            fh.write(_encode(rec) + "\n")
 
 
 def _check_header(obj: dict, expected_format: str) -> None:
@@ -228,16 +284,14 @@ def _refs_field(rec: dict, key: str, lineno: int) -> dict[str, int]:
     val = rec.get(key, {})
     if not isinstance(val, dict):
         raise CorpusError(f"{key} must be an object", line=lineno)
-    out: dict[str, int] = {}
     for name, w in val.items():
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise CorpusError(f"{key}[{name!r}] must be a positive integer", line=lineno)
-        out[name] = w
-    return out
+    return val
 
 
 def load_graph(path: str) -> DepGraph:
-    nodes: list[GraphNode] = []
+    rows = []
     for lineno, rec in _read_jsonl(path, GRAPH_FORMAT):
         if not isinstance(rec, dict):
             raise CorpusError("expected an object per line", line=lineno)
@@ -248,57 +302,64 @@ def load_graph(path: str) -> DepGraph:
             kind = normalize_kind(rec.get("kind", ""))
         except CorpusError as exc:
             raise CorpusError(str(exc), line=lineno) from exc
-        nodes.append(GraphNode(
-            name=name,
-            kind=kind,
-            generated=bool(rec.get("generated", False)),
-            token_count_signature=_opt_nat(rec, "token_count_signature", lineno),
-            token_count_body=_opt_nat(rec, "token_count_body", lineno),
-            sig_refs=_refs_field(rec, "sig_refs", lineno),
-            body_refs=_refs_field(rec, "body_refs", lineno),
-        ))
+        rows.append((name, kind, bool(rec.get("generated", False)),
+                     _opt_nat(rec, "token_count_signature", lineno),
+                     _opt_nat(rec, "token_count_body", lineno),
+                     _refs_field(rec, "sig_refs", lineno), _refs_field(rec, "body_refs", lineno)))
     try:
-        return DepGraph(nodes)
+        return DepGraph(rows=rows)
     except CorpusError as exc:
         raise CorpusError(f"inconsistent graph: {exc}") from exc
 
 
+def _element(lineno: int, rec, sig_refs: dict | None = None,
+             body_refs: dict | None = None) -> Element:
+    """One corpus record as an Element; `parse_expr` counts the references of
+    its signature and body into `sig_refs` and `body_refs` when given."""
+    if not isinstance(rec, dict):
+        raise CorpusError("expected an object per line", line=lineno)
+    name = rec.get("name")
+    if not isinstance(name, str) or not name:
+        raise CorpusError("missing element name", line=lineno)
+    sig_text = rec.get("signature")
+    body_text = rec.get("body")
+    try:
+        signature = parse_expr(sig_text, sig_refs) if sig_text is not None else None
+        body = parse_expr(body_text, body_refs) if body_text is not None else None
+    except ValueError as exc:
+        raise CorpusError(f"{name}: {exc}", line=lineno) from exc
+    try:
+        return Element(
+            name=name,
+            kind=rec.get("kind", ""),
+            signature=signature,
+            body=body,
+            token_count_signature=_opt_nat(rec, "token_count_signature", lineno),
+            token_count_body=_opt_nat(rec, "token_count_body", lineno),
+            generated=bool(rec.get("generated", False)),
+        )
+    except CorpusError as exc:
+        raise CorpusError(str(exc), line=lineno) from exc
+
+
 def load_corpus(path: str) -> list[Element]:
     """Read an expression corpus (JSONL with S-expression signature/body strings)."""
-    elements: list[Element] = []
+    return [_element(lineno, rec) for lineno, rec in _read_jsonl(path, CORPUS_FORMAT)]
+
+
+def ingest_corpus(path: str) -> DepGraph:
+    """`build_graph(load_corpus(path))` in one pass over the file: each
+    expression's references are counted while it is parsed, and an element's
+    trees are dropped before the next element is parsed."""
+    rows = []
     for lineno, rec in _read_jsonl(path, CORPUS_FORMAT):
-        if not isinstance(rec, dict):
-            raise CorpusError("expected an object per line", line=lineno)
-        name = rec.get("name")
-        if not isinstance(name, str) or not name:
-            raise CorpusError("missing element name", line=lineno)
-        sig_text = rec.get("signature")
-        body_text = rec.get("body")
-        try:
-            signature = parse_expr(sig_text) if sig_text is not None else None
-            body = parse_expr(body_text) if body_text is not None else None
-        except ValueError as exc:
-            raise CorpusError(f"{name}: {exc}", line=lineno) from exc
-        try:
-            elements.append(Element(
-                name=name,
-                kind=rec.get("kind", ""),
-                signature=signature,
-                body=body,
-                token_count_signature=_opt_nat(rec, "token_count_signature", lineno),
-                token_count_body=_opt_nat(rec, "token_count_body", lineno),
-                generated=bool(rec.get("generated", False)),
-            ))
-        except CorpusError as exc:
-            raise CorpusError(str(exc), line=lineno) from exc
-    return elements
+        refs: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        rows.append(_element_row(_element(lineno, rec, *refs), *refs))
+    return _with_sinks(rows)
 
 
 def save_corpus(elements: list[Element], path: str) -> None:
-    header = json.dumps(
-        {"format": CORPUS_FORMAT, "version": FORMAT_VERSION},
-        sort_keys=True, separators=(",", ":"),
-    )
+    header = _encode({"format": CORPUS_FORMAT, "version": FORMAT_VERSION})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for el in sorted(elements, key=lambda e: e.name):
@@ -311,4 +372,4 @@ def save_corpus(elements: list[Element], path: str) -> None:
                 "token_count_signature": el.token_count_signature,
                 "token_count_body": el.token_count_body,
             }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_encode(rec) + "\n")

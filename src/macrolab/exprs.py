@@ -10,11 +10,15 @@ name "Sort"; `(other)` covers constructs that reference nothing (bound
 variables, literals, metavariables).  Parsing and printing are iterative so
 deeply nested bodies cannot overflow the interpreter stack.
 
-The parser splits the text with one regex pass and works on bare token
-strings; an error's (line, column) is worked out from the text only once
-parsing has failed.  Nodes are immutable, so leaves are shared: `(sort)` and
-`(other)` are module-wide singletons, and repeated `(const NAME)` leaves of one
-parse are one object.
+The parser splits the text into bare token strings with one `str.split`
+(the tokens `_TOKEN` finds) and turns a whole leaf such as `(const NAME)`
+into its node at once; an error's (line, column) is worked out from the text
+only once parsing has failed.  Nodes are immutable, so leaves are shared:
+`(sort)` and `(other)` are module-wide singletons, and repeated
+`(const NAME)` leaves of one parse are one object.  The parser can also
+count references as it goes (`parse_expr(text, refs)`), which is how corpus
+ingest gets each element's reference counts in its one parse;
+`collect_elems` counts those of a tree already built.
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ def proj(struct: ExprNode) -> ExprNode:
 
 
 _LEAVES = {"sort": ExprNode("sort"), "other": ExprNode("other")}
+# parse_expr has checked an interior node's tag and arity by the time it
+# builds it, so it fills the slots directly: the frozen __init__ and its
+# checks took over a third of the parse.
+_blank = object.__new__
+_set_tag, _set_name, _set_children = (ExprNode.__dict__[f].__set__
+                                      for f in ("tag", "name", "children"))
 _PARENS = ("(", ")")
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
@@ -117,15 +127,20 @@ def _error(text: str, index: int, message: str) -> ExprParseError:
     return ExprParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def parse_expr(text: str) -> ExprNode:
-    """Parse one S-expression; trailing input or malformed forms are rejected."""
-    tokens = _TOKEN.findall(text)
+def parse_expr(text: str, refs: dict[str, int] | None = None) -> ExprNode:
+    """Parse one S-expression; trailing input or malformed forms are rejected.
+
+    With `refs`, every referenced name is counted into it as the parse meets
+    it, so it ends up holding `collect_elems` of the result without a second
+    walk over the tree.
+    """
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()  # what _TOKEN finds
     end = len(tokens)
     if not end:
         raise ExprParseError("empty input", 1, 1)
     consts: dict[str, ExprNode] = {}
-    # frames: (tag, tag token index, name, children of the enclosing form)
-    frames: list[tuple[str, int, str | None, list[ExprNode]]] = []
+    # frames: (tag, tag token index, children of the enclosing form)
+    frames: list[tuple[str, int, list[ExprNode]]] = []
     root: list[ExprNode] = []
     children = root
     pos = 0
@@ -138,29 +153,39 @@ def parse_expr(text: str) -> ExprNode:
                 if tag in _PARENS:
                     raise _error(text, min(at, end - 1), "expected a tag after '('")
                 raise _error(text, at, f"unknown tag {tag!r}")
-            name = None
             pos = at + 1
             if tag == "const":
                 name = tokens[pos] if pos < end else "("
                 if name in _PARENS:
                     raise _error(text, at, "const needs a name")
                 pos += 1
-            frames.append((tag, at, name, children))
-            children = []
-        elif tok == ")":
-            if not frames:
-                raise _error(text, pos, "unmatched ')'")
-            tag, at, name, parent = frames.pop()
-            if len(children) != _ARITY[tag]:
-                raise _error(text, at, f"{tag} takes {_ARITY[tag]} children, got {len(children)}")
-            if name is not None:
+                if refs is not None:
+                    refs[name] = refs.get(name, 0) + 1
                 node = consts.get(name)
                 if node is None:
                     node = consts[name] = ExprNode("const", name)
             elif tag in _LEAVES:
+                if tag == "sort" and refs is not None:
+                    refs[SORT_NAME] = refs.get(SORT_NAME, 0) + 1
                 node = _LEAVES[tag]
-            else:
-                node = ExprNode(tag, None, tuple(children))
+            if not _ARITY[tag] and pos < end and tokens[pos] == ")":  # a whole leaf
+                children.append(node)
+                pos += 1
+                if not frames:
+                    break
+                continue
+            frames.append((tag, at, children))
+            children = []
+        elif tok == ")":
+            if not frames:
+                raise _error(text, pos, "unmatched ')'")
+            tag, at, parent = frames.pop()
+            if len(children) != _ARITY[tag]:
+                raise _error(text, at, f"{tag} takes {_ARITY[tag]} children, got {len(children)}")
+            node = _blank(ExprNode)
+            _set_tag(node, tag)
+            _set_name(node, None)
+            _set_children(node, tuple(children))
             parent.append(node)
             children = parent
             pos += 1

@@ -3,14 +3,15 @@
 The walk follows dependency edges with probability alpha and teleports in
 proportion to a per-node interest weight otherwise; sink nodes always
 teleport.  Stationary mass is found by power iteration on the exact column-
-stochastic operator, so total probability is conserved to rounding.
-numpy is imported on first array use, by `pagerank` only, so the score
-functions run without loading it.
+stochastic operator, so total probability is conserved to rounding.  The
+operator's edge arrays are the graph's `edge_arrays`, built once per graph,
+so a sweep over alpha reuses them.  numpy is imported on first array use,
+by `pagerank` and those arrays only, so the score functions run without
+loading it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .analytics import CondensedGraph, split_unwrapped
@@ -55,17 +56,15 @@ def element_splits(
     token counts, None when absent) or "refs" (outgoing reference weight)."""
     if wrapped_metric not in ("tokens", "refs"):
         raise ValueError(f"unknown wrapped metric {wrapped_metric!r}")
-    unw = split_unwrapped(graph, cg)
+    off = graph.off
     out: dict[str, ElementSplit] = {}
-    for name, node in graph.nodes.items():
-        u_sig, u_body = unw[name]
+    for v, (name, (u_sig, u_body)) in enumerate(split_unwrapped(graph, cg).items()):
         if wrapped_metric == "tokens":
-            w_sig = node.token_count_signature
-            w_body = node.token_count_body
+            w_sig, w_body = graph.tokens_sig[v], graph.tokens_body[v]
         else:
-            w_sig = sum(node.sig_refs.values()) or None
-            w_body = sum(node.body_refs.values()) or None
-        out[name] = ElementSplit(w_sig, w_body, u_sig, u_body, node.has_body)
+            w_sig, w_body = (sum(ws[off[v]:off[v + 1]]) or None
+                             for ws in (graph.sig_w, graph.body_w))
+        out[name] = ElementSplit(w_sig, w_body, u_sig, u_body, graph.has_body(v))
     return out
 
 
@@ -162,34 +161,17 @@ def pagerank(
     Power iteration from the uniform distribution until the L1 residual drops
     below params.tolerance; raises PowerIterationError at the iteration cap.
     """
-    names = graph.names()
+    names = graph.sorted_names
     n = len(names)
     if n == 0:
         raise ValueError("empty graph")
     import numpy as np
 
-    index = {name: i for i, name in enumerate(names)}
     weights = np.array([j0[name] for name in names], dtype=np.float64)
     if np.any(weights <= 0):
         raise ValueError("teleport weights must be positive (J0 is floored above zero)")
     teleport = weights / weights.sum()
-
-    srcs: list[int] = []
-    dsts: list[int] = []
-    ws: list[float] = []
-    out_total = np.zeros(n, dtype=np.float64)
-    for name in names:
-        u = index[name]
-        refs = graph.nodes[name].merged_refs()
-        total = sum(refs.values())
-        out_total[u] = total
-        for t in sorted(refs):
-            srcs.append(u)
-            dsts.append(index[t])
-            ws.append(refs[t])
-    src = np.array(srcs, dtype=np.int64)
-    dst = np.array(dsts, dtype=np.int64)
-    w = np.array(ws, dtype=np.float64)
+    src, dst, w, out_total = graph.edge_arrays
     is_sink = out_total == 0
     safe_total = np.where(is_sink, 1.0, out_total)
 
@@ -206,6 +188,5 @@ def pagerank(
         nxt /= nxt.sum()
         pi = nxt
         if residual < params.tolerance:
-            return RankResult({name: float(pi[index[name]]) for name in names},
-                              it, residual, tuple(history))
+            return RankResult(dict(zip(names, pi.tolist())), it, residual, tuple(history))
     raise PowerIterationError(params.max_iterations, residual)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .corpus import DepGraph, GraphNode
+from .corpus import DepGraph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,28 +22,20 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
+def _row(name: str, kind: str, sig_refs: dict[str, int], body_refs: dict[str, int] | None = None):
+    """A generated element without token counts, as a `DepGraph` row."""
+    return (name, kind, True, None, None, sig_refs, body_refs or {})
+
+
 def synth_hierarchy(b: int, height: int) -> DepGraph:
     """Chain hierarchy: level j references level j-1 with weight b."""
     if b < 2 or height < 1:
         raise ValueError("hierarchy needs b >= 2 and height >= 1")
     pad = len(str(height))
-    nodes = [GraphNode(
-        name=f"level{0:0{pad}d}",
-        kind="primitive",
-        generated=True,
-        token_count_signature=None,
-        token_count_body=None,
-    )]
+    rows = [_row(f"level{0:0{pad}d}", "primitive", {})]
     for j in range(1, height + 1):
-        nodes.append(GraphNode(
-            name=f"level{j:0{pad}d}",
-            kind="definition",
-            generated=True,
-            token_count_signature=None,
-            token_count_body=None,
-            sig_refs={f"level{j - 1:0{pad}d}": b},
-        ))
-    return DepGraph(nodes)
+        rows.append(_row(f"level{j:0{pad}d}", "definition", {f"level{j - 1:0{pad}d}": b}))
+    return DepGraph(rows=rows)
 
 
 def synth_flat(n_primitives: int, n_macros: int, fanout: int, seed: int) -> DepGraph:
@@ -57,13 +49,7 @@ def synth_flat(n_primitives: int, n_macros: int, fanout: int, seed: int) -> DepG
     rng = _rng(seed, 1)
     pad_p = len(str(n_primitives - 1))
     pad_m = len(str(n_macros - 1))
-    nodes = [GraphNode(
-        name=f"prim{i:0{pad_p}d}",
-        kind="primitive",
-        generated=True,
-        token_count_signature=None,
-        token_count_body=None,
-    ) for i in range(n_primitives)]
+    rows = [_row(f"prim{i:0{pad_p}d}", "primitive", {}) for i in range(n_primitives)]
     for i in range(n_macros):
         size = int(rng.integers(1, fanout + 1))
         picks = rng.integers(0, n_primitives, size=size)
@@ -71,15 +57,8 @@ def synth_flat(n_primitives: int, n_macros: int, fanout: int, seed: int) -> DepG
         for p in picks:
             key = f"prim{int(p):0{pad_p}d}"
             refs[key] = refs.get(key, 0) + 1
-        nodes.append(GraphNode(
-            name=f"macro{i:0{pad_m}d}",
-            kind="definition",
-            generated=True,
-            token_count_signature=None,
-            token_count_body=None,
-            sig_refs=refs,
-        ))
-    return DepGraph(nodes)
+        rows.append(_row(f"macro{i:0{pad_m}d}", "definition", refs))
+    return DepGraph(rows=rows)
 
 
 def synth_mixed(
@@ -98,16 +77,10 @@ def synth_mixed(
     rng = _rng(seed, 2)
     pad = len(str(n_nodes - 1))
     first_prim = n_nodes - n_primitives
-    nodes: list[GraphNode] = []
+    rows: list[tuple] = []
     for i in range(n_nodes):
         if i >= first_prim:
-            nodes.append(GraphNode(
-                name=f"node{i:0{pad}d}",
-                kind="primitive",
-                generated=True,
-                token_count_signature=None,
-                token_count_body=None,
-            ))
+            rows.append(_row(f"node{i:0{pad}d}", "primitive", {}))
             continue
         fanout = int(rng.integers(1, max_fanout + 1))
         targets = rng.choice(n_nodes - i - 1, size=min(fanout, n_nodes - i - 1),
@@ -123,13 +96,6 @@ def synth_mixed(
             # promote the first reference to the signature side.
             first = next(iter(body_refs))
             sig_refs[first] = body_refs.pop(first)
-        nodes.append(GraphNode(
-            name=f"node{i:0{pad}d}",
-            kind="definition" if int(rng.integers(0, 2)) == 0 else "theorem",
-            generated=True,
-            token_count_signature=None,
-            token_count_body=None,
-            sig_refs=sig_refs,
-            body_refs=body_refs,
-        ))
-    return DepGraph(nodes)
+        kind = "definition" if int(rng.integers(0, 2)) == 0 else "theorem"
+        rows.append(_row(f"node{i:0{pad}d}", kind, sig_refs, body_refs))
+    return DepGraph(rows=rows)

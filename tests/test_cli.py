@@ -10,15 +10,16 @@ import shutil
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from macrolab import analytics, cli
+from macrolab import analytics, cli, interest
 from macrolab.cli import (
     COMMANDS, EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _merge, build_parser, main,
 )
-from macrolab.corpus import load_graph
+from macrolab.corpus import DepGraph, load_graph
 
 WORKED_CORPUS = (
     '{"format":"macrolab-corpus","version":1}\n'
@@ -662,14 +663,32 @@ def test_rank_alt_deductive_column(tmp_path):
     assert "i0_alt" in rows[0]
 
 
-def test_rank_sweep_blocks(tmp_path):
+def test_rank_sweep_blocks(tmp_path, monkeypatch):
     synth_out = tmp_path / "mixed"
     assert main(["synth", "--kind", "mixed", "--nodes", "30", "--primitives", "6",
                  "--fanout", "3", "--max-weight", "2", "--seed", "2",
                  "--out", str(synth_out)]) == EXIT_OK
+    calls = Counter()
+
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in [(analytics, "unwrapped_lengths"), (interest, "element_splits"),
+                        (interest, "compression_scores"), (interest, "pagerank"),
+                        (DepGraph.edge_arrays, "func")]:
+        counted(owner, attr)
     rank_out = tmp_path / "rank"
     assert main(["rank", "--graph", str(synth_out / "graph.jsonl"),
                  "--sweep", "0.5,0.85", "--out", str(rank_out)]) == EXIT_OK
+    # scores and the walk's edge arrays are shared by --alpha and both sweep alphas
+    assert calls == {"unwrapped_lengths": 1, "element_splits": 1, "compression_scores": 1,
+                     "func": 1, "pagerank": 3}
     sweep = read_csv(rank_out / "rank_sweep.csv")
     assert len(sweep) == 60
     assert {r["alpha"] for r in sweep} == {"0.5", "0.85"}
@@ -709,6 +728,30 @@ def test_rank_rejects_bad_alpha(tmp_path):
 
 def test_synth_requires_a_kind(tmp_path):
     assert main(["synth", "--out", str(tmp_path)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--regime", "place", "--b", "2", "--s", "3"],  # this regime needs --r-max
+    ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "2", "--word", "1",
+     "--s", "2", "--r-max", "5"],  # the word needs two multiplicities
+    ["ingest", "--in", "{missing}"],
+    ["ingest", "--in", "{bad_corpus}"],
+    ["analyze", "--graph", "{corpus}"],  # a corpus file is no graph file
+    ["analyze", "--graph", "{graph}", "--filter-percentile", "120"],
+    ["rank", "--graph", "{missing}"],
+    ["rank", "--graph", "{graph}", "--sweep", "0.5,1.5"],  # alpha must lie in [0, 1)
+    ["synth", "--kind", "mixed", "--nodes", "5", "--primitives", "20"],
+])
+def test_input_error_leaves_no_output_directory(tmp_path, argv):
+    paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
+             "corpus": tmp_path / "corpus.jsonl", "graph": tmp_path / "graph" / "graph.jsonl"}
+    paths["corpus"].write_text(WORKED_CORPUS)
+    paths["bad_corpus"].write_text(WORKED_CORPUS.replace("(const And)", "(const And"))
+    assert main(["ingest", "--in", str(paths["corpus"]),
+                 "--out", str(paths["graph"].parent)]) == EXIT_OK
+    out = tmp_path / "nodir"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
 
 
 def test_console_script_runs():
