@@ -3,6 +3,7 @@
 Every run is deterministic: the same inputs, flags, and seed produce
 byte-identical output files.  Exit codes: 0 success (all checks passed),
 1 input error, 2 verification failure, 3 combinatorial budget exceeded.
+Each command imports only the engine modules it runs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from . import analytics, expansion, families, interest, synth
-from .corpus import ingest_corpus, load_graph, save_graph
-from .monoid import DEFAULT_LATTICE_BUDGET, LatticeBudgetError, Word, abelian, free
+from .monoid import (
+    DEFAULT_LATTICE_BUDGET, DEFAULT_WORD_BUDGET, LatticeBudgetError, Word, abelian, free,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -162,6 +163,8 @@ def _ensure_out(out: str) -> str:
 
 
 def _parse_finite_words(texts: list[str], monoid_name: str, n: int) -> list[Word]:
+    from .expansion import letters_of_str
+
     words = []
     for text in texts:
         text = text.strip()
@@ -171,11 +174,13 @@ def _parse_finite_words(texts: list[str], monoid_name: str, n: int) -> list[Word
                 raise InputError(f"word {text!r} needs {n} multiplicities")
             words.append(Word(abelian(n), tuple(mults)))
         else:
-            words.append(Word(free(n), expansion.letters_of_str(text)))
+            words.append(Word(free(n), letters_of_str(text)))
     return words
 
 
 def _family_spec(opts: dict) -> families.FamilySpec:
+    from . import families
+
     regime = opts["regime"]
     n = opts["n"]
     r_max = opts["r_max"]
@@ -213,6 +218,8 @@ def _bound_rows(report: expansion.BoundReport) -> list[list]:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
+    from . import expansion, families
+
     opts = _merge(args)
     spec = _family_spec(opts)
     if spec.regime != "prob_free" and opts["s"] is None:
@@ -269,6 +276,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
 
 def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict, out: str) -> int:
+    from . import expansion
+
     rates = [
         expansion.sampled_rates(M, r, opts["trials"], opts["seed"])
         for r in opts["mc_r"]
@@ -309,6 +318,8 @@ def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict, out: str) -> in
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .corpus import ingest_corpus, load_graph, save_graph
+
     opts = _merge(args)
     if opts["format"] == "corpus":
         graph = ingest_corpus(opts["inp"])
@@ -337,6 +348,9 @@ def _wrapped_of(m: analytics.NodeMetrics, metric: str) -> int | None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analytics
+    from .corpus import load_graph
+
     opts = _merge(args)
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
@@ -437,6 +451,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _rank_rows(graph, scores, params, alt) -> list[list]:
+    from . import interest
+
     result = interest.pagerank(graph, {k: v.j0 for k, v in scores.items()}, params)
     order = sorted(result.pi, key=lambda name: (-result.pi[name], name))
     rows = []
@@ -450,6 +466,9 @@ def _rank_rows(graph, scores, params, alt) -> list[list]:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    from . import analytics, interest
+    from .corpus import load_graph
+
     opts = _merge(args)
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
@@ -467,10 +486,15 @@ def cmd_rank(args: argparse.Namespace) -> int:
     header = ["name", "t0", "i0", "j0", "pi", "rank"]
     if alt is not None:
         header.append("i0_alt")
-    _write_csv(os.path.join(out, "rank.csv"), header, _rank_rows(graph, scores, params, alt))
-    if sweep:
-        _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header],
-                   [[p.alpha, *row] for p in sweep for row in _rank_rows(graph, scores, p, alt)])
+    try:
+        _write_csv(os.path.join(out, "rank.csv"), header, _rank_rows(graph, scores, params, alt))
+        if sweep:
+            _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header],
+                       [[p.alpha, *row] for p in sweep
+                        for row in _rank_rows(graph, scores, p, alt)])
+    except interest.PowerIterationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     print(f"ranked {len(graph)} elements ({metric_name} wrapped metric)")
     return EXIT_OK
 
@@ -479,6 +503,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synth
+    from .corpus import save_graph
+
     opts = _merge(args)
     if opts["kind"] == "hierarchy":
         graph = synth.synth_hierarchy(opts["b"], opts["height"])
@@ -553,7 +580,7 @@ COMMANDS = {
         Opt("--trials", int, 1000),
         Opt("--mc-r", _int_list, [64, 128, 256]),
         Opt("--min-halving-rate", float, 0.99),
-        Opt("--word-budget", int, expansion.DEFAULT_WORD_BUDGET,
+        Opt("--word-budget", int, DEFAULT_WORD_BUDGET,
             "free-monoid profile budget, in (match state, letter) transitions of the "
             "worst-word DP", bounds=(1, math.inf)),
         Opt("--lattice-budget", int, DEFAULT_LATTICE_BUDGET, bounds=(1, math.inf)),
@@ -635,12 +662,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (expansion.SphereBudgetError, LatticeBudgetError) as exc:
+    except LatticeBudgetError as exc:  # sim reports its own SphereBudgetError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except interest.PowerIterationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except (ValueError, OSError) as exc:  # InputError and CorpusError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,10 +3,11 @@
 The expansion value f(s) is the largest radius r such that every word of
 primitive length <= r can be written with at most s generators-plus-macros.
 Exact values come from lattice reachability (abelian) or a forward DP over
-the match states of the macro trie (finite free macro sets); the lazy
-probabilistic family has infinitely many match states, so its profile falls
-back to scanning every word of each length, and its regime is checked by
-sampling (halving checks and a greedy recursive parse) instead.
+the match states of the macro set's Aho-Corasick automaton (finite free
+macro sets), whose word budget counts (match state, letter) transitions.
+The lazy probabilistic family has unboundedly many match states and no
+profile; its regime is checked by sampling instead (halving checks and a
+greedy recursive parse).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from .families import FamilySpec, LazyFreeMacroSet, prefix_periods
 from .monoid import (
     DEFAULT_LATTICE_BUDGET,
+    DEFAULT_WORD_BUDGET,
     LatticeBudgetError,
     MacroSet,
     Word,
@@ -26,8 +28,6 @@ from .monoid import (
     abelian_layers,
     segment_free,
 )
-
-DEFAULT_WORD_BUDGET = 10**7
 
 # Smallest number of k-th powers that always suffices, for the exponents
 # where that count is settled.
@@ -127,17 +127,17 @@ def _match_state_worsts(M: MacroSet, budget: int):
     Reading a word letter by letter, the segmentation DP (`segment_free`)
     needs, besides dp at the current position i, dp[k] for every start k
     whose letters[k:i] is a proper prefix of some macro.  A match state lists
-    those as (id of trie node, dp[k] - dp[i]) pairs; the node fixes i - k,
+    those as (automaton state, dp[k] - dp[i]) pairs; the state fixes i - k,
     and the offsets are bounded by the longest macro, so a finite macro set
-    has finitely many states.  The future of dp relative to dp[i] depends only
-    on the state, so keeping the largest dp[i] per state over all words of
-    length i is exact, and the largest over a layer is the worst g' at that
-    length.  Raises SphereBudgetError once the (state, letter) transitions
-    would exceed `budget`.
+    has finitely many match states.  The future of dp relative to dp[i]
+    depends only on the match state, so keeping the largest dp[i] per match
+    state over all words of length i is exact, and the largest over a layer
+    is the worst g' at that length.  Raises SphereBudgetError once the
+    (match state, letter) transitions would exceed `budget`.
     """
     n = M.monoid.n
-    root = M.trie()
-    nodes = {id(root): root}  # the trie nodes that states name
+    goto, depth, name, _ = M.automaton()
+    continues: dict[int, bool] = {}  # state -> is it a proper prefix of a longer macro?
     layer = {(): 0}  # match state -> largest dp reaching it
     spent = 0
     for r in itertools.count(1):
@@ -149,39 +149,38 @@ def _match_state_worsts(M: MacroSet, budget: int):
             for a in range(n):
                 best = 0  # spelling the letter: dp[i + 1] <= dp[i] + 1
                 grown = []
-                for node, off in ((id(root), 0), *state):
-                    child = nodes[node].get(a)
-                    if child is None:
+                for s, off in ((0, 0), *state):
+                    t = goto[s * n + a]
+                    if depth[t] <= depth[s]:  # not a trie edge, the match ends
                         continue
-                    if None in child and off < best:  # child spells a macro
+                    if name[t] is not None and off < best:
                         best = off
-                    if len(child) > (None in child):  # a longer macro continues
-                        nodes[id(child)] = child
-                        grown.append((id(child), off))
+                    more = continues.get(t)
+                    if more is None:  # does some letter lead one deeper?
+                        row = goto[t * n:t * n + n]
+                        more = continues[t] = max(depth[u] for u in row) > depth[t]
+                    if more:
+                        grown.append((t, off))
                 delta = best + 1  # dp[i + 1] - dp[i]
-                key = tuple((child, off - delta) for child, off in grown)
+                key = tuple((t, off - delta) for t, off in grown)
                 if nxt.get(key, -1) < here + delta:
                     nxt[key] = here + delta
         layer = nxt
         yield max(layer.values())
 
 
-def _sphere_worsts(M: LazyFreeMacroSet, budget: int):
-    """Worst g' at each length for the lazy family, whose match states are
-    unbounded, by segmenting every word; raises SphereBudgetError once the
-    words would exceed `budget`."""
-    n = M.monoid.n
-    scanned = 0
-    for r in itertools.count(1):
-        scanned += n**r
-        if scanned > budget:
-            raise SphereBudgetError(r - 1, budget)
-        yield max(gprime_length_free_lazy(w, M) for w in itertools.product(range(n), repeat=r))
-
-
 def gprime_length_free_lazy(letters: tuple[int, ...], M: LazyFreeMacroSet) -> int:
-    """Shortest segmentation of letters over primitives plus lazy macro membership."""
-    return segment_free(len(letters), M.matches(letters))[0]
+    """Shortest segmentation of letters over primitives plus lazy macro
+    membership: the matches of one KMP pass per start, listed by end."""
+    heads = [0] * len(letters)
+    length, nxt = [0], [0]  # match 0 ends every list
+    for j in range(len(letters)):
+        for size, period in enumerate(prefix_periods(letters, j), 1):
+            if M.contains_letters(letters[j : j + size], period):
+                length.append(size)
+                nxt.append(heads[j + size - 1])
+                heads[j + size - 1] = len(length) - 1
+    return segment_free(heads, length, [None] * len(length), nxt)[0]
 
 
 def expansion_profile(
@@ -197,8 +196,9 @@ def expansion_profile(
     if not s_values or min(s_values) < 1:
         raise ValueError("expansion profiles need s >= 1")
     if isinstance(M, LazyFreeMacroSet):
-        entries = _free_entries(_sphere_worsts(M, word_budget), s_values, r_max)
-    elif M.monoid.is_abelian:
+        raise ValueError("the lazy probabilistic family has unboundedly many match states; "
+                         "sample it with sampled_rates instead")
+    if M.monoid.is_abelian:
         entries = _abelian_entries(M, s_values, r_max, lattice_budget)
     else:
         entries = _free_entries(_match_state_worsts(M, word_budget), s_values, r_max)
@@ -410,7 +410,7 @@ def find_halving_macro(
             periods = prefix_periods(letters, start - 1)
         for length in lengths:
             sub = letters[start - 1 : start - 1 + length]
-            if (M.includes(sub, periods[length - 1]) if lazy else M.contains_letters(sub)):
+            if M.contains_letters(sub, periods[length - 1]) if lazy else M.contains_letters(sub):
                 return start, length
     return None
 
@@ -445,33 +445,46 @@ def recursive_parse_free(
     concatenation is exactly the input word.  Raises HalvingFailure when some
     level has no qualifying macro and the remainder is too long to spell out.
     """
-    letters = w.data if isinstance(w, Word) else tuple(w)
+    pieces, _, stuck = _greedy_parse(w.data if isinstance(w, Word) else tuple(w), M, C)
+    if stuck is not None:
+        raise HalvingFailure(stuck)
+    return [word_str(piece) for piece in pieces], len(pieces)
+
+
+def _greedy_parse(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet, C: float | None):
+    """The parse of `recursive_parse_free` as (pieces, first, stuck): the
+    tokens as letter tuples, `find_halving_macro` of the whole word, and the
+    remainder the parse failed on (None if it did not fail)."""
     if M.monoid.n > len(_ALPHABET):
         raise ValueError("letter tokens support up to 26 generators")
     if C is None and isinstance(M, LazyFreeMacroSet):
         C = M.big_c
-    tokens: list[str] = []
+    pieces: list[tuple[int, ...]] = []
+    first = None
     rest = letters
     while rest:
         r = len(rest)
+        k = None if C is None else math.ceil(C * math.log(math.e + r))
         if r == 1:
-            tokens.append(word_str(rest))
+            pieces.append(rest)
             break
-        if M.contains_letters(rest):
-            tokens.append(word_str(rest))
+        # With k >= 1 the window search tries the whole word first, as (1, r).
+        if (k is None or k < 1) and M.contains_letters(rest):
+            pieces.append(rest)
             break
         hit = find_halving_macro(rest, M, C)
+        if r == len(letters):
+            first = hit
         if hit is None:
-            k = math.ceil(C * math.log(math.e + r))
             if r <= k:
-                tokens.extend(word_str((a,)) for a in rest)
+                pieces.extend((a,) for a in rest)
                 break
-            raise HalvingFailure(rest)
+            return pieces, first, rest
         start, length = hit
-        tokens.extend(word_str((a,)) for a in rest[: start - 1])
-        tokens.append(word_str(rest[start - 1 : start - 1 + length]))
+        pieces.extend((a,) for a in rest[: start - 1])
+        pieces.append(rest[start - 1 : start - 1 + length])
         rest = rest[start - 1 + length :]
-    return tokens, len(tokens)
+    return pieces, first, None
 
 
 def sample_words(n: int, length: int, count: int, seed: int, stream: int = 0) -> list[tuple[int, ...]]:
@@ -480,7 +493,7 @@ def sample_words(n: int, length: int, count: int, seed: int, stream: int = 0) ->
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, length))))
     draws = rng.integers(0, n, size=(count, length))
-    return [tuple(int(a) for a in row) for row in draws]
+    return [tuple(row) for row in draws.tolist()]
 
 
 @dataclass
@@ -505,12 +518,12 @@ def sampled_rates(
     counts: list[int] = []
     failures = 0
     for letters in words:
-        if halving_check(letters, M, C):
-            successes += 1
-        try:
-            _, count = recursive_parse_free(letters, M, C)
-            counts.append(count)
-        except HalvingFailure:
+        # The parse's first level is the halving check of the whole word.
+        pieces, first, stuck = _greedy_parse(letters, M, C)
+        successes += first is not None
+        if stuck is None:
+            counts.append(len(pieces))
+        else:
             failures += 1
     return SampledRates(r, trials, successes, counts, failures)
 

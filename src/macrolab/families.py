@@ -152,23 +152,10 @@ class LazyFreeMacroSet:
     def random_included(self, letters: tuple[int, ...]) -> bool:
         return self._hash_unit(letters) < self.inclusion_probability(len(letters))
 
-    def includes(self, letters: tuple[int, ...], period: int) -> bool:
-        """Membership of a word of length >= 2 whose minimal period is `period`."""
-        return self.is_log_periodic(letters, period) or self.random_included(letters)
-
-    def contains_letters(self, letters: tuple[int, ...]) -> bool:
-        return len(letters) >= 2 and self.includes(letters, minimal_period(letters))
-
-    def matches(self, letters: tuple[int, ...]):
-        """Match iterator for `monoid.segment_free`: start j -> (end, None) for
-        every macro spelling letters[j:end], shortest first."""
-
-        def from_start(j: int):
-            for length, period in enumerate(prefix_periods(letters, j), 1):
-                if length >= 2 and self.includes(letters[j : j + length], period):
-                    yield j + length, None
-
-        return from_start
+    def contains_letters(self, letters: tuple[int, ...], period: int | None = None) -> bool:
+        """Membership of a word; `period` is its minimal period, when known."""
+        return len(letters) >= 2 and (
+            self.is_log_periodic(letters, period) or self.random_included(letters))
 
     def window(self, r: int) -> int:
         """Prefix window k(r) = ceil(C ln(e + r)) scanned for a halving macro."""

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 DEFAULT_LATTICE_BUDGET = 10**7
+DEFAULT_WORD_BUDGET = 10**7  # (match state, letter) transitions of a free profile
 
 
 class Kind(Enum):
@@ -140,7 +142,7 @@ class MacroSet:
             seen_defs.add(m.definition.data)
         self._by_name = {m.name: m for m in self.macros}
         self._by_def = {m.definition.data: m for m in self.macros}
-        self._trie: dict | None = None
+        self._automaton: Automaton | None = None
         self._depths: dict[int, dict[str, int]] = {}  # lattice budget -> macro depths
 
     def __len__(self) -> int:
@@ -164,37 +166,74 @@ class MacroSet:
     def with_macro(self, m: Macro) -> MacroSet:
         return MacroSet(self.monoid, self.macros + (m,))
 
-    def trie(self) -> dict:
-        """Prefix tree over free-monoid definitions; leaf key None marks a macro."""
+    def automaton(self) -> Automaton:
+        """Aho-Corasick automaton over the free-monoid definitions, built once."""
         if self.monoid.is_abelian:
-            raise ValueError("tries index free-monoid macro sets only")
-        if self._trie is None:
-            root: dict = {}
-            for m in self.macros:
-                node = root
-                for a in m.definition.data:
-                    node = node.setdefault(a, {})
-                node[None] = m.name
-            self._trie = root
-        return self._trie
+            raise ValueError("automata index free-monoid macro sets only")
+        if self._automaton is None:
+            self._automaton = Automaton.build(self.monoid.n, self.macros)
+        return self._automaton
 
-    def matches(self, letters: tuple[int, ...], exclude: str | None = None):
-        """Match iterator for `segment_free`: start j -> (end, name) for every
-        macro other than `exclude` spelling letters[j:end], shortest first."""
-        trie = self.trie()
-        L = len(letters)
 
-        def from_start(j: int):
-            node = trie
-            for i in range(j, L):
-                node = node.get(letters[i])
-                if node is None:
-                    return
-                name = node.get(None)
-                if name is not None and name != exclude:
-                    yield i + 1, name
+class Automaton(NamedTuple):
+    """Aho-Corasick automaton of a free-monoid macro set (Aho & Corasick 1975).
 
-        return from_start
+    States are the prefixes of the macro definitions, numbered shortest
+    first; state 0 is the empty prefix.  All four tables are flat lists:
+    goto[s * n + a] is the state after reading letter a in state s (the
+    longest suffix of that word which is a prefix), so the failure links are
+    folded in; depth[s] is the length of state s; name[s] is the macro state
+    s spells, or None; out[s] is the longest proper suffix state of s that
+    spells a macro, or 0 if none does.  As `segment_free` reads them, depth,
+    name and out are the lengths, names and next links of the matches, and
+    `heads` gives the first match ending at each position.
+    """
+
+    goto: list[int]
+    depth: list[int]
+    name: list[str | None]
+    out: list[int]
+
+    @staticmethod
+    def build(n: int, macros) -> Automaton:
+        prefixes: dict[tuple[int, ...], str | None] = {(): None}
+        for m in macros:
+            w = m.definition.data
+            prefixes[w] = m.name
+            for end in range(len(w) - 1, 0, -1):  # longest missing prefix first
+                if w[:end] in prefixes:
+                    break  # and so are all shorter ones
+                prefixes[w[:end]] = None
+        order = sorted(prefixes, key=len)
+        index = {p: s for s, p in enumerate(order)}
+        goto = [0] * (len(order) * n)
+        for s, p in enumerate(order[1:], 1):
+            goto[index[p[:-1]] * n + p[-1]] = s
+        del index
+        name = [prefixes[p] for p in order]
+        fail = [0] * len(order)
+        out = [0] * len(order)
+        # Shortest first: the failure state of s is shorter, so its row is complete.
+        for s in range(len(order)):
+            f = fail[s]
+            out[s] = f if name[f] is not None else out[f]
+            for a in range(n):
+                t = goto[s * n + a]
+                if t:  # a trie edge; state 0 is no one's child
+                    fail[t] = goto[f * n + a] if s else 0
+                else:
+                    goto[s * n + a] = goto[f * n + a]
+        return Automaton(goto, [len(p) for p in order], name, out)
+
+    def heads(self, letters: tuple[int, ...]):
+        """For i = 1, 2, ..., len(letters): the longest macro spelling a suffix
+        of letters[:i], as a state (0 if none); its output links list the rest."""
+        goto, _, name, out = self
+        n = len(goto) // len(name)
+        s = 0
+        for a in letters:
+            s = goto[s * n + a]
+            yield s if name[s] is not None else out[s]
 
 
 class LatticeBudgetError(Exception):
@@ -295,29 +334,49 @@ def gprime_length_abelian(
             return s
 
 
-def segment_free(length: int, matches, depth: dict[str, int] | None = None) -> tuple[int, int]:
-    """Shortest segmentation of a length-`length` free-monoid word into letters and macros.
+def segment_free(
+    heads, length: list[int], name: list, nxt: list[int],
+    exclude: str | None = None, depth: dict[str, int] | None = None,
+) -> tuple[int, int]:
+    """Shortest segmentation of a free-monoid word into letters and macros.
 
-    `matches(j)` yields (end, name) for every macro spelling letters[j:end]
-    (see `MacroSet.matches`).  Returns (tokens, score): the fewest tokens, and,
-    when `depth` maps macro names to depths, the smallest largest depth among
-    the segmentations with that few tokens (0 when no macro is used or
-    `depth` is None).
+    The macro matches come as one linked list per end position: `heads`
+    yields, for i = 1, 2, ... up to the word's length, the first match t
+    spelling some letters[j:i] (0 if none); match t has length[t] letters and
+    macro name name[t], and nxt[t] is the next match ending at i (0 ends the
+    list).  `Automaton` is such a table.  Matches of macro `exclude` are
+    skipped.  Returns (tokens, score): the fewest tokens, and, when `depth`
+    maps macro names to depths, the smallest largest depth among the
+    segmentations with that few tokens (0 when no macro is used or `depth` is
+    None).
+
+    Each position takes the lexicographic minimum of (tokens, score) over
+    spelling its letter and every match ending there, so the order of a list
+    does not matter.  The pair is kept as the one integer tokens * width +
+    score; width exceeds every score, since a depth table of k macros holds
+    no depth above k.
     """
-    dp = [0] + [length + 1] * length
-    sc = [0] * (length + 1)
-    for j in range(length):
-        cand = dp[j] + 1
-        score = sc[j]
-        if cand < dp[j + 1] or (cand == dp[j + 1] and score < sc[j + 1]):
-            dp[j + 1] = cand
-            sc[j + 1] = score
-        for end, name in matches(j):
-            d = score if depth is None or depth[name] <= score else depth[name]
-            if cand < dp[end] or (cand == dp[end] and d < sc[end]):
-                dp[end] = cand
-                sc[end] = d
-    return dp[length], sc[length]
+    width = 1 if depth is None else len(depth) + 1
+    key = [0]  # tokens * width + score of the best segmentation of letters[:i]
+    i = 0
+    for t in heads:
+        best = key[i] + width
+        i += 1
+        while t:
+            c = key[i - length[t]] + width
+            if c < best and (exclude is None or name[t] != exclude):
+                if depth is not None:
+                    c += max(depth[name[t]] - c % width, 0)
+                if c < best:
+                    best = c
+            t = nxt[t]
+        key.append(best)
+    return divmod(key[i], width)
+
+
+def _segment(w: Word, M: MacroSet, exclude: str | None, depth=None) -> tuple[int, int]:
+    a = M.automaton()
+    return segment_free(a.heads(w.data), a.depth, a.name, a.out, exclude, depth)
 
 
 def gprime_length_free(
@@ -330,7 +389,7 @@ def gprime_length_free(
         raise ValueError("gprime_length_free needs a free-monoid word")
     if M.monoid != w.monoid:
         raise ValueError("word and macro set live in different monoids")
-    return segment_free(len(w.data), M.matches(w.data, exclude))[0]
+    return _segment(w, M, exclude)[0]
 
 
 def gprime_length(
@@ -392,7 +451,7 @@ def _best_depth_score(
             nxt[~frontier] = inf
             score = nxt
 
-    return segment_free(len(w.data), M.matches(w.data, exclude), macro_depth)[1]
+    return _segment(w, M, exclude, macro_depth)[1]
 
 
 def monoid_depth(

@@ -1,0 +1,180 @@
+"""The Aho-Corasick segmentation engine against the trie walk it replaced.
+
+The oracle below is that code: a nested-dict prefix tree walked afresh from
+every start of the word, feeding a forward (push) DP that relaxes each match
+from its start.  Hypothesis draws small free macro sets in which some macros
+are proper suffixes or infixes of others, so that output links chain, and
+words built partly from macro definitions, so that matches overlap; every
+length, wrapped length and depth must equal the oracle's.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from macrolab.monoid import (
+    DEFAULT_LATTICE_BUDGET,
+    Macro,
+    MacroSet,
+    Word,
+    _macro_depths,
+    free,
+    gprime_length,
+    monoid_depth,
+    wrapped_length,
+)
+
+# --- the from-every-start oracle ---
+
+
+def trie(M: MacroSet) -> dict:
+    """Prefix tree over the definitions; the key None marks a macro's name."""
+    root: dict = {}
+    for m in M:
+        node = root
+        for a in m.definition.data:
+            node = node.setdefault(a, {})
+        node[None] = m.name
+    return root
+
+
+def matches(M: MacroSet, letters: tuple[int, ...], exclude: str | None = None):
+    """start j -> (end, name) for every macro other than `exclude` spelling
+    letters[j:end], shortest first, by walking the trie from j."""
+    root = trie(M)
+
+    def from_start(j: int):
+        node = root
+        for i in range(j, len(letters)):
+            node = node.get(letters[i])
+            if node is None:
+                return
+            name = node.get(None)
+            if name is not None and name != exclude:
+                yield i + 1, name
+
+    return from_start
+
+
+def push_segment(length: int, matches, depth: dict[str, int] | None = None) -> tuple[int, int]:
+    """(fewest tokens, least largest macro depth among those segmentations),
+    relaxing every match forward from its start."""
+    dp = [0] + [length + 1] * length
+    sc = [0] * (length + 1)
+    for j in range(length):
+        cand = dp[j] + 1
+        score = sc[j]
+        if cand < dp[j + 1] or (cand == dp[j + 1] and score < sc[j + 1]):
+            dp[j + 1] = cand
+            sc[j + 1] = score
+        for end, name in matches(j):
+            d = score if depth is None or depth[name] <= score else depth[name]
+            if cand < dp[end] or (cand == dp[end] and d < sc[end]):
+                dp[end] = cand
+                sc[end] = d
+    return dp[length], sc[length]
+
+
+def oracle_gprime(letters: tuple[int, ...], M: MacroSet, exclude: str | None = None) -> int:
+    return push_segment(len(letters), matches(M, letters, exclude))[0]
+
+
+def oracle_macro_depths(M: MacroSet) -> dict[str, int]:
+    depths: dict[str, int] = {}
+    for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
+        d = m.definition.data
+        depths[m.name] = 1 + push_segment(len(d), matches(M, d, m.name), depths)[1]
+    return depths
+
+
+def oracle_depth(letters: tuple[int, ...], M: MacroSet) -> int:
+    if len(letters) <= 1:
+        return 0
+    owner = M.macro_for_word(Word(M.monoid, letters))
+    found = matches(M, letters, owner.name if owner else None)
+    return 1 + push_segment(len(letters), found, oracle_macro_depths(M))[1]
+
+
+# --- random macro sets whose output links chain ---
+
+
+@st.composite
+def chained_cases(draw):
+    """(n, definitions, word, exclude): definitions of length 2..6 on n letters,
+    plus proper suffixes and infixes of some of them; a word of up to 40
+    letters made of definitions and loose letters; a macro name or None."""
+    n = draw(st.integers(1, 3))
+    letter = st.integers(0, n - 1)
+    base = draw(st.lists(st.lists(letter, min_size=2, max_size=6).map(tuple),
+                         min_size=1, max_size=6))
+    defs = list(base)
+    for d in base:
+        if len(d) < 3:
+            continue
+        cuts = st.tuples(st.integers(0, len(d) - 2), st.integers(2, len(d) - 1))
+        for start, size in draw(st.lists(cuts, max_size=3)):
+            if start + size <= len(d):
+                defs.append(d[start:start + size])
+    defs = list(dict.fromkeys(defs))
+    pieces = draw(st.lists(st.one_of(st.sampled_from(defs),
+                                     st.lists(letter, max_size=3).map(tuple)), max_size=12))
+    word = sum(pieces, ())[:40]
+    exclude = draw(st.sampled_from([None] + [f"m{i}" for i in range(len(defs))]))
+    return n, defs, word, exclude
+
+
+def macro_set(n: int, defs) -> MacroSet:
+    return MacroSet(free(n), [Macro(f"m{i}", Word(free(n), d)) for i, d in enumerate(defs)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(chained_cases())
+def test_segmentation_matches_the_trie_oracle(case):
+    n, defs, word, exclude = case
+    M = macro_set(n, defs)
+    w = Word(free(n), word)
+    assert gprime_length(w, M) == oracle_gprime(word, M)
+    assert gprime_length(w, M, exclude=exclude) == oracle_gprime(word, M, exclude)
+    assert [wrapped_length(m, M) for m in M] == [
+        oracle_gprime(m.definition.data, M, m.name) for m in M]
+    assert _macro_depths(M, DEFAULT_LATTICE_BUDGET) == oracle_macro_depths(M)
+    assert monoid_depth(w, M) == oracle_depth(word, M)
+    assert [monoid_depth(m, M) for m in M] == [
+        oracle_depth(m.definition.data, M) for m in M]
+
+
+@settings(deadline=None, max_examples=100)
+@given(chained_cases())
+def test_automaton_tables_follow_their_definition(case):
+    """goto is the longest suffix that is a prefix, out the longest proper
+    suffix that is a macro, both read off the definitions directly."""
+    n, defs, _, _ = case
+    M = macro_set(n, defs)
+    goto, depth, name, out = M.automaton()
+    prefix = {0: ()}  # state -> the prefix it stands for, along trie edges
+    for s in range(len(depth)):
+        for a in range(n):
+            t = goto[s * n + a]
+            if depth[t] == depth[s] + 1:
+                prefix[t] = prefix[s] + (a,)
+    prefixes = {d[:k] for d in defs for k in range(len(d) + 1)}
+    assert sorted(prefix.values()) == sorted(prefixes)
+    state = {p: s for s, p in prefix.items()}
+    names = {d: f"m{i}" for i, d in enumerate(defs)}
+    for s, p in prefix.items():
+        assert depth[s] == len(p)
+        assert name[s] == names.get(p)
+        suffixes = [p[k:] for k in range(1, len(p) + 1)]
+        assert out[s] == next((state[q] for q in suffixes if q in names), 0)
+        for a in range(n):
+            word = p + (a,)
+            longest = next(word[k:] for k in range(len(word) + 1) if word[k:] in prefixes)
+            assert goto[s * n + a] == state[longest]
+
+
+def test_matches_behind_a_longer_prefix_come_through_output_links():
+    # After "cabc" the automaton sits on that prefix of "cabcc", which is no
+    # macro; "abc" and then "bc" hang off its output links.
+    M = macro_set(3, [(2, 0, 1, 2, 2), (0, 1, 2), (1, 2)])
+    word = Word(free(3), (2, 0, 1, 2, 0))  # "cabca"
+    assert gprime_length(word, M) == 3  # c + abc + a
+    assert gprime_length(word, M, exclude="m1") == 4  # c + a + bc + a
+    assert gprime_length(word, M, exclude="m2") == 3

@@ -714,6 +714,16 @@ def test_rank_resolves_auto_metric_from_token_counts(tmp_path, capsys, monkeypat
     assert f"({metric} wrapped metric)" in capsys.readouterr().out
 
 
+def test_rank_without_convergence_is_a_verification_failure(tmp_path, capsys):
+    synth_out = tmp_path / "mixed"
+    assert main(["synth", "--kind", "mixed", "--nodes", "30", "--seed", "2",
+                 "--out", str(synth_out)]) == EXIT_OK
+    code = main(["rank", "--graph", str(synth_out / "graph.jsonl"), "--max-iter", "1",
+                 "--tolerance", "1e-300", "--out", str(tmp_path / "rank")])
+    assert code == EXIT_VERIFY
+    assert "no convergence after 1 iterations" in capsys.readouterr().err
+
+
 def test_rank_rejects_bad_alpha(tmp_path):
     synth_out = tmp_path / "mixed"
     assert main(["synth", "--kind", "hierarchy", "--b", "2", "--height", "3",
@@ -838,3 +848,61 @@ def test_abelian_sim_imports_numpy_on_first_use(tmp_path):
     _run_fresh(PLACE_SCRIPT, tmp_path)
     profile = read_csv(tmp_path / "place" / "profile.csv")
     assert [r["value"] for r in profile] == ["2", "6", "14", "30"]
+
+
+# --- each command imports only the modules it runs ---
+
+IMPORT_GUARD_SCRIPT = """
+import sys
+
+from macrolab.cli import main
+
+assert main(sys.argv[2:]) == 0, sys.argv[2:]
+loaded = {name.split(".")[1] for name in sys.modules if name.startswith("macrolab.")}
+print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))))
+"""
+
+KERNEL_GUARD_SCRIPT = """
+import sys
+
+from macrolab.families import FamilySpec, build_macro_family
+from macrolab.monoid import Word, gprime_length, monoid_depth, wrapped_length
+
+for spec, word in ((FamilySpec.poly_density_free(1, 1, 2, 8), (0, 1, 1, 0, 1, 0)),
+                   (FamilySpec.place_notation(2, 2, 8), (5, 3))):
+    M = build_macro_family(spec)
+    w = Word(M.monoid, word)
+    gprime_length(w, M), monoid_depth(w, M), wrapped_length(M.macros[0], M)
+loaded = {name.split(".")[1] for name in sys.modules if name.startswith("macrolab.")}
+print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))))
+"""
+
+SIM_ONLY = "analytics,corpus,exprs,interest,synth"
+CORPUS_ONLY = "expansion,families"
+
+
+@pytest.mark.parametrize("forbidden, argv", [
+    (SIM_ONLY, ["sim", "--regime", "finite", "--monoid", "free", "--n", "2",
+                "--word", "aa;bb;ab;ba", "--s", "1:3", "--r-max", "12", "--out", "o"]),
+    (SIM_ONLY, ["sim", "--regime", "poly-free", "--c", "1", "--p", "1", "--n", "2",
+                "--s", "1:2", "--r-max", "8", "--out", "o"]),
+    (SIM_ONLY, ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5",
+                "--mc-r", "16", "--out", "o"]),
+    (SIM_ONLY, ["sim", "--regime", "place", "--b", "2", "--n", "1", "--s", "1:3",
+                "--r-max", "20", "--out", "o"]),
+    (CORPUS_ONLY, ["synth", "--kind", "mixed", "--nodes", "40", "--out", "g"]),
+    (CORPUS_ONLY, ["ingest", "--in", "corpus.jsonl", "--out", "o"]),
+    (CORPUS_ONLY, ["analyze", "--graph", "graph.jsonl", "--out", "o"]),
+    (CORPUS_ONLY, ["rank", "--graph", "graph.jsonl", "--out", "o"]),
+], ids=["sim-finite", "sim-poly", "sim-prob", "sim-place", "synth", "ingest", "analyze",
+        "rank"])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, forbidden, argv):
+    (tmp_path / "corpus.jsonl").write_text(WORKED_CORPUS)
+    assert main(["ingest", "--in", str(tmp_path / "corpus.jsonl"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    out = _run_fresh(IMPORT_GUARD_SCRIPT, tmp_path, forbidden, *argv)
+    assert out.splitlines()[-1] == "loaded:"
+
+
+def test_free_and_abelian_kernels_import_only_the_monoid_engine(tmp_path):
+    assert _run_fresh(KERNEL_GUARD_SCRIPT, tmp_path, SIM_ONLY).splitlines()[-1] == "loaded:"

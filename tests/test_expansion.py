@@ -30,7 +30,7 @@ from macrolab.expansion import (
     verify_bounds,
     word_str,
 )
-from macrolab.expansion import _match_state_worsts
+from macrolab.expansion import _match_state_worsts, sample_words
 from macrolab.families import FamilySpec, LazyFreeMacroSet, build_macro_family
 from macrolab.monoid import (
     LatticeBudgetError,
@@ -42,6 +42,7 @@ from macrolab.monoid import (
     gprime_length,
     monoid_depth,
 )
+from test_automaton import oracle_gprime
 
 
 def digit_sum(value: int, base: int) -> int:
@@ -175,8 +176,9 @@ def test_sphere_budget_error_reports_progress():
 
 
 def sphere_worsts(M, r_max):
-    """Oracle: the largest g' over every word of each length 1..r_max."""
-    return [max(gprime_length(Word(M.monoid, w), M) for w in product(range(M.monoid.n), repeat=r))
+    """Oracle: the largest g' over every word of each length 1..r_max, each
+    segmented by the from-every-start trie walk."""
+    return [max(oracle_gprime(w, M) for w in product(range(M.monoid.n), repeat=r))
             for r in range(1, r_max + 1)]
 
 
@@ -211,6 +213,11 @@ def test_match_state_profile_matches_sphere_scan(case, s_values, data):
     worsts = sphere_worsts(M, r_max)
     assert list(islice(_match_state_worsts(M, 10**7), r_max)) == worsts
     assert expansion_profile(M, s_values, r_max).entries == profile_oracle(worsts, s_values)
+
+
+def test_lazy_family_has_no_profile_and_points_to_sampling():
+    with pytest.raises(ValueError, match="sampled_rates"):
+        expansion_profile(lazy_set(), [1, 2], r_max=6)
 
 
 def test_free_linear_ceiling_is_checked_far_past_the_sphere_scan():
@@ -447,6 +454,77 @@ def test_exact_lazy_tokens_match_oracle(letters, seed):
     M = lazy_set(seed=seed)
     letters = tuple(letters)
     assert gprime_length_free_lazy(letters, M) == slow_lazy_min_tokens(letters, M)
+
+
+def parse_oracle(letters, M, C=None):
+    """The greedy parse with a whole-word membership query at every level,
+    before the window search (which tries the whole word again)."""
+    if C is None and isinstance(M, LazyFreeMacroSet):
+        C = M.big_c
+    tokens, rest = [], letters
+    while rest:
+        r = len(rest)
+        if r == 1 or M.contains_letters(rest):
+            tokens.append(word_str(rest))
+            break
+        hit = find_halving_macro(rest, M, C)
+        if hit is None:
+            if r <= math.ceil(C * math.log(math.e + r)):
+                tokens.extend(word_str((a,)) for a in rest)
+                break
+            raise HalvingFailure(rest)
+        start, length = hit
+        tokens.extend(word_str((a,)) for a in rest[: start - 1])
+        tokens.append(word_str(rest[start - 1 : start - 1 + length]))
+        rest = rest[start - 1 + length :]
+    return tokens, len(tokens)
+
+
+def rates_oracle(M, r, trials, seed, C=None):
+    """A separate halving check and parse of every sampled word."""
+    successes, counts, failures = 0, [], 0
+    for letters in sample_words(M.monoid.n, r, trials, seed):
+        successes += halving_check(letters, M, C)
+        try:
+            counts.append(parse_oracle(letters, M, C)[1])
+        except HalvingFailure:
+            failures += 1
+    return successes, counts, failures
+
+
+def outcome(parse, letters, M, C):
+    try:
+        return parse(letters, M, C)
+    except HalvingFailure as exc:
+        return "stuck", exc.letters
+
+
+# Tiny B and C make halving fail and windows k(r) of 0 or less.
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(st.lists(st.integers(0, 1), max_size=80).map(tuple), periodic_words),
+       st.sampled_from([LazyFreeMacroSet, PeriodicOnly]), st.integers(0, 3),
+       st.sampled_from([0.05, 1.0, 8.0]), st.sampled_from([None, -1.0, 0.0, 0.3, 1.5]))
+def test_parse_matches_the_whole_word_check_oracle(letters, kind, seed, big_b, C):
+    M = kind(free(2), big_b=big_b, big_c=4.0, seed=seed)
+    assert outcome(recursive_parse_free, letters, M, C) == outcome(parse_oracle, letters, M, C)
+
+
+@pytest.mark.parametrize("kind, big_b, C", [
+    (LazyFreeMacroSet, 8.0, None), (PeriodicOnly, 0.05, 0.3), (PeriodicOnly, 0.05, 0.0),
+    (PeriodicOnly, 1.0, None), (LazyFreeMacroSet, 0.05, -1.0)])
+def test_sampled_rates_share_the_first_parse_level(kind, big_b, C):
+    M = kind(free(2), big_b=big_b, big_c=4.0, seed=3)
+    for r in (1, 2, 9, 40):
+        got = sampled_rates(M, r, trials=40, seed=5, C=C)
+        assert (got.halving_successes, got.parse_counts, got.parse_failures) == \
+            rates_oracle(M, r, 40, 5, C)
+
+
+def test_materialized_sets_parse_a_whole_macro_without_a_window():
+    M = MacroSet(free(2), [Macro("m", Word.from_letters((0, 1, 1), n=2))])
+    assert recursive_parse_free((0, 1, 1), M) == (["abb"], 1)
+    with pytest.raises(ValueError):
+        recursive_parse_free((0, 1, 1, 0), M)
 
 
 def test_sampled_rates_are_deterministic():

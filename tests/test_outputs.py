@@ -1,8 +1,10 @@
-"""Byte-identity pin: the sha256 of every file a small corpus run writes.
+"""Byte-identity pins: the sha256 of every file small corpus and free-monoid
+`sim` runs write.
 
-The digests were captured from the name-keyed graph code that the integer-
-indexed graph replaced; any change to a byte of these outputs must show up
-here and be named in CHANGES.md.
+The corpus digests were captured from the name-keyed graph code that the
+integer-indexed graph replaced, and the `sim` digests from the trie that the
+Aho-Corasick automaton replaced; any change to a byte of these outputs must
+show up here and be named in CHANGES.md.
 """
 
 import hashlib
@@ -25,16 +27,16 @@ SMALL_EXPORT = (
 )
 
 RUNS = [
-    ("synth", ["synth", "--kind", "mixed", "--nodes", "300", "--seed", "5"]),
-    ("ingest", ["ingest", "--format", "graph", "--in", "{synth}/graph.jsonl"]),
+    ("synth", ["synth", "--kind", "mixed", "--nodes", "300", "--seed", "5"], 0),
+    ("ingest", ["ingest", "--format", "graph", "--in", "{synth}/graph.jsonl"], 0),
     ("analyze", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
-                 "--filter-percentile", "50"]),
-    ("sweep", ["rank", "--graph", "{ingest}/graph.jsonl", "--sweep", "0.5,0.85"]),
+                 "--filter-percentile", "50"], 0),
+    ("sweep", ["rank", "--graph", "{ingest}/graph.jsonl", "--sweep", "0.5,0.85"], 0),
     ("alt", ["rank", "--graph", "{ingest}/graph.jsonl", "--alt-deductive",
-             "--wrapped-metric", "refs"]),
-    ("corpus", ["ingest", "--format", "corpus", "--in", "{export}"]),
-    ("corpus-analyze", ["analyze", "--graph", "{corpus}/graph.jsonl", "--full-unwrapped"]),
-    ("corpus-rank", ["rank", "--graph", "{corpus}/graph.jsonl", "--alt-deductive"]),
+             "--wrapped-metric", "refs"], 0),
+    ("corpus", ["ingest", "--format", "corpus", "--in", "{export}"], 0),
+    ("corpus-analyze", ["analyze", "--graph", "{corpus}/graph.jsonl", "--full-unwrapped"], 0),
+    ("corpus-rank", ["rank", "--graph", "{corpus}/graph.jsonl", "--alt-deductive"], 0),
 ]
 
 DIGESTS = {
@@ -70,14 +72,46 @@ DIGESTS = {
 }
 
 
-def run_and_digest(root: Path) -> dict[str, str]:
+# Free-monoid sim runs, each with the exit code it ends with; the last stops
+# at its word budget, so its report pins the largest completed radius.
+SIM_RUNS = [
+    ("finite-free", ["sim", "--regime", "finite", "--monoid", "free", "--n", "2",
+                     "--word", "aa;bb;ab;ba", "--s", "1:6", "--r-max", "20"], 0),
+    ("poly-lex", ["sim", "--regime", "poly-free", "--c", "1", "--p", "2", "--n", "3",
+                  "--s", "1:3", "--r-max", "12"], 0),
+    ("poly-random", ["sim", "--regime", "poly-free", "--c", "2", "--p", "1", "--n", "2",
+                     "--s", "1:5", "--r-max", "14", "--sampler", "random", "--seed", "3"], 0),
+    ("prob-free", ["sim", "--regime", "prob-free", "--n", "2", "--trials", "30",
+                   "--mc-r", "16,64,256", "--seed", "5"], 0),
+    ("budget", ["sim", "--regime", "poly-free", "--c", "1", "--p", "1", "--n", "2",
+                "--s", "6", "--r-max", "12", "--word-budget", "40"], 3),
+]
+
+SIM_DIGESTS = {
+    "budget/report.jsonl": "7ca995ff01ab19f72b642a32b51ec590cc53836223a469c842d52d117035d985",
+    "finite-free/bounds.csv": "d1af2028dc76712b6ac0f4e6ff4c3933de6fadf183ce544b313030b290356c78",
+    "finite-free/profile.csv": "5bb9fd1168ca9b37aa2efc879e974bff8a20a431ddc38852d4cf87aafc2e66e5",
+    "finite-free/report.jsonl": "3b76ab55e954f4b11e460f878e5238fbbd826056865affb5f66a1aa858337a17",
+    "poly-lex/bounds.csv": "b37ff27000ffbb074b643693818cc4d5a9abdddcda26ea2339d8f029f7ae6d9d",
+    "poly-lex/profile.csv": "87e08815fff342af52ae47de24c9ba53aac5b5c640b49d56546fa721e7bb4a14",
+    "poly-lex/report.jsonl": "aa62223813db773cac0f94a8163708832de621e8b6686a3ec322faaa80f3e24a",
+    "poly-random/bounds.csv": "77a2954eb34d08499facc77b2a82a18523733eb627c05ffc5460c7185740ad5b",
+    "poly-random/profile.csv": "9e4aa5f5d317168297bc67a05d4ffaad7a800d22055cf5b14cd3f28bc2fd25b3",
+    "poly-random/report.jsonl": "fbb74db84723f8cc3b2b3fc74b6f2e977723e6765a3dab64eaab4a3994ac78c7",
+    "prob-free/mc_halving.csv": "609c8942b7a55acd61055ac827675dc76f9b190a546c86d068e1e7496bb863b1",
+    "prob-free/mc_parse.csv": "c7ac08664ec0930c14f7c5e1708465b1c6a9f25feaf553e2c35668eb55afcddc",
+    "prob-free/report.jsonl": "c0ebe5f945804c15ed218b2a9030e4011d158cedae7a35f63d90c3af3b185d65",
+}
+
+
+def run_and_digest(root: Path, runs) -> dict[str, str]:
     export = root / "export.jsonl"
     export.write_text(SMALL_EXPORT, encoding="utf-8")
     dirs = {"export": str(export)}
-    for name, argv in RUNS:
+    for name, argv, code in runs:
         out = root / name
         dirs[name] = str(out)
-        assert main([arg.format(**dirs) for arg in argv] + ["--out", str(out)]) == 0, name
+        assert main([arg.format(**dirs) for arg in argv] + ["--out", str(out)]) == code, name
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*"))
@@ -86,4 +120,8 @@ def run_and_digest(root: Path) -> dict[str, str]:
 
 
 def test_outputs_are_byte_identical(tmp_path):
-    assert run_and_digest(tmp_path) == DIGESTS
+    assert run_and_digest(tmp_path, RUNS) == DIGESTS
+
+
+def test_free_sim_outputs_are_byte_identical(tmp_path):
+    assert run_and_digest(tmp_path, SIM_RUNS) == SIM_DIGESTS
