@@ -225,9 +225,9 @@ def cmd_sim(args: argparse.Namespace) -> int:
     if spec.regime != "prob_free" and opts["s"] is None:
         raise InputError("sim needs --s (a value or lo:hi range)")
     M = families.build_macro_family(spec)
-    out = _ensure_out(opts["out"])
     if spec.regime == "prob_free":
-        return _sim_probabilistic(M, spec, opts, out)
+        return _sim_probabilistic(M, spec, opts)
+    out = _ensure_out(opts["out"])
 
     try:
         profile = expansion.expansion_profile(
@@ -275,7 +275,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
-def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict, out: str) -> int:
+def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict) -> int:
     from . import expansion
 
     rates = [
@@ -283,6 +283,7 @@ def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict, out: str) -> in
         for r in opts["mc_r"]
     ]
     fitted_k = expansion.fit_parse_constant(rates)
+    out = _ensure_out(opts["out"])
     _write_csv(
         os.path.join(out, "mc_halving.csv"),
         ["r", "trials", "successes", "rate"],
@@ -322,9 +323,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     opts = _merge(args)
     if opts["format"] == "corpus":
-        graph = ingest_corpus(opts["inp"])
+        graph = ingest_corpus(opts["in"])
     else:
-        graph = load_graph(opts["inp"])
+        graph = load_graph(opts["in"])
     path = os.path.join(_ensure_out(opts["out"]), "graph.jsonl")
     save_graph(graph, path)
     print(f"{len(graph)} elements, {graph.total_edge_weight()} total edge weight -> {path}")
@@ -540,11 +541,10 @@ class Opt(NamedTuple):
     choices: tuple[str, ...] | None = None
     required: bool = False
     bounds: tuple[int, float] | None = None
-    key: str | None = None  # when the dest is not the flag's name
 
     @property
     def dest(self) -> str:
-        return self.key or self.flag[2:].replace("-", "_")
+        return self.flag[2:].replace("-", "_")
 
 
 class Command(NamedTuple):
@@ -577,7 +577,7 @@ COMMANDS = {
         Opt("--r-max", int),
         Opt("--word", _semicolon_list, help="finite-regime definitions, ';'-separated"),
         Opt("--sampler", default="lex", choices=("lex", "random")),
-        Opt("--trials", int, 1000),
+        Opt("--trials", int, 1000, bounds=(1, math.inf)),
         Opt("--mc-r", _int_list, [64, 128, 256]),
         Opt("--min-halving-rate", float, 0.99),
         Opt("--word-budget", int, DEFAULT_WORD_BUDGET,
@@ -586,7 +586,7 @@ COMMANDS = {
         Opt("--lattice-budget", int, DEFAULT_LATTICE_BUDGET, bounds=(1, math.inf)),
         _SEED, *_COMMON)),
     "ingest": Command("corpus or edge-list file -> canonical graph file", cmd_ingest, (
-        Opt("--in", required=True, key="inp"),
+        Opt("--in", required=True),
         Opt("--format", default="corpus", choices=("corpus", "graph")),
         *_COMMON)),
     "analyze": Command("metrics, histograms, median curves, regime labels", cmd_analyze, (
@@ -609,7 +609,7 @@ COMMANDS = {
         Opt("--alpha", float, 0.85),
         Opt("--beta", float, 0.5),
         Opt("--tolerance", float, 1e-12),
-        Opt("--max-iter", int, 10_000),
+        Opt("--max-iter", int, 10_000, bounds=(1, math.inf)),
         _METRIC,
         Opt("--sweep", _float_list, help="comma-separated alphas for a sweep file"),
         Opt("--alt-deductive", bool, False,

@@ -17,7 +17,11 @@ name-keyed `GraphNode` view is built only when something asks for it.
 
 Both file formats are line-delimited JSON with a leading header record, one
 canonical byte rendering per graph (sorted names, sorted keys, no float
-fields), so save(load(path)) reproduces the file exactly.
+fields), so save(load(path)) reproduces the file exactly.  An element obeys
+the same rules whichever way it arrives: `_check_element` holds the rules on
+its fields, which every `Element` and every record of either file format
+passes, and `DepGraph` checks every row it is built from for primitive and
+synthetic elements that reference something.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from operator import itemgetter
 from .exprs import ExprNode, collect_elems, parse_expr, print_expr
 
 ELEMENT_KINDS = ("definition", "theorem", "structure", "inductive", "primitive", "synthetic")
+_LEAF_KINDS = ("primitive", "synthetic")  # no body, no references
 _KIND_ALIASES = {"lemma": "theorem"}
 
 GRAPH_FORMAT = "macrolab-graph"
@@ -48,9 +53,25 @@ class CorpusError(ValueError):
 
 
 def normalize_kind(kind: str) -> str:
-    kind = _KIND_ALIASES.get(kind, kind)
+    if isinstance(kind, str):
+        kind = _KIND_ALIASES.get(kind, kind)
     if kind not in ELEMENT_KINDS:
         raise CorpusError(f"unknown element kind {kind!r}")
+    return kind
+
+
+def _check_element(name: str, kind: str, generated: bool, token_count_signature: int | None,
+                   token_count_body: int | None, has_body: bool = False) -> str:
+    """The rules on an element's fields, wherever it comes from; returns its
+    kind with aliases resolved."""
+    if not isinstance(name, str) or not name:
+        raise CorpusError("element names must be non-empty strings")
+    kind = normalize_kind(kind)
+    for label, count in (("signature", token_count_signature), ("body", token_count_body)):
+        if count is not None and count < 1 and not generated:
+            raise CorpusError(f"element {name!r}: {label} token count must be >= 1")
+    if has_body and kind in _LEAF_KINDS:
+        raise CorpusError(f"{kind} element {name!r} cannot have a body")
     return kind
 
 
@@ -67,19 +88,9 @@ class Element:
     generated: bool = False
 
     def __post_init__(self) -> None:
-        self.kind = normalize_kind(self.kind)
-        if not self.name:
-            raise CorpusError("element names must be non-empty")
-        for label, count in (
-            ("signature", self.token_count_signature),
-            ("body", self.token_count_body),
-        ):
-            if count is not None and count < 1 and not self.generated:
-                raise CorpusError(
-                    f"element {self.name!r}: {label} token count must be >= 1"
-                )
-        if self.kind in ("primitive", "synthetic") and self.body is not None:
-            raise CorpusError(f"{self.kind} element {self.name!r} cannot have a body")
+        self.kind = _check_element(self.name, self.kind, self.generated,
+                                   self.token_count_signature, self.token_count_body,
+                                   self.body is not None)
 
 
 @dataclass
@@ -99,10 +110,6 @@ class GraphNode:
         for name, w in self.body_refs.items():
             merged[name] = merged.get(name, 0) + w
         return merged
-
-    @property
-    def has_body(self) -> bool:
-        return self.token_count_body is not None or bool(self.body_refs)
 
 
 class DepGraph:
@@ -139,8 +146,10 @@ class DepGraph:
             dup = next(a for a, b in zip(names, names[1:]) if a == b)
             raise CorpusError(f"duplicate element name {dup!r}")
         self.off, self.dst, self.sig_w, self.body_w = off, dst, sig_w, body_w = [0], [], [], []
-        for name in names:
+        for name, kind in zip(names, self.kinds):
             sig, body = sigs.pop(), bodies.pop()
+            if (sig or body) and kind in _LEAF_KINDS:
+                raise CorpusError(f"{kind} element {name!r} must reference nothing")
             targets = sorted(sig.keys() | body.keys())
             try:
                 dst.extend([index[t] for t in targets])
@@ -205,25 +214,18 @@ class DepGraph:
 def _with_sinks(rows: list[tuple]) -> DepGraph:
     """The graph of the given rows plus one synthetic sink per undeclared name."""
     referenced: set[str] = set()
-    for name, kind, _, _, _, sig_refs, body_refs in rows:
-        if kind in ("primitive", "synthetic") and (sig_refs or body_refs):
-            raise CorpusError(f"{kind} element {name!r} must reference nothing")
-        referenced.update(sig_refs, body_refs)
+    for row in rows:
+        referenced.update(row[5], row[6])
     referenced.difference_update(row[0] for row in rows)
     rows += [(name, "synthetic", True, None, None, {}, {}) for name in referenced]
     return DepGraph(rows=rows)
 
 
-def _element_row(el: Element, sig_refs: dict[str, int], body_refs: dict[str, int]) -> tuple:
-    return (el.name, el.kind, el.generated, el.token_count_signature, el.token_count_body,
-            sig_refs, body_refs)
-
-
 def build_graph(elements: list[Element]) -> DepGraph:
     """Assemble the dependency graph, adding synthetic sinks for unknown names."""
     return _with_sinks([
-        _element_row(el, *(dict(collect_elems(e)) if e is not None else {}
-                           for e in (el.signature, el.body)))
+        (el.name, el.kind, el.generated, el.token_count_signature, el.token_count_body,
+         *(dict(collect_elems(e)) if e is not None else {} for e in (el.signature, el.body)))
         for el in elements
     ])
 
@@ -266,18 +268,33 @@ def _read_jsonl(path: str, expected_format: str):
         if not raw.strip():
             continue
         try:
-            yield lineno, json.loads(raw)
+            rec = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"bad JSON: {exc.msg}", line=lineno) from exc
+        if not isinstance(rec, dict):
+            raise CorpusError("expected an object per line", line=lineno)
+        yield lineno, rec
 
 
-def _opt_nat(rec: dict, key: str, lineno: int, minimum: int = 1) -> int | None:
+def _opt_nat(rec: dict, key: str, lineno: int) -> int | None:
     val = rec.get(key)
     if val is None:
         return None
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        raise CorpusError(f"{key} must be an integer >= {minimum} or null", line=lineno)
+    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+        raise CorpusError(f"{key} must be an integer >= 1 or null", line=lineno)
     return val
+
+
+def _fields(lineno: int, rec: dict, has_body: bool = False) -> tuple:
+    """(name, kind, generated, token_count_signature, token_count_body) of one
+    record of either file format, checked by `_check_element`."""
+    name, generated = rec.get("name"), bool(rec.get("generated", False))
+    counts = [_opt_nat(rec, key, lineno) for key in ("token_count_signature", "token_count_body")]
+    try:
+        kind = _check_element(name, rec.get("kind", ""), generated, *counts, has_body)
+    except CorpusError as exc:
+        raise CorpusError(str(exc), line=lineno) from None
+    return name, kind, generated, *counts
 
 
 def _refs_field(rec: dict, key: str, lineno: int) -> dict[str, int]:
@@ -291,70 +308,53 @@ def _refs_field(rec: dict, key: str, lineno: int) -> dict[str, int]:
 
 
 def load_graph(path: str) -> DepGraph:
-    rows = []
-    for lineno, rec in _read_jsonl(path, GRAPH_FORMAT):
-        if not isinstance(rec, dict):
-            raise CorpusError("expected an object per line", line=lineno)
-        name = rec.get("name")
-        if not isinstance(name, str) or not name:
-            raise CorpusError("missing element name", line=lineno)
-        try:
-            kind = normalize_kind(rec.get("kind", ""))
-        except CorpusError as exc:
-            raise CorpusError(str(exc), line=lineno) from exc
-        rows.append((name, kind, bool(rec.get("generated", False)),
-                     _opt_nat(rec, "token_count_signature", lineno),
-                     _opt_nat(rec, "token_count_body", lineno),
-                     _refs_field(rec, "sig_refs", lineno), _refs_field(rec, "body_refs", lineno)))
+    rows = [(*_fields(lineno, rec), _refs_field(rec, "sig_refs", lineno),
+             _refs_field(rec, "body_refs", lineno))
+            for lineno, rec in _read_jsonl(path, GRAPH_FORMAT)]
     try:
         return DepGraph(rows=rows)
     except CorpusError as exc:
         raise CorpusError(f"inconsistent graph: {exc}") from exc
 
 
-def _element(lineno: int, rec, sig_refs: dict | None = None,
-             body_refs: dict | None = None) -> Element:
-    """One corpus record as an Element; `parse_expr` counts the references of
-    its signature and body into `sig_refs` and `body_refs` when given."""
-    if not isinstance(rec, dict):
-        raise CorpusError("expected an object per line", line=lineno)
-    name = rec.get("name")
-    if not isinstance(name, str) or not name:
-        raise CorpusError("missing element name", line=lineno)
-    sig_text = rec.get("signature")
-    body_text = rec.get("body")
-    try:
-        signature = parse_expr(sig_text, sig_refs) if sig_text is not None else None
-        body = parse_expr(body_text, body_refs) if body_text is not None else None
-    except ValueError as exc:
-        raise CorpusError(f"{name}: {exc}", line=lineno) from exc
-    try:
-        return Element(
-            name=name,
-            kind=rec.get("kind", ""),
-            signature=signature,
-            body=body,
-            token_count_signature=_opt_nat(rec, "token_count_signature", lineno),
-            token_count_body=_opt_nat(rec, "token_count_body", lineno),
-            generated=bool(rec.get("generated", False)),
-        )
-    except CorpusError as exc:
-        raise CorpusError(str(exc), line=lineno) from exc
+def _exprs(lineno: int, rec: dict, sig_refs: dict | None = None,
+           body_refs: dict | None = None) -> tuple:
+    """The parsed signature and body of a corpus record (None where absent);
+    `parse_expr` counts their references into `sig_refs` and `body_refs`
+    when given."""
+    out = []
+    for key, refs in (("signature", sig_refs), ("body", body_refs)):
+        text = rec.get(key)
+        if text is not None and not isinstance(text, str):
+            raise CorpusError(f"{key} must be a string or null", line=lineno)
+        try:
+            out.append(parse_expr(text, refs) if text is not None else None)
+        except ValueError as exc:
+            raise CorpusError(f"{rec['name']}: {exc}", line=lineno) from exc
+    return tuple(out)
 
 
 def load_corpus(path: str) -> list[Element]:
     """Read an expression corpus (JSONL with S-expression signature/body strings)."""
-    return [_element(lineno, rec) for lineno, rec in _read_jsonl(path, CORPUS_FORMAT)]
+    elements = []
+    for lineno, rec in _read_jsonl(path, CORPUS_FORMAT):
+        name, kind, generated, tokens_sig, tokens_body = _fields(
+            lineno, rec, rec.get("body") is not None)
+        elements.append(Element(name, kind, *_exprs(lineno, rec), tokens_sig, tokens_body,
+                                generated))
+    return elements
 
 
 def ingest_corpus(path: str) -> DepGraph:
-    """`build_graph(load_corpus(path))` in one pass over the file: each
-    expression's references are counted while it is parsed, and an element's
-    trees are dropped before the next element is parsed."""
+    """`build_graph(load_corpus(path))` in one pass over the file, with no
+    `Element` per record: each expression's references are counted while it
+    is parsed, and its tree is dropped at once."""
     rows = []
     for lineno, rec in _read_jsonl(path, CORPUS_FORMAT):
+        fields = _fields(lineno, rec, rec.get("body") is not None)
         refs: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        rows.append(_element_row(_element(lineno, rec, *refs), *refs))
+        _exprs(lineno, rec, *refs)
+        rows.append((*fields, *refs))
     return _with_sinks(rows)
 
 

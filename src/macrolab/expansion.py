@@ -513,6 +513,8 @@ def sampled_rates(
     M: LazyFreeMacroSet, r: int, trials: int, seed: int, C: float | None = None
 ) -> SampledRates:
     """Halving success rate and greedy parse token counts over random words."""
+    if r < 2 or trials < 1:  # the parse constant divides by (ln r)^2, the rate by trials
+        raise ValueError(f"sampled rates need r >= 2 and trials >= 1, got r={r}, trials={trials}")
     words = sample_words(M.monoid.n, r, trials, seed)
     successes = 0
     counts: list[int] = []

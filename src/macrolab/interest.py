@@ -32,6 +32,10 @@ class RankParams:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
+        if not self.tolerance > 0:
+            raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -309,31 +309,6 @@ def abelian_layers(bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: 
     return layers()
 
 
-def gprime_length_abelian(
-    w: Word,
-    M: MacroSet,
-    exclude: str | None = None,
-    budget: int = DEFAULT_LATTICE_BUDGET,
-) -> int:
-    """Minimal generator count for w over primitives plus macros.
-
-    `exclude` drops one macro by name (used for wrapped lengths).  Unbounded
-    multi-dimensional coin change over the sublattice dominated by w: the
-    answer is the first reachability layer containing w.  Raises
-    LatticeBudgetError if that box exceeds `budget` points.
-    """
-    if not w.monoid.is_abelian:
-        raise ValueError("gprime_length_abelian needs a free abelian word")
-    if M.monoid != w.monoid:
-        raise ValueError("word and macro set live in different monoids")
-    if w.is_identity():
-        return 0
-    gens = _abelian_generators(M, w.data, exclude)
-    for s, (frontier, _) in enumerate(abelian_layers(w.data, [v for v, _ in gens], budget), 1):
-        if frontier[w.data]:
-            return s
-
-
 def segment_free(
     heads, length: list[int], name: list, nxt: list[int],
     exclude: str | None = None, depth: dict[str, int] | None = None,
@@ -374,22 +349,50 @@ def segment_free(
     return divmod(key[i], width)
 
 
-def _segment(w: Word, M: MacroSet, exclude: str | None, depth=None) -> tuple[int, int]:
-    a = M.automaton()
-    return segment_free(a.heads(w.data), a.depth, a.name, a.out, exclude, depth)
-
-
-def gprime_length_free(
-    w: Word,
-    M: MacroSet,
-    exclude: str | None = None,
-) -> int:
-    """Minimal generator count for w: shortest segmentation into letters and macros."""
-    if w.monoid.is_abelian:
-        raise ValueError("gprime_length_free needs a free-monoid word")
+def _check_monoid(w: Word, M: MacroSet) -> None:
     if M.monoid != w.monoid:
         raise ValueError("word and macro set live in different monoids")
-    return _segment(w, M, exclude)[0]
+
+
+def _best(
+    w: Word, M: MacroSet, exclude: str | None, depth: dict[str, int] | None, budget: int
+) -> tuple[int, int]:
+    """(tokens, score) of the shortest representations of w over primitives
+    plus the macros of M other than `exclude`.
+
+    tokens is g'(w); score, when `depth` maps macro names to depths, is the
+    smallest largest macro depth among those representations (0 when none
+    uses a macro or `depth` is None).  Free words are segmented on the macro
+    set's automaton.  For abelian words the answer is the first reachability
+    layer of the box dominated by w that contains w (unbounded
+    multi-dimensional coin change); a depth table adds a score sweep, in
+    which points of layer s take their score only from points of layer s-1.
+    Raises LatticeBudgetError if that box exceeds `budget` points.
+    """
+    if not w.monoid.is_abelian:
+        a = M.automaton()
+        return segment_free(a.heads(w.data), a.depth, a.name, a.out, exclude, depth)
+    if w.is_identity():
+        return 0, 0
+    gens = _abelian_generators(M, w.data, exclude)
+    layers = enumerate(abelian_layers(w.data, [v for v, _ in gens], budget), 1)
+    if depth is None:
+        return next(s for s, (frontier, _) in layers if frontier[w.data]), 0
+    import numpy as np
+
+    dims = tuple(b + 1 for b in w.data)
+    inf = np.iinfo(np.int32).max
+    score = np.full(dims, inf, dtype=np.int32)
+    score[(0,) * len(dims)] = 0
+    items = [(*_shift_slices(v, dims), 0 if name is None else depth[name]) for v, name in gens]
+    for s, (frontier, _) in layers:
+        nxt = np.full(dims, inf, dtype=np.int32)
+        for src, dst, d in items:
+            np.minimum(nxt[dst], np.maximum(score[src], d), out=nxt[dst])
+        if frontier[w.data]:
+            return s, int(nxt[w.data])
+        nxt[~frontier] = inf  # only this layer's points feed the next layer
+        score = nxt
 
 
 def gprime_length(
@@ -398,10 +401,13 @@ def gprime_length(
     exclude: str | None = None,
     budget: int = DEFAULT_LATTICE_BUDGET,
 ) -> int:
-    """Minimal generator count for w over primitives plus macros (either monoid)."""
-    if w.monoid.is_abelian:
-        return gprime_length_abelian(w, M, exclude, budget)
-    return gprime_length_free(w, M, exclude)
+    """Minimal generator count for w over primitives plus macros (either monoid).
+
+    `exclude` drops one macro by name (used for wrapped lengths); `budget`
+    bounds the lattice box of an abelian word.
+    """
+    _check_monoid(w, M)
+    return _best(w, M, exclude, None, budget)[0]
 
 
 def wrapped_length(m: Macro, M: MacroSet, budget: int = DEFAULT_LATTICE_BUDGET) -> int:
@@ -420,38 +426,9 @@ def _macro_depths(M: MacroSet, budget: int) -> dict[str, int]:
     if budget not in M._depths:
         depths: dict[str, int] = {}
         for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
-            depths[m.name] = 1 + _best_depth_score(m.definition, M, m.name, depths, budget)
+            depths[m.name] = 1 + _best(m.definition, M, m.name, depths, budget)[1]
         M._depths[budget] = depths
     return M._depths[budget]
-
-
-def _best_depth_score(
-    w: Word, M: MacroSet, exclude: str | None, macro_depth: dict[str, int], budget: int
-) -> int:
-    """Min over minimal-length representations of max macro depth used (0 = primitives only)."""
-    if w.monoid.is_abelian:
-        gens = _abelian_generators(M, w.data, exclude)
-        layers = abelian_layers(w.data, [v for v, _ in gens], budget)
-        import numpy as np
-
-        # Points of layer s take their score only from points of layer s-1,
-        # so scores outside the previous layer stay at the sentinel.
-        dims = tuple(b + 1 for b in w.data)
-        inf = np.iinfo(np.int32).max
-        score = np.full(dims, inf, dtype=np.int32)
-        score[(0,) * len(dims)] = 0
-        items = [(*_shift_slices(v, dims), 0 if name is None else macro_depth[name])
-                 for v, name in gens]
-        for frontier, _ in layers:
-            nxt = np.full(dims, inf, dtype=np.int32)
-            for src, dst, d in items:
-                np.minimum(nxt[dst], np.maximum(score[src], d), out=nxt[dst])
-            if frontier[w.data]:
-                return int(nxt[w.data])
-            nxt[~frontier] = inf
-            score = nxt
-
-    return _segment(w, M, exclude, macro_depth)[1]
 
 
 def monoid_depth(
@@ -476,7 +453,7 @@ def monoid_depth(
         word = x
         owner = M.macro_for_word(word)
         exclude = owner.name if owner is not None else None
+    _check_monoid(word, M)
     if word.g_length() <= 1:
         return 0
-    depths = _macro_depths(M, budget)
-    return 1 + _best_depth_score(word, M, exclude, depths, budget)
+    return 1 + _best(word, M, exclude, _macro_depths(M, budget), budget)[1]

@@ -240,7 +240,7 @@ PINNED_PARSER = {
         (("--config",), "config", None, "key=value defaults file; flags override", False),
     ]),
     "ingest": ("corpus or edge-list file -> canonical graph file", [
-        (("--in",), "inp", None, None, False),
+        (("--in",), "in", None, None, False),
         (("--format",), "format", ("corpus", "graph"), None, False),
         (("--out",), "out", None, "output directory", False),
         (("--config",), "config", None, "key=value defaults file; flags override", False),
@@ -298,7 +298,7 @@ PINNED_DEFAULTS = {
         "seed": 0, "out": ".", "word_budget": 10000000, "lattice_budget": 10000000,
     },
     "ingest": {
-        "inp": "corpus.jsonl", "format": "corpus", "out": ".",
+        "in": "corpus.jsonl", "format": "corpus", "out": ".",
     },
     "analyze": {
         "graph": "graph.jsonl", "out": ".", "wrapped_metric": "auto", "bin_log2": 5.0,
@@ -386,6 +386,18 @@ def test_unknown_config_key_is_an_input_error(tmp_path, capsys):
     assert main(["sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "r_mx" in err
+
+
+def test_config_key_of_ingest_in_is_in(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    src.write_text(WORKED_CORPUS)
+    cfg = tmp_path / "ingest.cfg"
+    cfg.write_text(f"in={src}\n")
+    assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert (tmp_path / "a" / "graph.jsonl").exists()
+    cfg.write_text(f"inp={src}\n")
+    assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "b")]) == EXIT_INPUT
+    assert "unknown config key inp" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["ingest", "analyze", "rank"])
@@ -746,16 +758,29 @@ def test_synth_requires_a_kind(tmp_path):
      "--s", "2", "--r-max", "5"],  # the word needs two multiplicities
     ["ingest", "--in", "{missing}"],
     ["ingest", "--in", "{bad_corpus}"],
+    ["ingest", "--in", "{bad_graph}", "--format", "graph"],  # a primitive with references
+    ["analyze", "--graph", "{bad_graph}"],
     ["analyze", "--graph", "{corpus}"],  # a corpus file is no graph file
     ["analyze", "--graph", "{graph}", "--filter-percentile", "120"],
     ["rank", "--graph", "{missing}"],
     ["rank", "--graph", "{graph}", "--sweep", "0.5,1.5"],  # alpha must lie in [0, 1)
+    ["rank", "--graph", "{graph}", "--max-iter", "0"],
+    ["rank", "--graph", "{graph}", "--max-iter", "-2"],
+    ["rank", "--graph", "{graph}", "--tolerance", "0"],
+    ["rank", "--graph", "{graph}", "--tolerance", "nan"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "0"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "8,1"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "8,0"],
     ["synth", "--kind", "mixed", "--nodes", "5", "--primitives", "20"],
 ])
 def test_input_error_leaves_no_output_directory(tmp_path, argv):
     paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
-             "corpus": tmp_path / "corpus.jsonl", "graph": tmp_path / "graph" / "graph.jsonl"}
+             "corpus": tmp_path / "corpus.jsonl", "graph": tmp_path / "graph" / "graph.jsonl",
+             "bad_graph": tmp_path / "bad_graph.jsonl"}
     paths["corpus"].write_text(WORKED_CORPUS)
+    paths["bad_graph"].write_text('{"format":"macrolab-graph","version":1}\n'
+                                  '{"name":"a","kind":"primitive","sig_refs":{"b":1}}\n'
+                                  '{"name":"b","kind":"definition"}\n')
     paths["bad_corpus"].write_text(WORKED_CORPUS.replace("(const And)", "(const And"))
     assert main(["ingest", "--in", str(paths["corpus"]),
                  "--out", str(paths["graph"].parent)]) == EXIT_OK

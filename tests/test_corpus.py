@@ -8,6 +8,7 @@ from macrolab.corpus import (
     Element,
     GraphNode,
     build_graph,
+    ingest_corpus,
     load_corpus,
     load_graph,
     save_corpus,
@@ -188,6 +189,46 @@ def test_load_graph_reports_bad_json_line(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_graph(str(path))
     assert err.value.line == 3
+
+
+def test_load_graph_rejects_referencing_primitives(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    path.write_text(
+        '{"format":"macrolab-graph","version":1}\n'
+        '{"name":"a","kind":"primitive","body_refs":{"b":2}}\n'
+        '{"name":"b","kind":"definition"}\n'
+    )
+    with pytest.raises(CorpusError, match="primitive element 'a' must reference nothing"):
+        load_graph(str(path))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ('"name":"","kind":"definition"', "element names must be non-empty strings"),
+    ('"name":7,"kind":"definition"', "element names must be non-empty strings"),
+    ('"name":"a","kind":"conjecture"', "unknown element kind 'conjecture'"),
+    ('"name":"a","kind":["theorem"]', "unknown element kind"),
+    ('"name":"a","kind":"definition","token_count_body":0', "token_count_body must be"),
+])
+def test_both_formats_apply_the_same_record_checks(tmp_path, fields, message):
+    for fmt, load in (("graph", load_graph), ("corpus", load_corpus)):
+        path = tmp_path / f"{fmt}.jsonl"
+        path.write_text(f'{{"format":"macrolab-{fmt}","version":1}}\n{{{fields}}}\n')
+        with pytest.raises(CorpusError, match=message) as err:
+            load(str(path))
+        assert err.value.line == 2
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"name":"p","kind":"primitive","body":"(sort)"}', "primitive element 'p' cannot have a body"),
+    ('{"name":"d","kind":"definition","signature":5}', "signature must be a string or null"),
+])
+def test_corpus_record_errors_carry_their_line(tmp_path, record, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"format":"macrolab-corpus","version":1}\n' + record + "\n")
+    for load in (load_corpus, ingest_corpus):
+        with pytest.raises(CorpusError, match=message) as err:
+            load(str(path))
+        assert err.value.line == 2
 
 
 def test_load_graph_rejects_wrong_header(tmp_path):

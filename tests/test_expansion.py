@@ -514,10 +514,12 @@ def test_parse_matches_the_whole_word_check_oracle(letters, kind, seed, big_b, C
     (PeriodicOnly, 1.0, None), (LazyFreeMacroSet, 0.05, -1.0)])
 def test_sampled_rates_share_the_first_parse_level(kind, big_b, C):
     M = kind(free(2), big_b=big_b, big_c=4.0, seed=3)
-    for r in (1, 2, 9, 40):
+    for r in (2, 9, 40):
         got = sampled_rates(M, r, trials=40, seed=5, C=C)
         assert (got.halving_successes, got.parse_counts, got.parse_failures) == \
             rates_oracle(M, r, 40, 5, C)
+    with pytest.raises(ValueError):  # one letter has no halving and ln 1 = 0
+        sampled_rates(M, 1, trials=40, seed=5, C=C)
 
 
 def test_materialized_sets_parse_a_whole_macro_without_a_window():
@@ -536,6 +538,12 @@ def test_sampled_rates_are_deterministic():
     assert a.trials == 50
     assert a.parse_failures == 0
     assert 0.0 <= a.halving_rate <= 1.0
+
+
+@pytest.mark.parametrize("r, trials", [(0, 10), (-4, 10), (64, 0)])
+def test_sampled_rates_reject_degenerate_sizes(r, trials):
+    with pytest.raises(ValueError, match="r >= 2 and trials >= 1"):
+        sampled_rates(lazy_set(seed=7), r, trials, seed=7)
 
 
 def test_fit_parse_constant_covers_every_observation():

@@ -303,5 +303,9 @@ def test_rank_params_validation():
         RankParams(alpha=-0.1)
     with pytest.raises(ValueError):
         RankParams(beta=1.5)
+    for bad in ({"max_iterations": 0}, {"max_iterations": -1}, {"tolerance": 0.0},
+                {"tolerance": -1e-9}, {"tolerance": float("nan")}):
+        with pytest.raises(ValueError):
+            RankParams(**bad)
     RankParams(alpha=0.0, beta=0.0)
     RankParams(alpha=0.999, beta=1.0)

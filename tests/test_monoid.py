@@ -451,3 +451,19 @@ def test_depth_rejects_macros_outside_the_set():
     stranger = Macro("q", Word.from_multiplicities((7,)))
     with pytest.raises(ValueError):
         monoid_depth(stranger, M)
+
+
+@pytest.mark.parametrize("word", [
+    Word(abelian(2), (4, 4)),  # zip would truncate the macro vectors to two entries
+    Word(abelian(2), (1, 0)),  # a single letter, which would return 0 unchecked
+    Word(abelian(3), (0, 1, 1)),  # the letters of a free macro's definition
+])
+def test_depth_and_gprime_reject_words_from_another_monoid(word):
+    for M in (MacroSet(abelian(3), [Macro("m", Word(abelian(3), (2, 2, 0)))]),
+              MacroSet(free(2), [Macro("m", Word(free(2), (0, 1, 1)))])):
+        if M.monoid == word.monoid:
+            continue
+        with pytest.raises(ValueError, match="different monoids"):
+            monoid_depth(word, M)
+        with pytest.raises(ValueError, match="different monoids"):
+            gprime_length(word, M)

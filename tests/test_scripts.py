@@ -1,0 +1,39 @@
+"""The scripts in scripts/ run end to end: every regime and every pipeline step exits 0."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from macrolab.cli import EXIT_OK
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_regimes_reports_every_regime_ok(tmp_path, capsys):
+    script = load_script("run_regimes")
+    assert script.run(str(tmp_path)) == EXIT_OK
+    for name in script.RUNS:
+        lines = (tmp_path / name / "report.jsonl").read_text().splitlines()
+        assert json.loads(lines[-1]) == {"status": "ok"}
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if "status=" in line]
+    assert len(verdicts) == len(script.RUNS)
+    assert all(line.endswith("exit=0 status=ok") for line in verdicts)
+
+
+def test_hierarchy_pipeline_runs_every_step(tmp_path, capsys):
+    script = load_script("hierarchy_pipeline")
+    assert script.run(str(tmp_path), 2, 30) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "deepest element: level30 at depth 30, unwrapped length 1073741824" in out
+    assert "bits per level: slope 1.0000" in out
+    for step, name in (("synth", "graph.jsonl"), ("analysis", "metrics.csv"),
+                       ("ranking", "rank.csv")):
+        assert (tmp_path / step / name).is_file()
+
