@@ -278,6 +278,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
 def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict) -> int:
     from . import expansion
 
+    if not opts["mc_r"]:
+        raise InputError("--mc-r needs at least one radius")
     rates = [
         expansion.sampled_rates(M, r, opts["trials"], opts["seed"])
         for r in opts["mc_r"]
@@ -364,6 +366,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cg = analytics.filter_macro_set(
             cg, analytics.FilterPolicy("indegree_percentile",
                                        percentile=opts["filter_percentile"]))
+    if not all(opts[key] > 0 for key in ("bin_log2", "bin_wrapped", "bin_depth")):
+        raise InputError("bin width must be positive")
     out = _ensure_out(opts["out"])
     metrics = analytics.node_metrics(graph, cg)
     metric_name = _resolve_metric(opts["wrapped_metric"],

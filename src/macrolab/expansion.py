@@ -21,11 +21,12 @@ from .families import FamilySpec, LazyFreeMacroSet, prefix_periods
 from .monoid import (
     DEFAULT_LATTICE_BUDGET,
     DEFAULT_WORD_BUDGET,
+    AbelianLattice,
     LatticeBudgetError,
     MacroSet,
     Word,
     _abelian_generators,
-    abelian_layers,
+    ball_size,
     segment_free,
 )
 
@@ -80,28 +81,38 @@ def _largest_box_radius(n: int, budget: int) -> int:
 def _abelian_entries(
     M: MacroSet, s_values: list[int], r_max: int, lattice_budget: int
 ) -> dict[int, ExpansionValue]:
-    bound = (r_max,) * M.monoid.n
-    vecs = [v for v, _ in _abelian_generators(M, bound, None)]
+    """f(s) = R - 1 for the first radius R with an unreached point, found by
+    counting the reached points of radius at most R (the low bits of the
+    radius-major layout) against the ball size.  g'(p) depends only on points
+    dominated by p, so the simplex |p| <= r_max is all the layout holds."""
+    n = M.monoid.n
+    bound = (r_max,) * n
+    vecs = [v for v, _ in _abelian_generators(M, bound, None) if sum(v) <= r_max]
     try:
-        layers = abelian_layers(bound, vecs, lattice_budget)
+        lattice = AbelianLattice(bound, vecs, lattice_budget, cap=r_max)
     except LatticeBudgetError:
-        raise SphereBudgetError(_largest_box_radius(M.monoid.n, lattice_budget),
+        raise SphereBudgetError(_largest_box_radius(n, lattice_budget),
                                 lattice_budget) from None
-    import numpy as np
 
-    radius = sum(np.indices(tuple(r + 1 for r in bound), dtype=np.int32, sparse=True))
+    def covered(reached: int, radius: int) -> bool:  # is every |p| <= radius reached?
+        low = reached & ((1 << (radius + 1) * lattice.width) - 1)
+        return low.bit_count() == ball_size(M.monoid, radius)
+
     entries: dict[int, ExpansionValue] = {}
     wanted = set(s_values)
-    for s, (_, reached) in zip(range(1, max(s_values) + 1), layers):
+    first = 1  # the first radius with an unreached point never decreases
+    for s, (_, reached, _) in zip(range(1, max(s_values) + 1), lattice.layers()):
         if s not in wanted:
             continue
-        # Points beyond radius r_max only count once everything within it is reached.
-        uncovered = radius[~reached]
-        first = int(uncovered.min()) if uncovered.size else r_max + 1
-        if first > r_max:
-            entries[s] = ExpansionValue(r_max, exact=False)
-        else:
-            entries[s] = ExpansionValue(first - 1, exact=True)
+        hi, step = first, 1  # gallop from the last answer, then bisect [first, hi]
+        while hi <= r_max and covered(reached, hi):
+            first, hi, step = hi + 1, hi + step, step * 2
+        hi = min(hi, r_max + 1)  # r_max + 1: the whole simplex is reached
+        while first < hi:
+            mid = (first + hi) // 2
+            first, hi = (mid + 1, hi) if covered(reached, mid) else (first, mid)
+        entries[s] = (ExpansionValue(r_max, exact=False) if first > r_max
+                      else ExpansionValue(first - 1, exact=True))
     return entries
 
 

@@ -6,8 +6,7 @@ are letter sequences).  A macro set adjoins named shorthands for longer
 words; the central quantity is the minimal number of generators-plus-macros
 needed to write a word.
 
-numpy is imported on first array use, by the abelian lattice engine only,
-so free-monoid code runs without loading it.
+Neither monoid loads numpy: abelian point sets are Python-int bitsets.
 """
 
 from __future__ import annotations
@@ -264,49 +263,97 @@ def _abelian_generators(
     return gens
 
 
-def _shift_slices(v: tuple[int, ...], dims: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """Source and destination slices that translate a box by the vector v."""
-    src = tuple(slice(0, d - a) for a, d in zip(v, dims))
-    dst = tuple(slice(a, d) for a, d in zip(v, dims))
-    return src, dst
+class AbelianLattice:
+    """Layered reachability over the lattice points p <= bound, on Python ints.
 
-
-def abelian_layers(bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: int):
-    """Layered reachability over the box of lattice points dominated by `bound`.
-
-    Yields (frontier, reached) for s = 1, 2, ...: boolean arrays over the box
-    of the points first reached with exactly s of the generator vectors
-    `vecs`, and of all points reached with at most s.  Each layer shift-ORs
-    the previous frontier by every vector, so a layer costs |box| x |vecs|
-    and finding g'(w) costs g'(w) x |box| x |vecs|.  A single-pass box DP
-    costs only |box| x |vecs|, which is less when g'(w) is large, but it takes
-    a Python step per lattice point and runs far slower on every box the
-    commands and kernels use; it is kept in the tests, as the oracle this
-    engine is checked against.  Raises LatticeBudgetError at once, before
-    allocating anything, if the box exceeds `budget` points.
+    A point set is a Python int used as a bitset, one bit per point, so a
+    layer is a shift-OR over whole machine words (the bit-parallel shift-or
+    of Baeza-Yates & Gonnet 1992).  Point p sits at bit
+    lead(p) * width + inner(p), where inner(p) is the row-major index of p on
+    every axis but one of largest bound, `top`, and width is the number of
+    inner indices.  Without a cap the lead is p_top, so the bits are exactly
+    the box dominated by `bound`.  With a cap the lead is the radius |p| and
+    the bits hold the points with |p| <= cap, radius-major: the low
+    (R + 1) * width bits are exactly the points of radius at most R.  Either
+    lead is linear, so a vector v is a fixed shift, bit(v); bits past the
+    last lead are dropped, and a source point is masked only on the inner
+    axes where a shift could carry past the bound.  Raises
+    LatticeBudgetError, before allocating anything, if the box dominated by
+    `bound` exceeds `budget` points.
     """
-    dims = tuple(b + 1 for b in bound)
-    size = math.prod(dims)
-    if size > budget:
-        raise LatticeBudgetError(size, budget)
-    import numpy as np
 
-    shifts = [_shift_slices(v, dims) for v in vecs]
+    def __init__(self, bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: int,
+                 cap: int | None = None):
+        size = math.prod(b + 1 for b in bound)
+        if size > budget:
+            raise LatticeBudgetError(size, budget)
+        top = bound.index(max(bound))
+        self.stride = [0] * len(bound)
+        self.width = 1
+        for i in reversed(range(len(bound))):
+            if i != top:
+                self.stride[i] = self.width
+                self.width *= bound[i] + 1
+        # The lead coordinate is |p| below a cap, or else p_top within the box.
+        self.weight = [s + self.width * (cap is not None or i == top)
+                       for i, s in enumerate(self.stride)]
+        self.full = (1 << ((bound[top] if cap is None else cap) + 1) * self.width) - 1
+        masks: dict[tuple[int, int], int] = {}
+        self.shifts = []
+        for v in vecs:
+            mask = self.full
+            for i, a in enumerate(v):
+                # Under a cap, a source p with |p + v| <= cap has p_i <= cap - |v|.
+                if i != top and a and (cap is None or cap - sum(v) + a > bound[i]):
+                    if (i, a) not in masks:
+                        masks[i, a] = self._axis_mask(i, bound[i] - a, bound[i] + 1)
+                    mask &= masks[i, a]
+            self.shifts.append((self.bit(v), None if mask == self.full else mask))
 
-    def layers():
-        reached = np.zeros(dims, dtype=bool)
-        reached[(0,) * len(dims)] = True
-        frontier = reached.copy()
+    def _axis_mask(self, i: int, limit: int, side: int) -> int:
+        """The bits whose coordinate on inner axis i is at most `limit`."""
+        mask = (1 << self.stride[i] * (limit + 1)) - 1
+        period = self.stride[i] * side
+        while period < self.full.bit_length():  # doubling the repeated pattern
+            mask |= mask << period
+            period *= 2
+        return mask & self.full
+
+    def bit(self, p: tuple[int, ...]) -> int:
+        return sum(a * w for a, w in zip(p, self.weight))
+
+    def _spread(self, x: int, shifts) -> int:
+        out = 0
+        for off, mask in shifts:
+            out |= (x if mask is None else x & mask) << off
+        return out & self.full
+
+    def layers(self, depths: list[int] | None = None):
+        """Yield (frontier, reached, scored) for s = 1, 2, ...: the points first
+        reached with exactly s of the vectors, all points reached with at most s,
+        and, when `depths` gives each vector a depth, a dict from each distinct
+        depth d, smallest first, to the frontier points that some s vectors of
+        largest depth <= d reach (empty without `depths`).
+
+        Only points of layer s - 1 feed layer s of `scored`: this is the
+        threshold form of the smallest largest depth among the shortest
+        representations.  A layer costs one shift per vector, and per vector
+        of each depth level, over the whole point set, so finding g'(w) costs
+        g'(w) x |box| x |vecs| bit operations.  A single-pass box DP costs only
+        |box| x |vecs| steps, but each is a Python step, far slower on every
+        box the commands and kernels use; it is kept in the tests, as the
+        oracle this engine is checked against.
+        """
+        levels = {d: [sh for sh, e in zip(self.shifts, depths) if e <= d]
+                  for d in sorted(set(depths or ()))}
+        scored = dict.fromkeys(levels, 1)  # the origin, bit 0, has depth 0
+        reached = frontier = 1
         while True:
-            nxt = np.zeros(dims, dtype=bool)
-            for src, dst in shifts:
-                nxt[dst] |= frontier[src]
-            nxt &= ~reached
-            reached |= nxt
-            frontier = nxt
-            yield frontier, reached
-
-    return layers()
+            frontier = self._spread(frontier, self.shifts)
+            frontier = (frontier | reached) ^ reached
+            reached |= frontier
+            scored = {d: self._spread(x, levels[d]) & frontier for d, x in scored.items()}
+            yield frontier, reached, scored
 
 
 def segment_free(
@@ -365,8 +412,8 @@ def _best(
     uses a macro or `depth` is None).  Free words are segmented on the macro
     set's automaton.  For abelian words the answer is the first reachability
     layer of the box dominated by w that contains w (unbounded
-    multi-dimensional coin change); a depth table adds a score sweep, in
-    which points of layer s take their score only from points of layer s-1.
+    multi-dimensional coin change); with a depth table the same layers carry
+    one bitset per depth level, and the score is the first level holding w.
     Raises LatticeBudgetError if that box exceeds `budget` points.
     """
     if not w.monoid.is_abelian:
@@ -375,24 +422,12 @@ def _best(
     if w.is_identity():
         return 0, 0
     gens = _abelian_generators(M, w.data, exclude)
-    layers = enumerate(abelian_layers(w.data, [v for v, _ in gens], budget), 1)
-    if depth is None:
-        return next(s for s, (frontier, _) in layers if frontier[w.data]), 0
-    import numpy as np
-
-    dims = tuple(b + 1 for b in w.data)
-    inf = np.iinfo(np.int32).max
-    score = np.full(dims, inf, dtype=np.int32)
-    score[(0,) * len(dims)] = 0
-    items = [(*_shift_slices(v, dims), 0 if name is None else depth[name]) for v, name in gens]
-    for s, (frontier, _) in layers:
-        nxt = np.full(dims, inf, dtype=np.int32)
-        for src, dst, d in items:
-            np.minimum(nxt[dst], np.maximum(score[src], d), out=nxt[dst])
-        if frontier[w.data]:
-            return s, int(nxt[w.data])
-        nxt[~frontier] = inf  # only this layer's points feed the next layer
-        score = nxt
+    lattice = AbelianLattice(w.data, [v for v, _ in gens], budget)
+    target = 1 << lattice.bit(w.data)
+    depths = None if depth is None else [0 if name is None else depth[name] for _, name in gens]
+    for s, (frontier, _, scored) in enumerate(lattice.layers(depths), 1):
+        if frontier & target:
+            return s, next((d for d, x in scored.items() if x & target), 0)
 
 
 def gprime_length(

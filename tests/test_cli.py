@@ -771,6 +771,9 @@ def test_synth_requires_a_kind(tmp_path):
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "0"],
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "8,1"],
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "8,0"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", ","],
+    ["analyze", "--graph", "{graph}", "--bin-log2", "0"],
+    ["analyze", "--graph", "{graph}", "--bin-depth", "-1"],
     ["synth", "--kind", "mixed", "--nodes", "5", "--primitives", "20"],
 ])
 def test_input_error_leaves_no_output_directory(tmp_path, argv):
@@ -831,7 +834,7 @@ import sys
 import macrolab
 from macrolab.cli import main
 from macrolab.families import FamilySpec, build_macro_family
-from macrolab.monoid import Word, gprime_length, monoid_depth
+from macrolab.monoid import Word, gprime_length, monoid_depth, wrapped_length
 
 assert "numpy" not in sys.modules, "import macrolab loaded numpy"
 with open("corpus.jsonl", "w") as fh:
@@ -839,6 +842,14 @@ with open("corpus.jsonl", "w") as fh:
 for argv in (
     ["sim", "--regime", "finite", "--monoid", "free", "--n", "2",
      "--word", "aa;bb;ab;ba", "--s", "1:3", "--r-max", "12", "--out", "sim"],
+    ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:4", "--r-max", "20",
+     "--out", "place"],
+    ["sim", "--regime", "waring", "--k", "2", "--n", "2", "--s", "1:4", "--r-max", "20",
+     "--out", "waring"],
+    ["sim", "--regime", "double-log", "--b", "2", "--s", "1:3", "--r-max", "40",
+     "--out", "double-log"],
+    ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "1", "--word", "5",
+     "--s", "1:4", "--r-max", "20", "--out", "finite"],
     ["ingest", "--in", "corpus.jsonl", "--format", "corpus", "--out", "ingest"],
     ["analyze", "--graph", "ingest/graph.jsonl", "--out", "analyze"],
     ["synth", "--kind", "hierarchy", "--b", "2", "--height", "4", "--out", "synth"],
@@ -849,12 +860,16 @@ M = build_macro_family(FamilySpec.poly_density_free(1, 1, 2, 8))
 w = Word.from_letters((0, 1, 1, 0, 1, 0, 0, 1), 2)
 print(gprime_length(w, M), monoid_depth(w, M))
 assert "numpy" not in sys.modules, "free kernels loaded numpy"
+M = build_macro_family(FamilySpec.place_notation(2, 3, 16))
+w = Word(M.monoid, (13, 6, 11))
+print(gprime_length(w, M), monoid_depth(w, M), wrapped_length(M.macros[-1], M))
+assert "numpy" not in sys.modules, "abelian kernels loaded numpy"
 """
 
 
 def test_free_monoid_and_corpus_paths_never_import_numpy(tmp_path):
     out = _run_fresh(NUMPY_FREE_SCRIPT, tmp_path, WORKED_CORPUS)
-    assert out.splitlines()[-1] == "4 3"
+    assert out.splitlines()[-2:] == ["4 3", "8 4 2"]
 
 
 PLACE_SCRIPT = """
@@ -862,14 +877,13 @@ import sys
 
 from macrolab.cli import main
 
-assert "numpy" not in sys.modules
 assert main(["sim", "--regime", "place", "--b", "2", "--n", "1",
              "--s", "1:4", "--r-max", "100", "--out", "place"]) == 0
-assert "numpy" in sys.modules
+assert "numpy" not in sys.modules
 """
 
 
-def test_abelian_sim_imports_numpy_on_first_use(tmp_path):
+def test_abelian_sim_never_imports_numpy(tmp_path):
     _run_fresh(PLACE_SCRIPT, tmp_path)
     profile = read_csv(tmp_path / "place" / "profile.csv")
     assert [r["value"] for r in profile] == ["2", "6", "14", "30"]

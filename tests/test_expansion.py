@@ -43,6 +43,7 @@ from macrolab.monoid import (
     monoid_depth,
 )
 from test_automaton import oracle_gprime
+from test_monoid import slow_min_generators_abelian
 
 
 def digit_sum(value: int, base: int) -> int:
@@ -213,6 +214,33 @@ def test_match_state_profile_matches_sphere_scan(case, s_values, data):
     worsts = sphere_worsts(M, r_max)
     assert list(islice(_match_state_worsts(M, 10**7), r_max)) == worsts
     assert expansion_profile(M, s_values, r_max).entries == profile_oracle(worsts, s_values)
+
+
+# (n, macro definitions, r_max): 1 to 3 generators, up to four macros, and
+# radii the brute-force search covers at desk speed.
+abelian_profile_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(*[st.integers(0, 5)] * n).filter(lambda d: sum(d) >= 2),
+             max_size=4, unique=True),
+    st.integers(1, 12 if n < 3 else 8),
+))
+
+
+@settings(deadline=None, max_examples=80)
+@given(abelian_profile_cases, st.lists(st.integers(1, 10), min_size=1, max_size=4))
+def test_abelian_profile_matches_brute_force(case, s_values):
+    """Profiles against the worst brute-force g' over each radius; the kernel
+    must agree with the search at every point of the simplex too."""
+    n, defs, r_max = case
+    M = MacroSet(abelian(n), [Macro(f"m{i}", Word(abelian(n), d)) for i, d in enumerate(defs)])
+    memo: dict = {}
+    worsts = [0] * (r_max + 1)
+    for p in product(range(r_max + 1), repeat=n):
+        if sum(p) <= r_max:
+            g = slow_min_generators_abelian(p, defs, memo)
+            assert gprime_length(Word(abelian(n), p), M) == g, p
+            worsts[sum(p)] = max(worsts[sum(p)], g)
+    assert expansion_profile(M, s_values, r_max).entries == profile_oracle(worsts[1:], s_values)
 
 
 def test_lazy_family_has_no_profile_and_points_to_sampling():

@@ -27,12 +27,15 @@ from macrolab.monoid import (
 )
 
 
-def slow_min_generators_abelian(mults, macro_defs):
-    """Oracle: exhaustive search over generator multisets, one unit at a time."""
+def slow_min_generators_abelian(mults, macro_defs, memo=None):
+    """Oracle: exhaustive search over generator multisets, one unit at a time.
+
+    Pass the same `memo` dict to calls with the same macro definitions to
+    share their searches."""
     n = len(mults)
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     gens = units + [tuple(d) for d in macro_defs]
-    cache: dict[tuple[int, ...], int] = {}
+    cache: dict[tuple[int, ...], int] = {} if memo is None else memo
 
     def search(rest):
         if not any(rest):

@@ -1,10 +1,11 @@
-"""Byte-identity pins: the sha256 of every file small corpus and free-monoid
-`sim` runs write.
+"""Byte-identity pins: the sha256 of every file small corpus, free-monoid and
+abelian `sim` runs write.
 
 The corpus digests were captured from the name-keyed graph code that the
-integer-indexed graph replaced, and the `sim` digests from the trie that the
-Aho-Corasick automaton replaced; any change to a byte of these outputs must
-show up here and be named in CHANGES.md.
+integer-indexed graph replaced, the free `sim` digests from the trie that the
+Aho-Corasick automaton replaced, and the abelian `sim` digests from the numpy
+lattice engine that the Python-int bitsets replaced; any change to a byte of
+these outputs must show up here and be named in CHANGES.md.
 """
 
 import hashlib
@@ -104,6 +105,48 @@ SIM_DIGESTS = {
 }
 
 
+# Abelian sim runs; the last outgrows the default lattice budget, so its
+# report pins the largest radius whose box fits (214).
+ABELIAN_SIM_RUNS = [
+    ("place", ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:6",
+               "--r-max", "40"], 0),
+    ("place-b3", ["sim", "--regime", "place", "--b", "3", "--n", "3", "--s", "1:8",
+                  "--r-max", "20"], 0),
+    ("waring", ["sim", "--regime", "waring", "--k", "2", "--n", "2", "--s", "1:9",
+                "--r-max", "60"], 0),
+    ("double-log", ["sim", "--regime", "double-log", "--b", "2", "--s", "1:5",
+                    "--r-max", "200"], 0),
+    ("finite-abelian", ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "2",
+                        "--word", "3,0;0,2;2,3", "--s", "1:14", "--r-max", "16"], 0),
+    ("finite-n1", ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "1",
+                   "--word", "5;7", "--s", "1:10", "--r-max", "40"], 0),
+    ("budget", ["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
+                "--r-max", "400"], 3),
+]
+
+ABELIAN_SIM_DIGESTS = {
+    "budget/report.jsonl": "3e285d2b451e057b73df6c273c58d176634f10cfea9db40f4e155839a5a3af62",
+    "double-log/bounds.csv": "91593ef2838d2dda39133dc3a3f12effe497951b357ddebbcedb8e1bd03a0bf5",
+    "double-log/profile.csv": "450d56c8608962dadd57c222acfa8039dfc25bdb32ae7d01226a285d96a42002",
+    "double-log/report.jsonl": "c3ea222c8ba5664178532c386a3e780269f692954e7c36da115b95bd182c204d",
+    "finite-abelian/bounds.csv": "9ee29f63f85a240b23f6fbf343ee533059a57bfdc87f0ae0aa209acab21c3081",
+    "finite-abelian/profile.csv": "cdaed3c04bbd362e63e1905d53347b47487a0ccb3c514d25a633b4952dda26fa",
+    "finite-abelian/report.jsonl": "af9408eb186801e7a6adb78b2092958848b66357062b6c707e1d9fe475eb5b66",
+    "finite-n1/bounds.csv": "2a7214b7c24f470d8d458d33c16eeb416138dd63b05c3a7c7cc993db7b10cd29",
+    "finite-n1/profile.csv": "9537c2b557a7b4a9b7254e89f23b91b3b65239c37a79c77d5bc77ad8a15209c9",
+    "finite-n1/report.jsonl": "85c46d9c2a89d6ab7fcfb976a2970d1d90feb41cfaac862e39f0965b42588c4c",
+    "place/bounds.csv": "c2f3e5450b8f77a74316a271da6d5f1cf470c00b71ad927b19e6325d5fb5f30a",
+    "place/profile.csv": "99f8814761fe42857380e4c332fd7005238886bc4e82e5662f9bea82d7f171f9",
+    "place/report.jsonl": "248cd5668b47e2275bddfabcafa3743f4578d0afd9d4ba0264c2421b242e6c52",
+    "place-b3/bounds.csv": "7be6c6c26b57f84ce86ac8b1843683648041330d2e14edf53843559f9f8db9f2",
+    "place-b3/profile.csv": "31a84716f9ad5ad22e154f9a588b0d9948c2268f5681ef62eaa290b192f89bc8",
+    "place-b3/report.jsonl": "c091faf7ce76a2d1a67eb643bbd23360e4296d2c8406a4a607033099fdb9ad93",
+    "waring/bounds.csv": "6b7621e5a4b9e92d659db9145a3776a69d8abbb112c30a465a4e4b8f576d752e",
+    "waring/profile.csv": "48af6214e284e2fc4c457526ce949edb327c3ed8f2b65d729f8b2823de99f622",
+    "waring/report.jsonl": "3767d78e156906b6e8177d046c325f943a6201f6c63405e19388d66c2265f940",
+}
+
+
 def run_and_digest(root: Path, runs) -> dict[str, str]:
     export = root / "export.jsonl"
     export.write_text(SMALL_EXPORT, encoding="utf-8")
@@ -125,3 +168,7 @@ def test_outputs_are_byte_identical(tmp_path):
 
 def test_free_sim_outputs_are_byte_identical(tmp_path):
     assert run_and_digest(tmp_path, SIM_RUNS) == SIM_DIGESTS
+
+
+def test_abelian_sim_outputs_are_byte_identical(tmp_path):
+    assert run_and_digest(tmp_path, ABELIAN_SIM_RUNS) == ABELIAN_SIM_DIGESTS
