@@ -5,6 +5,9 @@ primitive length <= r can be written with at most s generators-plus-macros.
 Exact values come from lattice reachability (abelian) or a forward DP over
 the match states of the macro set's Aho-Corasick automaton (finite free
 macro sets), whose word budget counts (match state, letter) transitions.
+When every abelian macro lies on one axis, as in the place, Waring and
+double-log families, one 1-D lattice per axis and a (min, +) convolution
+over token counts replace the n-D lattice.
 The lazy probabilistic family has unboundedly many match states and no
 profile; its regime is checked by sampling instead (halving checks and a
 greedy recursive parse).
@@ -22,10 +25,10 @@ from .monoid import (
     DEFAULT_LATTICE_BUDGET,
     DEFAULT_WORD_BUDGET,
     AbelianLattice,
-    LatticeBudgetError,
     MacroSet,
     Word,
     _abelian_generators,
+    _split_axes,
     ball_size,
     segment_free,
 )
@@ -81,27 +84,68 @@ def _largest_box_radius(n: int, budget: int) -> int:
 def _abelian_entries(
     M: MacroSet, s_values: list[int], r_max: int, lattice_budget: int
 ) -> dict[int, ExpansionValue]:
-    """f(s) = R - 1 for the first radius R with an unreached point, found by
-    counting the reached points of radius at most R (the low bits of the
-    radius-major layout) against the ball size.  g'(p) depends only on points
-    dominated by p, so the simplex |p| <= r_max is all the layout holds."""
+    """f(s) = R - 1 for the first radius R with a point that needs more than
+    s tokens, or a lower bound r_max when every |p| <= r_max is reached.
+
+    g'(p) depends only on points dominated by p, so the simplex |p| <= r_max
+    is all either branch looks at; the budget gate on the box (r_max + 1)^n
+    comes first for both.  When every generator lies on one axis, g'(p) is
+    the sum of 1-D coin-change lengths h_i(p_i) (`_separable_firsts`);
+    otherwise one n-D lattice counts the reached points of each radius
+    (`_simplex_firsts`)."""
     n = M.monoid.n
-    bound = (r_max,) * n
-    vecs = [v for v, _ in _abelian_generators(M, bound, None) if sum(v) <= r_max]
-    try:
-        lattice = AbelianLattice(bound, vecs, lattice_budget, cap=r_max)
-    except LatticeBudgetError:
-        raise SphereBudgetError(_largest_box_radius(n, lattice_budget),
-                                lattice_budget) from None
+    if (r_max + 1) ** n > lattice_budget:
+        raise SphereBudgetError(_largest_box_radius(n, lattice_budget), lattice_budget)
+    gens = [(v, name) for v, name in _abelian_generators(M, (r_max,) * n, None)
+            if sum(v) <= r_max]
+    axes = _split_axes(gens, n)
+    wanted = sorted(set(s_values))
+    if axes is None:
+        firsts = _simplex_firsts(M, [v for v, _ in gens], wanted, r_max, lattice_budget)
+    else:
+        firsts = _separable_firsts(axes, wanted, r_max, lattice_budget)
+    return {s: ExpansionValue(r_max, exact=False) if first > r_max
+            else ExpansionValue(first - 1, exact=True)
+            for s, first in firsts.items()}
+
+
+def _separable_firsts(axes, wanted: list[int], r_max: int, budget: int) -> dict[int, int]:
+    """First unreached radius for each s (r_max + 1 past the simplex), when
+    every generator lies on one axis.
+
+    Let a_i(t) be the first x <= r_max with h_i(x) >= t (r_max + 1 if none):
+    the lowest bit a 1-D lattice on axis i has not reached after t - 1
+    layers.  A point p needs more than s tokens iff the h_i(p_i) sum past s,
+    so the first such radius is the (min, +) convolution of the a_i over
+    token counts, min of a_1(t_1) + ... + a_n(t_n) over t_1 + ... + t_n = s + 1
+    (each a_i is nondecreasing, so the sum may be exactly s + 1).  A capped
+    a_i only ever gives a sum past r_max, where the answer is a bound anyway.
+    """
+    top = wanted[-1] + 1
+    conv = None
+    for gens in axes:
+        lattice = AbelianLattice((r_max,), [v for v, _ in gens], budget)
+        reached = itertools.chain([1], (r for _, r, _ in lattice.layers()))
+        a = [0] + [((r + 1) & ~r).bit_length() - 1 for r in itertools.islice(reached, top)]
+        conv = a if conv is None else [min(conv[u] + a[t - u] for u in range(t + 1))
+                                       for t in range(top + 1)]
+    return {s: min(conv[s + 1], r_max + 1) for s in wanted}
+
+
+def _simplex_firsts(M: MacroSet, vecs, wanted: list[int], r_max: int,
+                    budget: int) -> dict[int, int]:
+    """First unreached radius for each s (r_max + 1 past the simplex), by
+    counting the reached points of radius at most R, the low bits of a
+    radius-major n-D layout, against the ball size."""
+    lattice = AbelianLattice((r_max,) * M.monoid.n, vecs, budget, cap=r_max)
 
     def covered(reached: int, radius: int) -> bool:  # is every |p| <= radius reached?
         low = reached & ((1 << (radius + 1) * lattice.width) - 1)
         return low.bit_count() == ball_size(M.monoid, radius)
 
-    entries: dict[int, ExpansionValue] = {}
-    wanted = set(s_values)
+    firsts: dict[int, int] = {}
     first = 1  # the first radius with an unreached point never decreases
-    for s, (_, reached, _) in zip(range(1, max(s_values) + 1), lattice.layers()):
+    for s, (_, reached, _) in zip(range(1, wanted[-1] + 1), lattice.layers()):
         if s not in wanted:
             continue
         hi, step = first, 1  # gallop from the last answer, then bisect [first, hi]
@@ -111,9 +155,8 @@ def _abelian_entries(
         while first < hi:
             mid = (first + hi) // 2
             first, hi = (mid + 1, hi) if covered(reached, mid) else (first, mid)
-        entries[s] = (ExpansionValue(r_max, exact=False) if first > r_max
-                      else ExpansionValue(first - 1, exact=True))
-    return entries
+        firsts[s] = first
+    return firsts
 
 
 def _free_entries(worsts, s_values: list[int], r_max: int) -> dict[int, ExpansionValue]:

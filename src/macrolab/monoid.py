@@ -263,6 +263,25 @@ def _abelian_generators(
     return gens
 
 
+def _split_axes(gens: list[tuple[tuple[int, ...], str | None]], n: int):
+    """Per-axis 1-D generators ((a,), name) when every vector has exactly one
+    nonzero coordinate a, or None when some vector spans two axes."""
+    axes: list[list[tuple[tuple[int, ...], str | None]]] = [[] for _ in range(n)]
+    for v, name in gens:
+        nonzero = [i for i, a in enumerate(v) if a]
+        if len(nonzero) != 1:
+            return None
+        axes[nonzero[0]].append(((v[nonzero[0]],), name))
+    return axes
+
+
+def _check_box(bound: tuple[int, ...], budget: int) -> None:
+    """Raise LatticeBudgetError if the box dominated by `bound` exceeds `budget` points."""
+    size = math.prod(b + 1 for b in bound)
+    if size > budget:
+        raise LatticeBudgetError(size, budget)
+
+
 class AbelianLattice:
     """Layered reachability over the lattice points p <= bound, on Python ints.
 
@@ -284,9 +303,7 @@ class AbelianLattice:
 
     def __init__(self, bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: int,
                  cap: int | None = None):
-        size = math.prod(b + 1 for b in bound)
-        if size > budget:
-            raise LatticeBudgetError(size, budget)
+        _check_box(bound, budget)
         top = bound.index(max(bound))
         self.stride = [0] * len(bound)
         self.width = 1
@@ -342,7 +359,10 @@ class AbelianLattice:
         g'(w) x |box| x |vecs| bit operations.  A single-pass box DP costs only
         |box| x |vecs| steps, but each is a Python step, far slower on every
         box the commands and kernels use; it is kept in the tests, as the
-        oracle this engine is checked against.
+        oracle this engine is checked against.  When every vector lies on one
+        axis, callers build one 1-D lattice per axis instead, so the cost is
+        g'_i x (w_i + 1) x |vecs_i| summed over the axes, not a product over
+        the whole box.
         """
         levels = {d: [sh for sh, e in zip(self.shifts, depths) if e <= d]
                   for d in sorted(set(depths or ()))}
@@ -415,15 +435,31 @@ def _best(
     multi-dimensional coin change); with a depth table the same layers carry
     one bitset per depth level, and the score is the first level holding w.
     Raises LatticeBudgetError if that box exceeds `budget` points.
+
+    When every usable generator lies on one axis, a representation of w is
+    one representation of w_i per axis, and it is shortest exactly when each
+    of them is: so tokens is the sum, and score the largest, of the answers
+    of one 1-D lattice per axis, each with the same `exclude` and `depth`.
     """
     if not w.monoid.is_abelian:
         a = M.automaton()
         return segment_free(a.heads(w.data), a.depth, a.name, a.out, exclude, depth)
     if w.is_identity():
         return 0, 0
+    _check_box(w.data, budget)
     gens = _abelian_generators(M, w.data, exclude)
-    lattice = AbelianLattice(w.data, [v for v, _ in gens], budget)
-    target = 1 << lattice.bit(w.data)
+    axes = _split_axes(gens, len(w.data))
+    if axes is None:
+        return _reach(w.data, gens, depth, budget)
+    parts = [_reach((a,), g, depth, budget) for a, g in zip(w.data, axes) if a]
+    return sum(t for t, _ in parts), max(d for _, d in parts)
+
+
+def _reach(bound: tuple[int, ...], gens, depth: dict[str, int] | None,
+           budget: int) -> tuple[int, int]:
+    """(tokens, score) of `bound` itself on the lattice of the box it dominates."""
+    lattice = AbelianLattice(bound, [v for v, _ in gens], budget)
+    target = 1 << lattice.bit(bound)
     depths = None if depth is None else [0 if name is None else depth[name] for _, name in gens]
     for s, (frontier, _, scored) in enumerate(lattice.layers(depths), 1):
         if frontier & target:

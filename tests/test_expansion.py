@@ -6,6 +6,7 @@ and direct coin counting for small finite families.
 """
 
 import math
+import re
 from functools import cache
 from itertools import islice, product
 
@@ -33,14 +34,18 @@ from macrolab.expansion import (
 from macrolab.expansion import _match_state_worsts, sample_words
 from macrolab.families import FamilySpec, LazyFreeMacroSet, build_macro_family
 from macrolab.monoid import (
+    AbelianLattice,
     LatticeBudgetError,
     Macro,
     MacroSet,
     Word,
+    _abelian_generators,
+    _macro_depths,
     abelian,
     free,
     gprime_length,
     monoid_depth,
+    wrapped_length,
 )
 from test_automaton import oracle_gprime
 from test_monoid import slow_min_generators_abelian
@@ -241,6 +246,85 @@ def test_abelian_profile_matches_brute_force(case, s_values):
             assert gprime_length(Word(abelian(n), p), M) == g, p
             worsts[sum(p)] = max(worsts[sum(p)], g)
     assert expansion_profile(M, s_values, r_max).entries == profile_oracle(worsts[1:], s_values)
+
+
+def lattice_best(w, M, exclude=None, depth=None):
+    """(g', smallest largest depth) of w on one n-D lattice over the box it dominates."""
+    if not any(w):
+        return 0, 0
+    gens = _abelian_generators(M, w, exclude)
+    lattice = AbelianLattice(w, [v for v, _ in gens], 10**7)
+    depths = None if depth is None else [0 if name is None else depth[name] for _, name in gens]
+    target = 1 << lattice.bit(w)
+    for s, (frontier, _, scored) in enumerate(lattice.layers(depths), 1):
+        if frontier & target:
+            return s, next((d for d, x in scored.items() if x & target), 0)
+
+
+def lattice_gprimes(M, r_max):
+    """g' of every point of the box [0, r_max]^n, read off one n-D lattice's layers."""
+    bound = (r_max,) * M.monoid.n
+    lattice = AbelianLattice(bound, [v for v, _ in _abelian_generators(M, bound, None)], 10**7)
+    layer_of = {0: 0}
+    for s, (frontier, reached, _) in enumerate(lattice.layers(), 1):
+        bits = bin(frontier)[:1:-1]  # bits[i] is bit i
+        layer_of.update((m.start(), s) for m in re.finditer("1", bits))
+        if reached == lattice.full:
+            return {p: layer_of[lattice.bit(p)]
+                    for p in product(range(r_max + 1), repeat=M.monoid.n)}
+
+
+# (n, coins per axis, r_max): macros each on one axis, 0 to 4 per axis; for
+# n = 3 the radius stays where the brute-force search runs in well under a second.
+axis_aligned_cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(2, 12), max_size=4, unique=True), min_size=n, max_size=n),
+    st.integers(1, 30 if n < 3 else 20),
+))
+
+
+@settings(deadline=None, max_examples=60)
+@given(axis_aligned_cases, st.lists(st.integers(1, 12), min_size=1, max_size=8), st.data())
+def test_axis_aligned_sets_match_the_n_dimensional_lattice(case, s_values, data):
+    """Profiles, g', wrapped length and depth of sets whose macros each lie on
+    one axis (the per-axis path) against the n-D lattice built here, and g'
+    against the brute-force search.  Words include ones whose coordinate
+    equals a macro's definition on its axis, where a per-axis call of the
+    public kernels would wrongly exclude that macro."""
+    n, coins, r_max = case
+    defs = [tuple(c if j == i else 0 for j in range(n)) for i, axis in enumerate(coins)
+            for c in axis]
+    M = MacroSet(abelian(n), [Macro(f"m{i}", Word(abelian(n), d)) for i, d in enumerate(defs)])
+    gp = lattice_gprimes(M, r_max)
+    worsts = [0] * (n * r_max + 1)
+    for p, g in gp.items():
+        worsts[sum(p)] = max(worsts[sum(p)], g)
+    assert (expansion_profile(M, s_values, r_max).entries
+            == profile_oracle(worsts[1:r_max + 1], s_values))
+
+    depths = {}
+    for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
+        depths[m.name] = 1 + lattice_best(m.definition.data, M, m.name, depths)[1]
+    assert _macro_depths(M, 10**7) == depths
+    for i, m in enumerate(M):
+        assert (wrapped_length(m, M) == lattice_best(m.definition.data, M, m.name)[0]
+                == slow_min_generators_abelian(m.definition.data, defs[:i] + defs[i + 1:]))
+
+    point = st.tuples(*[st.integers(0, r_max)] * n)
+    words = data.draw(st.lists(point, max_size=3), label="words")
+    for d in defs:  # a coordinate equal to a macro's definition on its axis
+        i = next(i for i, a in enumerate(d) if a)
+        if d[i] <= r_max:
+            w = data.draw(point, label="around")
+            words.append(w[:i] + (d[i],) + w[i + 1:])
+    memo: dict = {}
+    for w in words:
+        owner = M.macro_for_word(Word(abelian(n), w))
+        exclude = None if owner is None else owner.name
+        score = lattice_best(w, M, exclude, depths)[1]
+        assert gprime_length(Word(abelian(n), w), M) == gp[w] == \
+            slow_min_generators_abelian(w, defs, memo), w
+        assert monoid_depth(Word(abelian(n), w), M) == (0 if sum(w) <= 1 else 1 + score), w
 
 
 def test_lazy_family_has_no_profile_and_points_to_sampling():

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from macrolab.families import FamilySpec, build_macro_family
 from macrolab.monoid import (
     LatticeBudgetError,
     Macro,
@@ -320,6 +321,20 @@ def test_lattice_budget_error_reports_sizes():
     assert err.value.required == 2001
     assert err.value.budget == 100
     assert "2001" in str(err.value)
+
+
+def test_separable_kernels_answer_the_large_waring_box():
+    """Every waring macro lies on one axis, so g' and depth of a word in a
+    9-Mbit box come from two 1-D lattices; values read on the n-D engine.
+    The box still counts against the budget as a whole."""
+    M = build_macro_family(FamilySpec.waring(k=2, n=2, r_max=3000))
+    w = Word.from_multiplicities((2999, 3000))
+    assert gprime_length(w, M) == 7
+    assert monoid_depth(w, M) == 8
+    for kernel in (gprime_length, monoid_depth):
+        with pytest.raises(LatticeBudgetError) as err:
+            kernel(w, M, budget=10**6)
+        assert (err.value.required, err.value.budget) == (3000 * 3001, 10**6)
 
 
 abelian_defs = st.lists(

@@ -106,7 +106,10 @@ SIM_DIGESTS = {
 
 
 # Abelian sim runs; the last outgrows the default lattice budget, so its
-# report pins the largest radius whose box fits (214).
+# report pins the largest radius whose box fits (214).  place-3000 and
+# waring-n3 were captured on the n-D lattice before the per-axis path for
+# macro sets whose macros each lie on one axis; finite-abelian (3,0;0,2;2,3)
+# is not such a set and still runs the n-D lattice.
 ABELIAN_SIM_RUNS = [
     ("place", ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:6",
                "--r-max", "40"], 0),
@@ -120,6 +123,10 @@ ABELIAN_SIM_RUNS = [
                         "--word", "3,0;0,2;2,3", "--s", "1:14", "--r-max", "16"], 0),
     ("finite-n1", ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "1",
                    "--word", "5;7", "--s", "1:10", "--r-max", "40"], 0),
+    ("place-3000", ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:24",
+                    "--r-max", "3000"], 0),
+    ("waring-n3", ["sim", "--regime", "waring", "--k", "2", "--n", "3", "--s", "1:12",
+                   "--r-max", "150"], 0),
     ("budget", ["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
                 "--r-max", "400"], 3),
 ]
@@ -135,6 +142,9 @@ ABELIAN_SIM_DIGESTS = {
     "finite-n1/bounds.csv": "2a7214b7c24f470d8d458d33c16eeb416138dd63b05c3a7c7cc993db7b10cd29",
     "finite-n1/profile.csv": "9537c2b557a7b4a9b7254e89f23b91b3b65239c37a79c77d5bc77ad8a15209c9",
     "finite-n1/report.jsonl": "85c46d9c2a89d6ab7fcfb976a2970d1d90feb41cfaac862e39f0965b42588c4c",
+    "place-3000/bounds.csv": "32ffb5dc9014e5f42dccf4c77f916d31c5ae7753cc308a5c751bee325626e105",
+    "place-3000/profile.csv": "19979c890d8fa699be718e77a15816880f00fb10af44a10a8b5bbd22bde1fcce",
+    "place-3000/report.jsonl": "7fd119e9379758f08e3ee4d48f05fdb7bb1865bde00365c576a94e7890135543",
     "place/bounds.csv": "c2f3e5450b8f77a74316a271da6d5f1cf470c00b71ad927b19e6325d5fb5f30a",
     "place/profile.csv": "99f8814761fe42857380e4c332fd7005238886bc4e82e5662f9bea82d7f171f9",
     "place/report.jsonl": "248cd5668b47e2275bddfabcafa3743f4578d0afd9d4ba0264c2421b242e6c52",
@@ -144,6 +154,9 @@ ABELIAN_SIM_DIGESTS = {
     "waring/bounds.csv": "6b7621e5a4b9e92d659db9145a3776a69d8abbb112c30a465a4e4b8f576d752e",
     "waring/profile.csv": "48af6214e284e2fc4c457526ce949edb327c3ed8f2b65d729f8b2823de99f622",
     "waring/report.jsonl": "3767d78e156906b6e8177d046c325f943a6201f6c63405e19388d66c2265f940",
+    "waring-n3/bounds.csv": "b56bca64b415c1c693105b9c94a249b9ef24ce81bad907bef2e9fb91646e1776",
+    "waring-n3/profile.csv": "213ac614b89492a12d04f9e5075f0470d98920e589be91f69c7b724a1b562903",
+    "waring-n3/report.jsonl": "6f6fe426c14b2d8a74001b56b86af620e8dcd08d0ed26b732761163714df2f40",
 }
 
 
