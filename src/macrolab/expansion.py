@@ -3,8 +3,8 @@
 The expansion value f(s) is the largest radius r such that every word of
 primitive length <= r can be written with at most s generators-plus-macros.
 Exact values come from lattice reachability (abelian) or a forward DP over
-the match states of the macro set's Aho-Corasick automaton (finite free
-macro sets), whose word budget counts (match state, letter) transitions.
+the match states of the macro set's trie (finite free macro sets), whose
+word budget counts (match state, letter) transitions.
 When every abelian macro lies on one axis, as in the place, Waring and
 double-log families, one 1-D lattice per axis and a (min, +) convolution
 over token counts replace the n-D lattice.
@@ -188,9 +188,12 @@ def _match_state_worsts(M: MacroSet, budget: int):
     state over all words of length i is exact, and the largest over a layer
     is the worst g' at that length.  Raises SphereBudgetError once the
     (match state, letter) transitions would exceed `budget`.
+
+    Only trie edges extend a match, so the macro set's trie is all this
+    reads; it never pays for completing the automaton's failure links.
     """
     n = M.monoid.n
-    goto, depth, name, _ = M.automaton()
+    goto, depth, name, _ = M.trie()
     continues: dict[int, bool] = {}  # state -> is it a proper prefix of a longer macro?
     layer = {(): 0}  # match state -> largest dp reaching it
     spent = 0

@@ -8,6 +8,7 @@ with membership decided per word (periodicity test plus a seeded hash).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,25 +165,22 @@ class LazyFreeMacroSet:
 
 def _lex_words(length: int, count: int, n: int) -> list[tuple[int, ...]]:
     """The `count` lexicographically smallest length-`length` words on n letters."""
-    out: list[tuple[int, ...]] = []
-    word = [0] * length
-    for _ in range(count):
-        out.append(tuple(word))
-        # increment base-n counter; stop at the top word
-        i = length - 1
-        while i >= 0 and word[i] == n - 1:
-            word[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        word[i] += 1
-    return out
+    return list(itertools.islice(itertools.product(range(n), repeat=length), count))
 
 
 def _sampled_words(length: int, count: int, n: int, rng) -> list[tuple[int, ...]]:
-    """count distinct seeded-random words of the given length."""
+    """count distinct seeded-random words of the given length, in lex order.
+
+    Each word is one code in [0, n**length) while that range fits numpy's
+    int64 draws; past 2**63 words it is drawn letter by letter instead,
+    repeats rejected."""
     total = n**length
     count = min(count, total)
+    if total > 2**63:
+        drawn: set[tuple[int, ...]] = set()
+        while len(drawn) < count:
+            drawn.add(tuple(rng.integers(0, n, size=length).tolist()))
+        return sorted(drawn)
     chosen: set[int] = set()
     while len(chosen) < count:
         chosen.add(int(rng.integers(0, total)))
@@ -194,6 +192,41 @@ def _sampled_words(length: int, count: int, n: int, rng) -> list[tuple[int, ...]
             code //= n
         out.append(tuple(reversed(letters)))
     return out
+
+
+# _free_macros fills the slots of words and macros it has checked in bulk.
+_blank = object.__new__
+_set_monoid, _set_data = (Word.__dict__[f].__set__ for f in ("monoid", "data"))
+_set_name, _set_definition = (Macro.__dict__[f].__set__ for f in ("name", "definition"))
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _free_macros(monoid: MonoidKind, words: list[tuple[int, ...]]) -> list[Macro]:
+    """Macros "w" + the letters' digits (separated by "_" past 10 letters)
+    for generated free words, checked in bulk.
+
+    When every letter lies in [0, n) and every word has at least two, the
+    checks of `Word` and `Macro` cannot fail, so their slots are filled
+    directly; otherwise the checked constructors raise their usual errors.
+    """
+    n = monoid.n
+    sep = "_" if n > 10 else ""  # past 10 letters "w010" could be (0, 10) or (0, 1, 0)
+    letters = set().union(*words)
+    if words and (min(map(len, words)) < 2 or min(letters) < 0 or max(letters) >= n):
+        return [Macro("w" + sep.join(map(str, w)), Word(monoid, w)) for w in words]
+    if sep:
+        names = ["w" + sep.join(map(str, w)) for w in words]
+    else:
+        names = ["w" + bytes(w).translate(_DIGITS).decode() for w in words]
+    macros = []
+    for name, w in zip(names, words):
+        word, macro = _blank(Word), _blank(Macro)
+        _set_monoid(word, monoid)
+        _set_data(word, w)
+        _set_name(macro, name)
+        _set_definition(macro, word)
+        macros.append(macro)
+    return macros
 
 
 def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
@@ -246,20 +279,16 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
             rng = numpy.random.Generator(
                 numpy.random.PCG64(numpy.random.SeedSequence(spec.seed))
             )
-        digit = [str(a) for a in range(n)].__getitem__
-        sep = "_" if n > 10 else ""  # past 10 letters "w010" could be (0, 10) or (0, 1, 0)
-        macros = []
+        words = []
         for length in range(2, spec.r_max + 1):
             count = int(spec.c * length**spec.p)
             if count <= 0:
                 continue
             if spec.sampler == "lex":
-                words = _lex_words(length, count, n)
+                words += _lex_words(length, count, n)
             else:
-                words = _sampled_words(length, count, n, rng)
-            for w in words:
-                macros.append(Macro("w" + sep.join(map(digit, w)), Word(spec.monoid, w)))
-        return MacroSet(spec.monoid, macros)
+                words += _sampled_words(length, count, n, rng)
+        return MacroSet(spec.monoid, _free_macros(spec.monoid, words))
 
     assert spec.regime == "prob_free"
     return LazyFreeMacroSet(spec.monoid, spec.big_b, spec.big_c, spec.seed)

@@ -47,7 +47,7 @@ def free(n: int) -> MonoidKind:
     return MonoidKind(Kind.FREE, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A monoid element: multiplicities if abelian, letters if free."""
 
@@ -107,7 +107,7 @@ def ball_size(monoid: MonoidKind, r: int) -> int:
     return (n ** (r + 1) - 1) // (n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Macro:
     """A named shorthand for a word of primitive length at least 2."""
 
@@ -122,27 +122,41 @@ class Macro:
             )
 
 
+def _reject(monoid: MonoidKind, macros: tuple[Macro, ...]) -> None:
+    """Raise for the first macro that lives in another monoid or repeats a
+    name or a definition, as `MacroSet` reads them in order."""
+    seen_names: set[str] = set()
+    seen_defs: set[tuple[int, ...]] = set()
+    for m in macros:
+        if m.definition.monoid != monoid:
+            raise ValueError(f"macro {m.name!r} lives in a different monoid")
+        if m.name in seen_names:
+            raise ValueError(f"duplicate macro name {m.name!r}")
+        if m.definition.data in seen_defs:
+            raise ValueError(f"duplicate macro definition for {m.name!r}")
+        seen_names.add(m.name)
+        seen_defs.add(m.definition.data)
+
+
 class MacroSet:
-    """An ordered collection of macros over one ambient monoid."""
+    """An ordered collection of macros over one ambient monoid.
+
+    Its name and definition indexes are built first; only when one of them
+    came out short, or some macro lives in another monoid, are the macros
+    read again one by one to name the first offender."""
 
     def __init__(self, monoid: MonoidKind, macros: list[Macro] | tuple[Macro, ...] = ()):
         self.monoid = monoid
         self.macros = tuple(macros)
-        seen_names: set[str] = set()
-        seen_defs: set[tuple[int, ...]] = set()
-        for m in self.macros:
-            if m.definition.monoid != monoid:
-                raise ValueError(f"macro {m.name!r} lives in a different monoid")
-            if m.name in seen_names:
-                raise ValueError(f"duplicate macro name {m.name!r}")
-            if m.definition.data in seen_defs:
-                raise ValueError(f"duplicate macro definition for {m.name!r}")
-            seen_names.add(m.name)
-            seen_defs.add(m.definition.data)
         self._by_name = {m.name: m for m in self.macros}
         self._by_def = {m.definition.data: m for m in self.macros}
+        if (len(self._by_name) < len(self.macros) or len(self._by_def) < len(self.macros)
+                or any(m.definition.monoid is not monoid and m.definition.monoid != monoid
+                       for m in self.macros)):
+            _reject(monoid, self.macros)
         self._automaton: Automaton | None = None
-        self._depths: dict[int, dict[str, int]] = {}  # lattice budget -> macro depths
+        # lattice budget -> macro depths; a free set's depths need no budget, key None
+        self._depths: dict[int | None, dict[str, int]] = {}
 
     def __len__(self) -> int:
         return len(self.macros)
@@ -165,13 +179,18 @@ class MacroSet:
     def with_macro(self, m: Macro) -> MacroSet:
         return MacroSet(self.monoid, self.macros + (m,))
 
-    def automaton(self) -> Automaton:
-        """Aho-Corasick automaton over the free-monoid definitions, built once."""
+    def trie(self) -> Automaton:
+        """The trie of the free-monoid definitions, built once; `automaton`
+        completes this same table in place."""
         if self.monoid.is_abelian:
             raise ValueError("automata index free-monoid macro sets only")
         if self._automaton is None:
-            self._automaton = Automaton.build(self.monoid.n, self.macros)
+            self._automaton = Automaton.trie(self.monoid.n, self.macros)
         return self._automaton
+
+    def automaton(self) -> Automaton:
+        """Aho-Corasick automaton over the free-monoid definitions, completed once."""
+        return self.trie().complete()
 
 
 class Automaton(NamedTuple):
@@ -186,6 +205,12 @@ class Automaton(NamedTuple):
     spells a macro, or 0 if none does.  As `segment_free` reads them, depth,
     name and out are the lengths, names and next links of the matches, and
     `heads` gives the first match ending at each position.
+
+    It is built in two steps.  `trie` numbers the states and sets depth,
+    name and the trie edges of goto (0 where there is none), leaving out
+    empty; that is all a walk along definitions needs.  `complete` then
+    folds the failure links into goto and fills out, in place and only once;
+    `build` does both.
     """
 
     goto: list[int]
@@ -195,34 +220,60 @@ class Automaton(NamedTuple):
 
     @staticmethod
     def build(n: int, macros) -> Automaton:
-        prefixes: dict[tuple[int, ...], str | None] = {(): None}
+        return Automaton.trie(n, macros).complete()
+
+    @staticmethod
+    def trie(n: int, macros) -> Automaton:
+        ids: dict[tuple[int, ...], int] = {(): 0}  # prefix -> state, in order of arrival
+        name: list[str | None] = [None]
+        depth = [0]
+        up = [0]  # state -> parent state * n + last letter
         for m in macros:
             w = m.definition.data
-            prefixes[w] = m.name
-            for end in range(len(w) - 1, 0, -1):  # longest missing prefix first
-                if w[:end] in prefixes:
-                    break  # and so are all shorter ones
-                prefixes[w[:end]] = None
-        order = sorted(prefixes, key=len)
-        index = {p: s for s, p in enumerate(order)}
+            end = len(w)
+            s = ids.setdefault(w, len(name))
+            if s < len(name):  # already a prefix of an earlier definition
+                name[s] = m.name
+                continue
+            name.append(m.name)
+            depth.append(end)
+            while True:  # the missing prefixes, longest first, down to one that is there
+                end -= 1
+                t = ids.setdefault(w[:end], len(name))
+                up.append(t * n + w[end])
+                if t < len(name):
+                    break
+                name.append(None)
+                depth.append(end)
+        del ids  # before the renumbering allocates its own tables
+        order = sorted(range(len(name)), key=depth.__getitem__)  # stable: shortest first
+        rank = [0] * len(order)
+        for s, old in enumerate(order):
+            rank[old] = s
         goto = [0] * (len(order) * n)
-        for s, p in enumerate(order[1:], 1):
-            goto[index[p[:-1]] * n + p[-1]] = s
-        del index
-        name = [prefixes[p] for p in order]
-        fail = [0] * len(order)
-        out = [0] * len(order)
-        # Shortest first: the failure state of s is shorter, so its row is complete.
-        for s in range(len(order)):
-            f = fail[s]
-            out[s] = f if name[f] is not None else out[f]
-            for a in range(n):
-                t = goto[s * n + a]
-                if t:  # a trie edge; state 0 is no one's child
-                    fail[t] = goto[f * n + a] if s else 0
-                else:
-                    goto[s * n + a] = goto[f * n + a]
-        return Automaton(goto, [len(p) for p in order], name, out)
+        for old in order[1:]:
+            parent, a = divmod(up[old], n)
+            goto[rank[parent] * n + a] = rank[old]
+        return Automaton(goto, [depth[s] for s in order], [name[s] for s in order], [])
+
+    def complete(self) -> Automaton:
+        """Fold the failure links into goto and fill out, unless done already."""
+        goto, _, name, out = self
+        if not out:
+            n = len(goto) // len(name)
+            fail = [0] * len(name)
+            out += [0] * len(name)
+            # Shortest first: the failure state of s is shorter, so its row is complete.
+            for s in range(len(name)):
+                f = fail[s]
+                out[s] = f if name[f] is not None else out[f]
+                for a in range(n):
+                    t = goto[s * n + a]
+                    if t:  # a trie edge; state 0 is no one's child
+                        fail[t] = goto[f * n + a] if s else 0
+                    else:
+                        goto[s * n + a] = goto[f * n + a]
+        return self
 
     def heads(self, letters: tuple[int, ...]):
         """For i = 1, 2, ..., len(letters): the longest macro spelling a suffix
@@ -487,19 +538,69 @@ def wrapped_length(m: Macro, M: MacroSet, budget: int = DEFAULT_LATTICE_BUDGET) 
 
 
 def _macro_depths(M: MacroSet, budget: int) -> dict[str, int]:
-    """Depth of every macro, in increasing definition length, computed once per budget.
+    """Depth of every macro, in increasing definition length, computed once
+    per budget, or once in all for a free set, whose depths need no budget.
 
     A macro's minimal representation (itself excluded) only ever uses macros
     of strictly smaller length: an equal-length macro would have to equal the
     definition, and definitions are unique.  So increasing-length order makes
-    each depth depend only on already-computed ones.
+    each depth depend only on already-computed ones.  An abelian set runs
+    `_best` per macro; a free set memoises one segmentation per trie prefix
+    (`_free_macro_depths`).
     """
-    if budget not in M._depths:
-        depths: dict[str, int] = {}
-        for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
-            depths[m.name] = 1 + _best(m.definition, M, m.name, depths, budget)[1]
-        M._depths[budget] = depths
-    return M._depths[budget]
+    key = budget if M.monoid.is_abelian else None
+    if key not in M._depths:
+        if key is None:
+            M._depths[key] = _free_macro_depths(M)
+        else:
+            depths: dict[str, int] = {}
+            for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
+                depths[m.name] = 1 + _best(m.definition, M, m.name, depths, budget)[1]
+            M._depths[key] = depths
+    return M._depths[key]
+
+
+def _free_macro_depths(M: MacroSet) -> dict[str, int]:
+    """`_macro_depths` of a free set, segmenting each trie prefix once.
+
+    The definitions are walked through the automaton in (length, name)
+    order, and the segmentation key of `segment_free` is kept for each trie
+    state the first time a walk reaches it.  That key depends only on the
+    prefix: its matches are macros no longer than it, whose depths are known
+    by then, and a macro's own match, the one its depth must exclude, ends
+    only at its last letter.  So each walk segments its new prefixes and its
+    last position alone, and the cost is the matches per trie state rather
+    than per letter of every definition.  Keys carry the width len(M) + 1,
+    past any depth of the finished table.
+    """
+    goto, length, name, nxt = M.automaton()
+    n, width = M.monoid.n, len(M) + 1
+    memo = [-1] * len(length)  # trie state -> key of its prefix, once known
+    memo[0] = 0
+    depths: dict[str, int] = {}
+    for m in sorted(M, key=lambda m: (len(m.definition.data), m.name)):
+        letters = m.definition.data
+        key = [0]
+        s = 0
+        for i, a in enumerate(letters, 1):
+            s = goto[s * n + a]  # the definition's prefixes are states
+            best = memo[s]
+            if best < 0:
+                best = key[-1] + width
+                # at the last letter s is m itself, which its own depth excludes
+                t = nxt[s] if i == len(letters) or name[s] is None else s
+                while t:
+                    c = key[i - length[t]] + width
+                    if c < best:
+                        c += max(depths[name[t]] - c % width, 0)
+                        if c < best:
+                            best = c
+                    t = nxt[t]
+                if i < len(letters):
+                    memo[s] = best
+            key.append(best)
+        depths[m.name] = 1 + key[-1] % width
+    return depths
 
 
 def monoid_depth(

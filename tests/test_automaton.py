@@ -5,13 +5,22 @@ every start of the word, feeding a forward (push) DP that relaxes each match
 from its start.  Hypothesis draws small free macro sets in which some macros
 are proper suffixes or infixes of others, so that output links chain, and
 words built partly from macro definitions, so that matches overlap; every
-length, wrapped length and depth must equal the oracle's.
+length, wrapped length and depth must equal the oracle's.  Macro depths,
+which are segmented once per trie prefix, are also checked on definitions
+of up to 12 letters grown from a few shared stems and on polynomial
+families, and the trie that profiles read is checked against the completed
+automaton.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from macrolab import monoid
+from macrolab.expansion import expansion_profile
+from macrolab.families import FamilySpec, build_macro_family
 from macrolab.monoid import (
     DEFAULT_LATTICE_BUDGET,
+    Automaton,
     Macro,
     MacroSet,
     Word,
@@ -121,6 +130,22 @@ def chained_cases(draw):
     return n, defs, word, exclude
 
 
+@st.composite
+def stemmed_cases(draw):
+    """(n, definitions): definitions of length 2..12 on n letters, each one
+    of up to three shared stems plus a tail, and some prefixes of those, so
+    that long trie prefixes are shared and some of them are macros too."""
+    n = draw(st.integers(1, 3))
+    letter = st.integers(0, n - 1)
+    stems = draw(st.lists(st.lists(letter, max_size=10).map(tuple), min_size=1, max_size=3))
+    grown = st.tuples(st.sampled_from(stems), st.lists(letter, max_size=6).map(tuple),
+                      st.integers(2, 12))
+    defs = [(stem + tail)[:cut] for stem, tail, cut in draw(st.lists(grown, min_size=1,
+                                                                     max_size=10))]
+    defs = [d for d in dict.fromkeys(defs) if len(d) >= 2]
+    return n, defs or [(0, 0)]
+
+
 def macro_set(n: int, defs) -> MacroSet:
     return MacroSet(free(n), [Macro(f"m{i}", Word(free(n), d)) for i, d in enumerate(defs)])
 
@@ -168,6 +193,58 @@ def test_automaton_tables_follow_their_definition(case):
             word = p + (a,)
             longest = next(word[k:] for k in range(len(word) + 1) if word[k:] in prefixes)
             assert goto[s * n + a] == state[longest]
+
+
+@settings(deadline=None, max_examples=200)
+@given(stemmed_cases())
+def test_depths_on_shared_stems_match_the_oracle(case):
+    n, defs = case
+    M = macro_set(n, defs)
+    assert _macro_depths(M, DEFAULT_LATTICE_BUDGET) == oracle_macro_depths(M)
+    assert [monoid_depth(m, M) for m in M] == [oracle_depth(m.definition.data, M) for m in M]
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec.poly_density_free(1, 1, 2, 30),
+    FamilySpec.poly_density_free(1, 2, 3, 10),
+    FamilySpec.poly_density_free(2, 1, 2, 16, seed=7, sampler="random"),
+], ids=["lex-1-1-2-30", "lex-1-2-3-10", "random-2-1-2-16"])
+def test_depths_of_poly_families_match_the_oracle(spec):
+    M = build_macro_family(spec)
+    assert _macro_depths(M, DEFAULT_LATTICE_BUDGET) == oracle_macro_depths(M)
+
+
+def test_free_depths_need_no_budget_and_are_computed_once(monkeypatch):
+    M = build_macro_family(FamilySpec.poly_density_free(1, 1, 2, 12))
+    calls = []
+    real = monoid._free_macro_depths
+    monkeypatch.setattr(monoid, "_free_macro_depths", lambda M: calls.append(M) or real(M))
+    word = (0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0)
+    w = Word(M.monoid, word)
+    assert monoid_depth(w, M) == monoid_depth(w, M, budget=1) == oracle_depth(word, M)
+    assert [monoid_depth(m, M, budget=1) for m in M] == [monoid_depth(m, M) for m in M]
+    assert calls == [M]
+
+
+@settings(deadline=None, max_examples=100)
+@given(chained_cases())
+def test_trie_edges_are_the_depth_increasing_edges_of_the_automaton(case):
+    n, defs, _, _ = case
+    macros = macro_set(n, defs).macros
+    trie, full = Automaton.trie(n, macros), Automaton.build(n, macros)
+    assert trie.out == [] and len(full.out) == len(full.depth)
+    assert (trie.depth, trie.name) == (full.depth, full.name)
+    goto, depth = full.goto, full.depth
+    assert trie.goto == [t if depth[t] == depth[i // n] + 1 else 0 for i, t in enumerate(goto)]
+
+
+def test_a_profile_leaves_the_failure_links_uncompleted():
+    M = build_macro_family(FamilySpec.poly_density_free(1, 2, 3, 12))
+    expansion_profile(M, [1, 2, 3], 12)
+    trie = M.trie()
+    assert trie.out == []  # the profile read trie edges alone
+    assert M.automaton() is trie and len(trie.out) == len(trie.depth)  # completed in place
+    assert M.trie() is trie and Automaton.build(3, M.macros) == trie
 
 
 def test_matches_behind_a_longer_prefix_come_through_output_links():

@@ -186,6 +186,23 @@ def test_poly_free_past_ten_letters_names_every_macro_apart(tmp_path):
     assert [r["value"] for r in read_csv(tmp_path / "profile.csv")] == ["1", "2"]
 
 
+def test_random_poly_sampler_draws_past_int64_word_spaces(tmp_path):
+    # 3**40 words of length 40 once overflowed numpy's int64 code draws.
+    from macrolab.families import FamilySpec, build_macro_family
+
+    n, r_max = 3, 40
+    args = ["sim", "--regime", "poly-free", "--sampler", "random", "--c", "1", "--p", "2",
+            "--n", str(n), "--s", "1:3", "--r-max", str(r_max), "--seed", "1"]
+    for run in ("a", "b"):
+        assert main([*args, "--out", str(tmp_path / run)]) == EXIT_OK
+    for name in ("profile.csv", "bounds.csv", "report.jsonl"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    M = build_macro_family(FamilySpec.poly_density_free(1, 2, n, r_max, seed=1,
+                                                        sampler="random"))
+    per_length = Counter(len(m.definition.data) for m in M)
+    assert per_length == {length: min(length**2, n**length) for length in range(2, r_max + 1)}
+
+
 def test_sim_without_regime_is_an_input_error(tmp_path):
     assert main(["sim", "--s", "3", "--out", str(tmp_path)]) == EXIT_INPUT
 

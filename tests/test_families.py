@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from macrolab.families import (
     FamilySpec,
     LazyFreeMacroSet,
+    _free_macros,
     build_macro_family,
     minimal_period,
     prefix_periods,
@@ -130,6 +132,16 @@ def test_poly_family_random_names_spell_each_letter(n, r_max):
     M = build_macro_family(spec)
     assert len(M) == sum(min(12 * length, n**length) for length in range(2, r_max + 1))
     assert all(m.name == poly_name(m.definition.data, n) for m in M)
+
+
+@pytest.mark.parametrize("words, message", [
+    ([(0, 1), (0, 2)], "letters must lie in [0, 2)"),
+    ([(0, 1), (1, -1)], "letters must lie in [0, 2)"),
+    ([(0, 1), (1,), (0, 2)], "macro 'w1' has length 1; a length-1 macro duplicates a primitive"),
+])
+def test_generated_words_failing_the_bulk_check_raise_the_usual_errors(words, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _free_macros(free(2), words)
 
 
 def test_family_constructor_validation():

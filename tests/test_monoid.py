@@ -6,6 +6,7 @@ dynamic programs as the library.
 """
 
 import math
+import re
 from functools import cache
 from itertools import product
 
@@ -145,6 +146,37 @@ def test_word_rejects_out_of_range_letters():
 def test_out_of_range_letter_error_names_the_alphabet(letters):
     with pytest.raises(ValueError, match=r"^letters must lie in \[0, 2\)$"):
         Word.from_letters(letters, n=2)
+
+
+def free_macro(name, letters, n=2):
+    return Macro(name, Word(free(n), letters))
+
+
+@pytest.mark.parametrize("macros, message", [
+    ([free_macro("a", (0, 1)), free_macro("a", (1, 1))], "duplicate macro name 'a'"),
+    ([free_macro("a", (0, 1)), free_macro("b", (0, 1))], "duplicate macro definition for 'b'"),
+    ([free_macro("a", (0, 1)), free_macro("b", (0, 1), n=3)], "macro 'b' lives in a different monoid"),
+    # the first offender in order is named, whichever check it fails
+    ([free_macro("a", (0, 1)), free_macro("a", (0, 1), n=3), free_macro("b", (0, 1))],
+     "macro 'a' lives in a different monoid"),
+    ([free_macro("a", (0, 1)), free_macro("b", (0, 1)), free_macro("a", (1, 1))],
+     "duplicate macro definition for 'b'"),
+])
+def test_macro_set_names_the_first_offending_macro(macros, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MacroSet(free(2), macros)
+
+
+@pytest.mark.parametrize("letters", [(1,), (0,), ()])
+def test_short_macro_error_message(letters):
+    message = f"macro 'x' has length {len(letters)}; a length-1 macro duplicates a primitive"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        free_macro("x", letters)
+
+
+def test_words_and_macros_have_no_instance_dict():
+    m = free_macro("a", (0, 1))
+    assert not hasattr(m, "__dict__") and not hasattr(m.definition, "__dict__")
 
 
 def test_negative_multiplicity_error_message():
