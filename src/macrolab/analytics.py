@@ -22,14 +22,15 @@ from .corpus import DepGraph
 class CondensedGraph:
     """Acyclic condensation: supernode -> sorted member names, summed edges.
 
-    ``comp_of[v]`` is the supernode of the graph's element ``v`` (-1 once it
-    is inlined away) and ``names`` the graph's sorted names; ``node_of``, the
-    same map keyed by name, is built from them on first use.
+    Supernode numbers are a dependency order: every edge i -> j has j < i, so
+    a loop over ``range(len(cg))`` meets each dependency before its
+    dependents.  ``comp_of[v]`` is the supernode of the graph's element ``v``
+    (-1 once it is inlined away) and ``names`` the graph's sorted names;
+    ``node_of``, the same map keyed by name, is built from them on first use.
     """
 
     members: list[tuple[str, ...]]
     edges: list[dict[int, int]]
-    topo: list[int]  # dependents before dependencies
     kinds: list[tuple[str, ...]]
     names: list[str]
     comp_of: list[int]
@@ -65,7 +66,8 @@ class CondensedGraph:
 def condense_scc(graph: DepGraph) -> CondensedGraph:
     """Collapse strongly connected components; inter-component weights are
     summed and self-loops dropped.  Iterative Tarjan (1972) over the graph's
-    CSR rows, safe on deep graphs."""
+    CSR rows, safe on deep graphs; a component is numbered only after every
+    component it reaches, which makes the numbering a dependency order."""
     off, dst, ref_w = graph.off, graph.dst, graph.ref_w
     n = len(graph)
     UNSEEN = -1
@@ -113,12 +115,10 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
                     if low[v] < low[parent]:
                         low[parent] = low[v]
 
-    # Tarjan pops dependencies first, so pop order reversed puts dependents first.
-    n_comp = len(comp_members)
     names, kinds = graph.sorted_names, graph.kinds
     members = [tuple(names[u] for u in sorted(ms)) for ms in comp_members]
     comp_kinds = [tuple(sorted({kinds[u] for u in ms})) for ms in comp_members]
-    edges: list[dict[int, int]] = [{} for _ in range(n_comp)]
+    edges: list[dict[int, int]] = [{} for _ in comp_members]
     for v in range(n):
         cv = comp[v]
         adj = edges[cv]
@@ -126,15 +126,14 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
             cw = comp[dst[e]]
             if cw != cv:
                 adj[cw] = adj.get(cw, 0) + ref_w[e]
-    topo = list(range(n_comp - 1, -1, -1))
-    return CondensedGraph(members, edges, topo, comp_kinds, names, comp)
+    return CondensedGraph(members, edges, comp_kinds, names, comp)
 
 
 def unwrapped_lengths(cg: CondensedGraph) -> dict[str, int]:
     """Exact fully-expanded length per element: sinks count 1, otherwise the
     weighted sum over dependencies."""
     value = [0] * len(cg)
-    for i in reversed(cg.topo):  # dependencies before dependents
+    for i in range(len(cg)):
         if not cg.edges[i]:
             value[i] = 1
         else:
@@ -145,7 +144,7 @@ def unwrapped_lengths(cg: CondensedGraph) -> dict[str, int]:
 def depths(cg: CondensedGraph) -> dict[str, int]:
     """Longest edge-path length down to a sink; sinks sit at depth 0."""
     depth = [0] * len(cg)
-    for i in reversed(cg.topo):
+    for i in range(len(cg)):
         if cg.edges[i]:
             depth[i] = 1 + max(depth[j] for j in cg.edges[i])
     return cg.per_element(depth)
@@ -236,16 +235,16 @@ class HistogramBin:
     count: int
 
 
-def histogram(values, bin_width: float, origin: float = 0.0) -> list[HistogramBin]:
-    """Fixed-width bins [lo, lo+width); total count equals len(values)."""
+def histogram(values, bin_width: float) -> list[HistogramBin]:
+    """Fixed-width bins [lo, lo+width) aligned on 0; total count equals len(values)."""
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     counts: dict[int, int] = {}
     for v in values:
-        idx = math.floor((v - origin) / bin_width)
+        idx = math.floor(v / bin_width)
         counts[idx] = counts.get(idx, 0) + 1
     return [
-        HistogramBin(origin + i * bin_width, origin + (i + 1) * bin_width, counts[i])
+        HistogramBin(i * bin_width, (i + 1) * bin_width, counts[i])
         for i in sorted(counts)
     ]
 
@@ -288,7 +287,12 @@ class SlopeFit:
 
 
 def slope_fit(curve: MedianCurve, x_range: tuple[float, float] | None = None) -> SlopeFit:
-    """Ordinary least squares over the curve, optionally restricted to an x window."""
+    """Ordinary least squares over the curve, optionally restricted to an x window.
+
+    Slope and intercept come from the classifier's ``_ols`` and r^2 is
+    ``1 - _lack_of_fit``; fewer than 3 points or zero x variance is
+    degenerate.
+    """
     pairs = list(zip(curve.xs, curve.medians))
     if x_range is not None:
         lo, hi = x_range
@@ -298,16 +302,10 @@ def slope_fit(curve: MedianCurve, x_range: tuple[float, float] | None = None) ->
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     mx = fmean(xs)
-    my = fmean(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    if sxx == 0:
+    if sum((x - mx) ** 2 for x in xs) == 0:
         raise DegenerateFitError("x variance is zero")
-    sxy = sum((x - mx) * (y - my) for x, y in pairs)
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in pairs)
-    ss_tot = sum((y - my) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    slope, intercept = _ols(xs, ys)
+    r2 = 1.0 - _lack_of_fit(xs, ys)
     return SlopeFit(slope, intercept, r2, min(xs), max(xs), len(pairs))
 
 
@@ -468,45 +466,35 @@ def inline_nodes(cg: CondensedGraph, remove: set[int]) -> CondensedGraph:
     removed node's outgoing edges with multiplied weights.
 
     Path weights into surviving nodes are preserved exactly, so unwrapped
-    lengths never change; sinks cannot be removed.
+    lengths never change; sinks cannot be removed.  One pass in dependency
+    order merges each node's row in the new numbering: a kept node's row is
+    its edge dict, a removed node's row its expansion, which its dependents
+    read later.  Kept nodes keep their relative order, so the result is
+    numbered in dependency order too.
     """
     for i in remove:
         if cg.is_sink(i):
             raise ValueError(f"cannot remove sink element {cg.label(i)!r}")
 
-    # dependencies first, so a removed node's expansion is ready before use
-    expanded: dict[int, dict[int, int]] = {}
-    for i in reversed(cg.topo):
-        if i not in remove:
-            continue
-        new_out: dict[int, int] = {}
-        for j, w in cg.edges[i].items():
-            if j in remove:
-                for t, wt in expanded[j].items():
-                    new_out[t] = new_out.get(t, 0) + w * wt
-            else:
-                new_out[j] = new_out.get(j, 0) + w
-        expanded[i] = new_out
-
     keep = [i for i in range(len(cg)) if i not in remove]
     new_index = [-1] * len(cg)
     for new, old in enumerate(keep):
         new_index[old] = new
-    members = [cg.members[i] for i in keep]
-    kinds = [cg.kinds[i] for i in keep]
-    edges: list[dict[int, int]] = []
-    for i in keep:
+    rows: list[dict[int, int]] = []
+    for i in range(len(cg)):
         adj: dict[int, int] = {}
         for j, w in cg.edges[i].items():
             if j in remove:
-                for t, wt in expanded[j].items():
-                    adj[new_index[t]] = adj.get(new_index[t], 0) + w * wt
+                for t, wt in rows[j].items():
+                    adj[t] = adj.get(t, 0) + w * wt
             else:
                 adj[new_index[j]] = adj.get(new_index[j], 0) + w
-        edges.append(adj)
+        rows.append(adj)
+    members = [cg.members[i] for i in keep]
+    kinds = [cg.kinds[i] for i in keep]
+    edges = [rows[i] for i in keep]
     comp_of = [new_index[c] if c >= 0 else -1 for c in cg.comp_of]
-    topo = [new_index[i] for i in cg.topo if new_index[i] >= 0]
-    return CondensedGraph(members, edges, topo, kinds, cg.names, comp_of)
+    return CondensedGraph(members, edges, kinds, cg.names, comp_of)
 
 
 def filter_macro_set(cg: CondensedGraph, policy: FilterPolicy) -> CondensedGraph:

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from itertools import chain
-from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from .monoid import (
@@ -131,17 +130,9 @@ def _merge(args: argparse.Namespace) -> dict:
     return out
 
 
-def _bool_cell(v):
-    return ("true" if v else "false") if type(v) is bool else v
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """One formatter per column: csv.writer itself writes None as "" and any
-    other value with str(), which for a float is its repr; a column holding a
-    bool gets `_bool_cell`, which spells it true or false."""
-    cols = [c for c in range(len(header)) if bool in map(type, map(itemgetter(c), rows))]
-    if cols:
-        rows = [[_bool_cell(v) if c in cols else v for c, v in enumerate(row)] for row in rows]
+    """Cells as given: csv.writer writes None as "" and any other value with
+    str(), which for a float is its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -214,7 +205,7 @@ def _family_spec(opts: dict) -> families.FamilySpec:
 def _bound_rows(report: expansion.BoundReport) -> list[list]:
     return [[report.regime, report.params, row.s, row.lower,
              "exact" if row.measured.exact else "at_least", row.measured.value,
-             row.upper, row.passed, row.note] for row in report.rows]
+             row.upper, "true" if row.passed else "false", row.note] for row in report.rows]
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -352,7 +343,7 @@ def _wrapped_of(m: analytics.NodeMetrics, metric: str) -> int | None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analytics
-    from .corpus import load_graph
+    from .corpus import load_graph, normalize_kind
 
     opts = _merge(args)
     graph = load_graph(opts["graph"])
@@ -360,8 +351,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise InputError("graph has no elements")
     cg = analytics.condense_scc(graph)
     if opts["filter_kinds"]:
-        cg = analytics.filter_macro_set(
-            cg, analytics.FilterPolicy("kind", kinds=frozenset(opts["filter_kinds"])))
+        kinds = frozenset(map(normalize_kind, opts["filter_kinds"]))
+        cg = analytics.filter_macro_set(cg, analytics.FilterPolicy("kind", kinds=kinds))
     if opts["filter_percentile"] is not None:
         cg = analytics.filter_macro_set(
             cg, analytics.FilterPolicy("indegree_percentile",
@@ -378,22 +369,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if opts["full_unwrapped"]:
         header.append("unwrapped")
     rows = []
-    for name in sorted(metrics):
-        m = metrics[name]
+    pairs = []  # (depth, wrapped, log2 unwrapped) of each element with a wrapped size
+    for m in metrics.values():  # in name order
         row = [m.name, m.kind, m.wrapped_tokens, m.wrapped_refs,
                m.log2_unwrapped, len(str(m.unwrapped)), m.depth]
         if opts["full_unwrapped"]:
             row.append(m.unwrapped)
         rows.append(row)
-    _write_csv(os.path.join(out, "metrics.csv"), header, rows)
-
-    pairs = []
-    for name in sorted(metrics):
-        m = metrics[name]
         wrapped = _wrapped_of(m, metric_name)
-        if wrapped is None:
-            continue
-        pairs.append((m.depth, wrapped, m.log2_unwrapped))
+        if wrapped is not None:
+            pairs.append((m.depth, wrapped, m.log2_unwrapped))
+    _write_csv(os.path.join(out, "metrics.csv"), header, rows)
 
     def _hist(values, width, path):
         bins = analytics.histogram(values, width)
@@ -412,19 +398,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "wrapped_vs_depth": analytics.median_curve((d, w) for d, w, _ in pairs),
         "log2_unwrapped_vs_wrapped": analytics.median_curve((w, u) for _, w, u in pairs),
     }
+    scopes = [("full", None)]
+    if opts["fit_lo"] is not None or opts["fit_hi"] is not None:
+        lo = opts["fit_lo"] if opts["fit_lo"] is not None else -math.inf
+        hi = opts["fit_hi"] if opts["fit_hi"] is not None else math.inf
+        scopes.append(("window", (lo, hi)))
     for name, curve in curves.items():
         _write_csv(os.path.join(out, f"curve_{name}.csv"),
                    ["x", "median", "count"],
                    [[x, m, c] for x, m, c in zip(curve.xs, curve.medians, curve.counts)])
-
-    fit_range = None
-    if opts["fit_lo"] is not None or opts["fit_hi"] is not None:
-        fit_range = (opts["fit_lo"] if opts["fit_lo"] is not None else -math.inf,
-                     opts["fit_hi"] if opts["fit_hi"] is not None else math.inf)
-    for name, curve in curves.items():
-        scopes = [("full", None)]
-        if fit_range is not None:
-            scopes.append(("window", fit_range))
         fit_rows = []
         for scope, rng in scopes:
             try:

@@ -166,9 +166,6 @@ class DepGraph:
     def __len__(self) -> int:
         return len(self.sorted_names)
 
-    def names(self) -> list[str]:
-        return list(self.sorted_names)
-
     def refs(self, i: int, weights: list[int]) -> dict[str, int]:
         """Target name -> weight over element i's row, for one weight array."""
         lo, hi = self.off[i], self.off[i + 1]

@@ -487,6 +487,9 @@ def word_str(letters: tuple[int, ...]) -> str:
 
 
 def letters_of_str(s: str) -> tuple[int, ...]:
+    for ch in s:
+        if ch not in _ALPHABET:
+            raise ValueError(f"unknown letter {ch!r}: free-monoid words are spelled with a-z")
     return tuple(_ALPHABET.index(ch) for ch in s)
 
 
@@ -544,11 +547,11 @@ def _greedy_parse(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet, C: f
     return pieces, first, None
 
 
-def sample_words(n: int, length: int, count: int, seed: int, stream: int = 0) -> list[tuple[int, ...]]:
-    """Uniform random words from one counter-derived PCG64 stream."""
+def sample_words(n: int, length: int, count: int, seed: int) -> list[tuple[int, ...]]:
+    """Uniform random words from one counter-derived PCG64 stream, keyed by (0, length)."""
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream, length))))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, length))))
     draws = rng.integers(0, n, size=(count, length))
     return [tuple(row) for row in draws.tolist()]
 

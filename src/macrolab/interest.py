@@ -92,7 +92,6 @@ def _min_max(values: dict[str, float]) -> dict[str, float]:
 def compression_scores(
     splits: dict[str, ElementSplit],
     beta: float = 0.5,
-    floor: float = J0_FLOOR,
 ) -> dict[str, CompressionScores]:
     """T0, I0, and the mixed teleport weight J0 for every element."""
     t0: dict[str, float | None] = {}
@@ -117,7 +116,7 @@ def compression_scores(
     out: dict[str, CompressionScores] = {}
     for name in splits:
         j0 = beta * t0_norm.get(name, 0.0) + (1 - beta) * i0_norm.get(name, 0.0)
-        out[name] = CompressionScores(t0[name], i0[name], max(j0, floor))
+        out[name] = CompressionScores(t0[name], i0[name], max(j0, J0_FLOOR))
     return out
 
 

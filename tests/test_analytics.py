@@ -6,9 +6,13 @@ expected label is forced rather than frozen from a previous run.
 """
 
 import math
+import struct
+from statistics import fmean
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from macrolab.analytics import (
     ClassifyConfig,
@@ -16,6 +20,8 @@ from macrolab.analytics import (
     FilterPolicy,
     LABELS,
     REGIME_TABLE,
+    MedianCurve,
+    SlopeFit,
     classify_relationship,
     condense_scc,
     depths,
@@ -82,10 +88,9 @@ def test_condense_acyclic_graph_is_isomorphic():
 
 def test_condense_topo_puts_dependents_first():
     cg = condense_scc(chain_graph())
-    position = {i: k for k, i in enumerate(cg.topo)}
     for i in range(len(cg)):
         for j in cg.edges[i]:
-            assert position[i] < position[j]
+            assert j < i
 
 
 def test_condense_merges_cycles_and_drops_self_loops():
@@ -263,6 +268,59 @@ def test_slope_fit_rejects_degenerate_inputs():
         slope_fit(median_curve([(0, 0), (1, 1)]))
     with pytest.raises(DegenerateFitError):
         slope_fit(median_curve([(1, 0), (1, 1), (1, 2)]))
+
+
+def oracle_slope_fit(curve, x_range=None):
+    """Least squares written out in full: the reference slope_fit must match bit for bit."""
+    pairs = list(zip(curve.xs, curve.medians))
+    if x_range is not None:
+        lo, hi = x_range
+        pairs = [(x, y) for x, y in pairs if lo <= x <= hi]
+    if len(pairs) < 3:
+        raise DegenerateFitError(f"need at least 3 points, got {len(pairs)}")
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    mx = fmean(xs)
+    my = fmean(ys)
+    sxx = sum((x - mx) ** 2 for x in xs)
+    if sxx == 0:
+        raise DegenerateFitError("x variance is zero")
+    sxy = sum((x - mx) * (y - my) for x, y in pairs)
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in pairs)
+    ss_tot = sum((y - my) ** 2 for y in ys)
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return SlopeFit(slope, intercept, r2, min(xs), max(xs), len(pairs))
+
+
+def fit_outcome(fit, curve, x_range):
+    """A fit's fields as raw float bits, or the DegenerateFitError message."""
+    try:
+        result = fit(curve, x_range)
+    except DegenerateFitError as exc:
+        return "degenerate: " + str(exc)
+    return [struct.pack("<d", v) for v in (result.slope, result.intercept, result.r_squared,
+                                           result.x_lo, result.x_hi)] + [result.points]
+
+
+# Repeated x values and y values that fmean cannot reproduce exactly, next to
+# floats bounded so that no sum overflows: fmean([0.1] * 3) != 0.1, so three
+# x of 0.1 still fit.
+FIT_VALUES = st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 7.0]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(FIT_VALUES, FIT_VALUES), max_size=8),
+       st.none() | st.tuples(FIT_VALUES, FIT_VALUES))
+@example([(0.1, 0.0), (0.1, 1.0), (0.1, 2.0)], None)  # a fit, not zero x variance
+@example([(0.1, 0.1), (0.2, 0.1), (0.3, 0.1)], None)
+@example([(1.0, 5.0), (1.0, 5.0), (1.0, 5.0)], None)
+@example([(0.0, 1.0), (1.0, 2.0)], None)
+@example([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (3.0, 3.0)], (0.5, 2.5))
+def test_slope_fit_matches_the_stand_alone_fit_bit_for_bit(points, x_range):
+    curve = MedianCurve([x for x, _ in points], [y for _, y in points], [1] * len(points))
+    assert fit_outcome(slope_fit, curve, x_range) == fit_outcome(oracle_slope_fit, curve, x_range)
 
 
 # --- curve classification ---

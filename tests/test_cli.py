@@ -111,6 +111,16 @@ def test_sim_finite_free_words(tmp_path):
     assert profile[0]["value"] == "1"
 
 
+def test_sim_free_word_with_an_unknown_letter_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "free"
+    code = main(["sim", "--regime", "finite", "--monoid", "free", "--n", "2",
+                 "--word", "aA", "--s", "1", "--r-max", "4", "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "'A'" in err and "a-z" in err
+    assert not out.exists()
+
+
 def test_sim_budget_exhaustion_exits_three(tmp_path):
     out = tmp_path / "budget"
     code = main([
@@ -632,6 +642,37 @@ def test_analyze_kind_filter(hierarchy_graph, tmp_path):
                  "--filter-kinds", "definition", "--out", str(out)]) == EXIT_OK
     rows = read_csv(out / "metrics.csv")
     assert len(rows) == 31  # sinks always survive kind filters
+
+
+@pytest.fixture
+def mixed_graph(tmp_path):
+    assert main(["synth", "--kind", "mixed", "--nodes", "50", "--seed", "3",
+                 "--out", str(tmp_path / "mixed")]) == EXIT_OK
+    return tmp_path / "mixed" / "graph.jsonl"
+
+
+def test_analyze_kind_filter_reads_lemma_as_theorem(mixed_graph, tmp_path):
+    counts = {}
+    for kind in ("theorem", "lemma"):
+        out = tmp_path / kind
+        assert main(["analyze", "--graph", str(mixed_graph), "--filter-kinds", kind,
+                     "--out", str(out)]) == EXIT_OK
+        counts[kind] = len(read_csv(out / "metrics.csv"))
+    assert counts == {"theorem": 38, "lemma": 38}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_analyze_unknown_filter_kind_is_an_input_error(mixed_graph, tmp_path, capsys, source):
+    argv = ["analyze", "--graph", str(mixed_graph), "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += ["--filter-kinds", "theorem,nonsense"]
+    else:
+        cfg = tmp_path / "analyze.cfg"
+        cfg.write_text("filter_kinds=nonsense\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_INPUT
+    assert "unknown element kind 'nonsense'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_flat_corpus_matches_polynomial_row(tmp_path):

@@ -78,7 +78,7 @@ def test_build_graph_splits_signature_and_body_references():
 
 def test_build_graph_adds_one_sink_per_unknown_name():
     graph = build_graph([worked_element()])
-    assert graph.names() == ["And", "And.right", "Sort", "simple_lemma"]
+    assert graph.sorted_names == ["And", "And.right", "Sort", "simple_lemma"]
     for name in ("And", "And.right", "Sort"):
         sink = graph.nodes[name]
         assert sink.kind == "synthetic"

@@ -34,7 +34,7 @@ def transition_probability(v, u, graph, j0, params=RankParams()):
 def dense_transition_matrix(graph, j0, params=RankParams()):
     """Full column-stochastic matrix P[v, u], one entry at a time: the
     O(n^2 * degree) oracle that `pagerank` is checked against."""
-    names = graph.names()
+    names = graph.sorted_names
     n = len(names)
     P = np.zeros((n, n), dtype=np.float64)
     for ui, u in enumerate(names):
@@ -190,7 +190,7 @@ def test_sinks_teleport_completely():
     graph = ratio_graph()
     j0 = j0_for(graph)
     z = sum(j0.values())
-    for v in graph.names():
+    for v in graph.sorted_names:
         assert transition_probability(v, "p", graph, j0) == pytest.approx(j0[v] / z)
 
 
@@ -207,15 +207,15 @@ def test_single_edge_column_mixes_walk_and_teleport():
 def test_transition_columns_sum_to_one():
     graph = ratio_graph()
     j0 = j0_for(graph)
-    for u in graph.names():
-        total = sum(transition_probability(v, u, graph, j0) for v in graph.names())
+    for u in graph.sorted_names:
+        total = sum(transition_probability(v, u, graph, j0) for v in graph.sorted_names)
         assert total == pytest.approx(1.0)
 
 
 def test_transition_rejects_non_positive_teleport_total():
     graph = ratio_graph()
     with pytest.raises(ValueError):
-        transition_probability("u", "p", graph, {n: 0.0 for n in graph.names()})
+        transition_probability("u", "p", graph, {n: 0.0 for n in graph.sorted_names})
 
 
 # --- stationary ranking ---
@@ -238,7 +238,7 @@ def test_pagerank_matches_a_direct_linear_solve():
     j0 = j0_for(graph)
     result = pagerank(graph, j0)
     direct = stationary_by_solve(graph, j0)
-    for name in graph.names():
+    for name in graph.sorted_names:
         assert result.pi[name] == pytest.approx(direct[name], abs=1e-9)
 
 
@@ -279,7 +279,7 @@ def test_pagerank_is_invariant_under_teleport_rescaling():
     scaled = {k: 10.0 * v for k, v in j0.items()}
     a = pagerank(graph, j0)
     b = pagerank(graph, scaled)
-    for name in graph.names():
+    for name in graph.sorted_names:
         assert a.pi[name] == pytest.approx(b.pi[name], abs=1e-12)
 
 
@@ -293,7 +293,7 @@ def test_pagerank_error_paths():
     with pytest.raises(ValueError):
         pagerank(DepGraph([]), {})
     with pytest.raises(ValueError):
-        pagerank(graph, {n: 0.0 for n in graph.names()})
+        pagerank(graph, {n: 0.0 for n in graph.sorted_names})
 
 
 def test_rank_params_validation():

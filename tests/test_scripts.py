@@ -37,3 +37,37 @@ def test_hierarchy_pipeline_runs_every_step(tmp_path, capsys):
                        ("ranking", "rank.csv")):
         assert (tmp_path / step / name).is_file()
 
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment: the line still counts
+
+# a comment line
+
+
+def f(a,
+      b):
+    """Function docstring."""
+    total = (a +
+             b)
+    return total
+
+
+class C:
+    \'\'\'Class docstring.\'\'\'
+
+    x = "a string that is no docstring"
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
+    script = load_script("code_lines")
+    # import, the two lines of def f, the two of total, return, class C, x
+    assert script.code_lines(CODE_LINES_SAMPLE) == 8
+    (tmp_path / "a.py").write_text(CODE_LINES_SAMPLE)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert script.run(str(tmp_path)) == 9
+    assert capsys.readouterr().out.splitlines() == ["    8 a.py", "    1 b.py", "    9 total"]
