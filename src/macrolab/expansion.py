@@ -20,7 +20,7 @@ import math
 import string
 from dataclasses import dataclass, field
 
-from .families import FamilySpec, LazyFreeMacroSet, prefix_periods
+from .families import FamilySpec, LazyFreeMacroSet, prefix_periods, seeded_words
 from .monoid import (
     DEFAULT_LATTICE_BUDGET,
     DEFAULT_WORD_BUDGET,
@@ -190,10 +190,12 @@ def _match_state_worsts(M: MacroSet, budget: int):
     (match state, letter) transitions would exceed `budget`.
 
     Only trie edges extend a match, so the macro set's trie is all this
-    reads; it never pays for completing the automaton's failure links.
+    reads; it never pays for completing the automaton's failure links.  At
+    radius r it reads trie states of depth at most r, and the rows of those
+    states, one layer deeper; so it grows the trie to depth r + 1 first and
+    never builds a layer more than one past the radius it stops at.
     """
     n = M.monoid.n
-    goto, depth, name, _ = M.trie()
     continues: dict[int, bool] = {}  # state -> is it a proper prefix of a longer macro?
     layer = {(): 0}  # match state -> largest dp reaching it
     spent = 0
@@ -201,6 +203,7 @@ def _match_state_worsts(M: MacroSet, budget: int):
         spent += len(layer) * n
         if spent > budget:
             raise SphereBudgetError(r - 1, budget)
+        goto, depth, name, _ = M.trie(r + 1)
         nxt: dict[tuple, int] = {}
         for state, here in layer.items():
             for a in range(n):
@@ -449,7 +452,16 @@ def find_halving_macro(
 ) -> tuple[int, int] | None:
     """First (start, length) with start <= k(r), length >= ceil(r/2), and the
     substring a macro; start is 1-based.  Scans starts ascending, lengths
-    descending, so the result is deterministic."""
+    descending, so the result is deterministic.
+
+    A lazy set needs each candidate's minimal period only to ask whether it
+    is at most B ln(e + length), which is at most cap = B ln(e + r).  The
+    minimal period of a prefix never exceeds that of a longer one, so a
+    failure-function pass over the first 2 * cap letters of a start (the
+    window) decides every longer candidate exactly when the window's period
+    is past cap: none of them is log-periodic, and the window's period
+    stands in for theirs.  Only when the window's period is within cap does
+    the pass run over the whole suffix."""
     r = len(letters)
     if r == 0:
         return None
@@ -460,14 +472,23 @@ def find_halving_macro(
     k = math.ceil(C * math.log(math.e + r))
     half = (r + 1) // 2
     lazy = isinstance(M, LazyFreeMacroSet)
+    if lazy:
+        cap = M.big_b * math.log(math.e + r)
+        # the whole word when the window would not be shorter (B infinite or NaN too)
+        window = max(math.ceil(2 * cap), 1) if 2 * cap < r else r
     for start in range(1, min(k, r) + 1):
         lengths = range(r - start + 1, max(half, 2) - 1, -1)
         if lazy and lengths:
-            # one failure-function pass gives the period of every length
-            periods = prefix_periods(letters, start - 1)
+            periods = prefix_periods(letters[start - 1 : start - 1 + window])
+            if periods[-1] <= cap and len(periods) < r - start + 1:
+                periods = prefix_periods(letters, start - 1)
         for length in lengths:
             sub = letters[start - 1 : start - 1 + length]
-            if M.contains_letters(sub, periods[length - 1]) if lazy else M.contains_letters(sub):
+            if lazy:
+                hit = M.contains_letters(sub, periods[min(length, len(periods)) - 1])
+            else:
+                hit = M.contains_letters(sub)
+            if hit:
                 return start, length
     return None
 
@@ -548,12 +569,10 @@ def _greedy_parse(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet, C: f
 
 
 def sample_words(n: int, length: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """Uniform random words from one counter-derived PCG64 stream, keyed by (0, length)."""
-    import numpy as np
-
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0, length))))
-    draws = rng.integers(0, n, size=(count, length))
-    return [tuple(row) for row in draws.tolist()]
+    """The first `count` words of `families.seeded_words(n, length, seed,
+    b"sample_words")`: uniform random words, one blake2b stream per (seed,
+    length)."""
+    return list(itertools.islice(seeded_words(n, length, seed, b"sample_words"), count))
 
 
 @dataclass

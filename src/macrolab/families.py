@@ -3,13 +3,15 @@
 Five regimes materialize explicit macro sets; the probabilistic free-monoid
 regime would need exponentially many macros, so it is represented lazily
 with membership decided per word (periodicity test plus a seeded hash).
+Seeded randomness, that hash and the letter stream of `seeded_words`, is
+blake2b from hashlib, which only those two load.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 from .monoid import Macro, MacroSet, MonoidKind, Word, abelian, free
@@ -78,11 +80,30 @@ class FamilySpec:
     ) -> FamilySpec:
         if c <= 0 or p < 0:
             raise ValueError("polynomial density needs c > 0 and p >= 0")
+        if n < 2:  # one letter has one word per length, and no linear slope d
+            raise ValueError(f"polynomial density needs n >= 2 letters, got n={n}")
         if sampler not in ("lex", "random"):
             raise ValueError(f"unknown sampler {sampler!r}")
         if sampler == "random" and seed is None:
             raise ValueError("random sampler needs a seed")
-        return FamilySpec("poly_free", free(n), r_max, c=c, p=p, seed=seed, sampler=sampler)
+        spec = FamilySpec("poly_free", free(n), r_max, c=c, p=p, seed=seed, sampler=sampler)
+        spec.poly_counts()  # an unlistable count is bad input, found before any build
+        return spec
+
+    def poly_counts(self) -> list[tuple[int, int]]:
+        """(length, int(c * length**p)) for length 2..r_max, the word counts
+        of the polynomial family; a count past sys.maxsize is an error."""
+        counts = []
+        for length in range(2, self.r_max + 1):
+            try:
+                want = self.c * length**self.p
+            except OverflowError:  # past the largest float
+                want = math.inf
+            if want > sys.maxsize:
+                raise ValueError(f"polynomial density asks for {want:.4g} words of length "
+                                 f"{length}, past the {sys.maxsize} a family can list")
+            counts.append((length, int(want)))
+        return counts
 
     @staticmethod
     def probabilistic_free(big_b: float, big_c: float, n: int, r_max: int, seed: int) -> FamilySpec:
@@ -131,10 +152,13 @@ class LazyFreeMacroSet:
     def __init__(self, monoid: MonoidKind, big_b: float, big_c: float, seed: int):
         if monoid.is_abelian:
             raise ValueError("the probabilistic family lives in the free monoid")
+        from hashlib import blake2b
+
         self.monoid = monoid
         self.big_b = big_b
         self.big_c = big_c
         self.seed = seed
+        self._blake2b = blake2b
         self._key = seed.to_bytes(8, "little", signed=False)
 
     @staticmethod
@@ -142,7 +166,7 @@ class LazyFreeMacroSet:
         return 1.0 / math.log(math.e + length)
 
     def _hash_unit(self, letters: tuple[int, ...]) -> float:
-        h = hashlib.blake2b(bytes(letters), key=self._key, digest_size=8)
+        h = self._blake2b(bytes(letters), key=self._key, digest_size=8)
         return int.from_bytes(h.digest(), "little") / 2.0**64
 
     def is_log_periodic(self, letters: tuple[int, ...], period: int | None = None) -> bool:
@@ -168,30 +192,44 @@ def _lex_words(length: int, count: int, n: int) -> list[tuple[int, ...]]:
     return list(itertools.islice(itertools.product(range(n), repeat=length), count))
 
 
-def _sampled_words(length: int, count: int, n: int, rng) -> list[tuple[int, ...]]:
-    """count distinct seeded-random words of the given length, in lex order.
+def seeded_words(n: int, length: int, seed: int, use: bytes):
+    """Endless uniform random words of `length` letters in [0, n), one
+    stream per (seed, use, length), for n <= 256.
 
-    Each word is one code in [0, n**length) while that range fits numpy's
-    int64 draws; past 2**63 words it is drawn letter by letter instead,
-    repeats rejected."""
-    total = n**length
-    count = min(count, total)
-    if total > 2**63:
-        drawn: set[tuple[int, ...]] = set()
-        while len(drawn) < count:
-            drawn.add(tuple(rng.integers(0, n, size=length).tolist()))
-        return sorted(drawn)
-    chosen: set[int] = set()
-    while len(chosen) < count:
-        chosen.add(int(rng.integers(0, total)))
-    out = []
-    for code in sorted(chosen):
-        letters = []
-        for _ in range(length):
-            letters.append(code % n)
-            code //= n
-        out.append(tuple(reversed(letters)))
-    return out
+    The stream is blake2b in counter mode.  Block i = 0, 1, ... is the
+    64-byte digest of length and i, each as 8 little-endian bytes, keyed by
+    the seed as 8 little-endian bytes (the key of the probabilistic
+    family's membership hash) and personalised by `use`, so that each use
+    of one seed reads its own stream.  The blocks' bytes become letters by
+    rejection: a byte b below 256 - 256 % n is the letter b % n, any other
+    is skipped.  The letters, in order, are cut into words.  The stream is
+    defined by this code alone, so it is the same on every Python."""
+    if not 1 <= n <= 256:
+        raise ValueError(f"seeded words spell one letter per byte, so need n <= 256, got n={n}")
+    from hashlib import blake2b
+
+    key = seed.to_bytes(8, "little", signed=False)
+    letters = bytes(b % n for b in range(256))
+    skipped = bytes(range(256 - 256 % n, 256))
+    size = length.to_bytes(8, "little")
+    buf = b""
+    for i in itertools.count():
+        block = blake2b(size + i.to_bytes(8, "little"), key=key, person=use).digest()
+        buf += block.translate(letters, skipped)
+        cut = len(buf) - len(buf) % length
+        yield from (tuple(buf[j:j + length]) for j in range(0, cut, length))
+        buf = buf[cut:]
+
+
+def _sampled_words(length: int, count: int, n: int, seed: int) -> list[tuple[int, ...]]:
+    """count distinct words of the given length, in lex order: the first
+    count distinct words of `seeded_words(n, length, seed, b"poly_free")`."""
+    count = min(count, n**length)
+    drawn: set[tuple[int, ...]] = set()
+    words = seeded_words(n, length, seed, b"poly_free")
+    while len(drawn) < count:
+        drawn.update(itertools.islice(words, count - len(drawn)))
+    return sorted(drawn)
 
 
 # _free_macros fills the slots of words and macros it has checked in bulk.
@@ -272,22 +310,14 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
         return MacroSet(spec.monoid, macros)
 
     if spec.regime == "poly_free":
-        rng = None
-        if spec.sampler == "random":
-            import numpy.random
-
-            rng = numpy.random.Generator(
-                numpy.random.PCG64(numpy.random.SeedSequence(spec.seed))
-            )
         words = []
-        for length in range(2, spec.r_max + 1):
-            count = int(spec.c * length**spec.p)
+        for length, count in spec.poly_counts():
             if count <= 0:
                 continue
             if spec.sampler == "lex":
                 words += _lex_words(length, count, n)
             else:
-                words += _sampled_words(length, count, n, rng)
+                words += _sampled_words(length, count, n, spec.seed)
         return MacroSet(spec.monoid, _free_macros(spec.monoid, words))
 
     assert spec.regime == "prob_free"

@@ -155,6 +155,7 @@ class MacroSet:
                        for m in self.macros)):
             _reject(monoid, self.macros)
         self._automaton: Automaton | None = None
+        self._front: tuple[list, list[int]] = ([], [])  # what `Automaton.grow` reads next
         # lattice budget -> macro depths; a free set's depths need no budget, key None
         self._depths: dict[int | None, dict[str, int]] = {}
 
@@ -179,14 +180,23 @@ class MacroSet:
     def with_macro(self, m: Macro) -> MacroSet:
         return MacroSet(self.monoid, self.macros + (m,))
 
-    def trie(self) -> Automaton:
-        """The trie of the free-monoid definitions, built once; `automaton`
-        completes this same table in place."""
+    def trie(self, depth: int | None = None) -> Automaton:
+        """The trie of the free-monoid definitions, grown in layers until it
+        holds every prefix of length <= `depth` (every prefix when None).
+
+        Each call grows the same table further, one `Automaton.grow` per
+        layer, so a reader that goes one letter deeper at a time pays only
+        for the layers it reaches; `automaton` grows it to the end and then
+        completes it in place."""
         if self.monoid.is_abelian:
             raise ValueError("automata index free-monoid macro sets only")
         if self._automaton is None:
-            self._automaton = Automaton.trie(self.monoid.n, self.macros)
-        return self._automaton
+            self._automaton = Automaton([0] * self.monoid.n, [0], [None], [])
+            self._front = [m.definition.data for m in self.macros], [0] * len(self.macros)
+        a = self._automaton
+        while self._front[0] and (depth is None or a.depth[-1] < depth):
+            self._front = a.grow(*self._front, self._by_def)
+        return a
 
     def automaton(self) -> Automaton:
         """Aho-Corasick automaton over the free-monoid definitions, completed once."""
@@ -197,20 +207,23 @@ class Automaton(NamedTuple):
     """Aho-Corasick automaton of a free-monoid macro set (Aho & Corasick 1975).
 
     States are the prefixes of the macro definitions, numbered shortest
-    first; state 0 is the empty prefix.  All four tables are flat lists:
-    goto[s * n + a] is the state after reading letter a in state s (the
-    longest suffix of that word which is a prefix), so the failure links are
-    folded in; depth[s] is the length of state s; name[s] is the macro state
-    s spells, or None; out[s] is the longest proper suffix state of s that
-    spells a macro, or 0 if none does.  As `segment_free` reads them, depth,
-    name and out are the lengths, names and next links of the matches, and
-    `heads` gives the first match ending at each position.
+    first, and within one length in the order of the first macro that
+    extends them; state 0 is the empty prefix.  All four tables are flat
+    lists: goto[s * n + a] is the state after reading letter a in state s
+    (the longest suffix of that word which is a prefix), so the failure
+    links are folded in; depth[s] is the length of state s; name[s] is the
+    macro state s spells, or None; out[s] is the longest proper suffix state
+    of s that spells a macro, or 0 if none does.  As `segment_free` reads
+    them, depth, name and out are the lengths, names and next links of the
+    matches, and `heads` gives the first match ending at each position.
 
-    It is built in two steps.  `trie` numbers the states and sets depth,
-    name and the trie edges of goto (0 where there is none), leaving out
-    empty; that is all a walk along definitions needs.  `complete` then
-    folds the failure links into goto and fills out, in place and only once;
-    `build` does both.
+    It is built in two steps.  The trie comes first, one layer of states at
+    a time (`grow`): each layer sets depth, name and the trie edges of goto
+    into it (0 where there is none) and leaves out empty.  States never move
+    once numbered, so a walk along definitions can read the trie while it is
+    still growing, as far as it has grown.  `complete` then folds the
+    failure links into goto and fills out, in place and only once, after
+    the last layer; `build` does both.
     """
 
     goto: list[int]
@@ -220,41 +233,35 @@ class Automaton(NamedTuple):
 
     @staticmethod
     def build(n: int, macros) -> Automaton:
-        return Automaton.trie(n, macros).complete()
+        return MacroSet(free(n), macros).automaton()
 
-    @staticmethod
-    def trie(n: int, macros) -> Automaton:
-        ids: dict[tuple[int, ...], int] = {(): 0}  # prefix -> state, in order of arrival
-        name: list[str | None] = [None]
-        depth = [0]
-        up = [0]  # state -> parent state * n + last letter
-        for m in macros:
-            w = m.definition.data
-            end = len(w)
-            s = ids.setdefault(w, len(name))
-            if s < len(name):  # already a prefix of an earlier definition
-                name[s] = m.name
-                continue
-            name.append(m.name)
-            depth.append(end)
-            while True:  # the missing prefixes, longest first, down to one that is there
-                end -= 1
-                t = ids.setdefault(w[:end], len(name))
-                up.append(t * n + w[end])
-                if t < len(name):
-                    break
+    def grow(self, words: list[tuple[int, ...]], states: list[int],
+             owner: dict[tuple[int, ...], Macro]) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Add the next layer of trie states, at depth d one past the deepest.
+
+        `words` are the definitions longer than d - 1, in macro set order,
+        and states[i] is the state spelling the first d - 1 letters of
+        words[i]; `owner` maps each definition to its macro.  Returns the
+        same pair for the definitions longer than d, for the next layer."""
+        goto, depth, name, _ = self
+        n = len(goto) // len(depth)
+        d = depth[-1] + 1
+        row = [0] * n
+        longer, reached = [], []
+        for w, s in zip(words, states):
+            i = s * n + w[d - 1]
+            t = goto[i]
+            if not t:  # a new prefix; the root is no one's child
+                t = goto[i] = len(depth)
+                goto += row
+                depth.append(d)
                 name.append(None)
-                depth.append(end)
-        del ids  # before the renumbering allocates its own tables
-        order = sorted(range(len(name)), key=depth.__getitem__)  # stable: shortest first
-        rank = [0] * len(order)
-        for s, old in enumerate(order):
-            rank[old] = s
-        goto = [0] * (len(order) * n)
-        for old in order[1:]:
-            parent, a = divmod(up[old], n)
-            goto[rank[parent] * n + a] = rank[old]
-        return Automaton(goto, [depth[s] for s in order], [name[s] for s in order], [])
+            if len(w) > d:
+                longer.append(w)
+                reached.append(t)
+            else:
+                name[t] = owner[w].name
+        return longer, reached
 
     def complete(self) -> Automaton:
         """Fold the failure links into goto and fill out, unless done already."""

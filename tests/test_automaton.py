@@ -8,15 +8,18 @@ words built partly from macro definitions, so that matches overlap; every
 length, wrapped length and depth must equal the oracle's.  Macro depths,
 which are segmented once per trie prefix, are also checked on definitions
 of up to 12 letters grown from a few shared stems and on polynomial
-families, and the trie that profiles read is checked against the completed
-automaton.
+families.  The trie that profiles read, grown one layer per radius, is
+checked against the builder that made the whole trie in one go: cut at any
+depth, under the profile DP, and completed after a profile stopped partway.
 """
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from macrolab import monoid
-from macrolab.expansion import expansion_profile
+from macrolab.expansion import SphereBudgetError, _match_state_worsts, expansion_profile
 from macrolab.families import FamilySpec, build_macro_family
 from macrolab.monoid import (
     DEFAULT_LATTICE_BUDGET,
@@ -226,16 +229,107 @@ def test_free_depths_need_no_budget_and_are_computed_once(monkeypatch):
     assert calls == [M]
 
 
+def oracle_trie(n: int, macros) -> Automaton:
+    """The whole trie in one go, as the engine built it before it grew the
+    trie in layers: every prefix is named by a dict, then the states are
+    sorted by length, stably, so that within one length they keep the order
+    in which the first macro extending them arrived."""
+    ids: dict[tuple[int, ...], int] = {(): 0}  # prefix -> state, in order of arrival
+    name: list[str | None] = [None]
+    depth = [0]
+    up = [0]  # state -> parent state * n + last letter
+    for m in macros:
+        w = m.definition.data
+        end = len(w)
+        s = ids.setdefault(w, len(name))
+        if s < len(name):  # already a prefix of an earlier definition
+            name[s] = m.name
+            continue
+        name.append(m.name)
+        depth.append(end)
+        while True:  # the missing prefixes, longest first, down to one that is there
+            end -= 1
+            t = ids.setdefault(w[:end], len(name))
+            up.append(t * n + w[end])
+            if t < len(name):
+                break
+            name.append(None)
+            depth.append(end)
+    order = sorted(range(len(name)), key=depth.__getitem__)
+    rank = [0] * len(order)
+    for s, old in enumerate(order):
+        rank[old] = s
+    goto = [0] * (len(order) * n)
+    for old in order[1:]:
+        parent, a = divmod(up[old], n)
+        goto[rank[parent] * n + a] = rank[old]
+    return Automaton(goto, [depth[s] for s in order], [name[s] for s in order], [])
+
+
 @settings(deadline=None, max_examples=100)
 @given(chained_cases())
 def test_trie_edges_are_the_depth_increasing_edges_of_the_automaton(case):
     n, defs, _, _ = case
     macros = macro_set(n, defs).macros
-    trie, full = Automaton.trie(n, macros), Automaton.build(n, macros)
+    trie, full = oracle_trie(n, macros), Automaton.build(n, macros)
     assert trie.out == [] and len(full.out) == len(full.depth)
     assert (trie.depth, trie.name) == (full.depth, full.name)
     goto, depth = full.goto, full.depth
     assert trie.goto == [t if depth[t] == depth[i // n] + 1 else 0 for i, t in enumerate(goto)]
+    assert trie.complete() == full
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(chained_cases().map(lambda c: c[:2]), stemmed_cases()), st.integers(0, 13))
+def test_a_trie_grown_partway_is_the_full_trie_cut_at_that_depth(case, cut):
+    """Growing to depth `cut` numbers the states of length <= cut as the
+    full builder does; their rows hold the edges among them alone, and
+    growing on to the end gives the full trie."""
+    n, defs = case
+    M = macro_set(n, defs)
+    full = oracle_trie(n, M.macros)
+    grown = M.trie(cut)
+    k = sum(d <= cut for d in full.depth)
+    assert (grown.depth, grown.name, grown.out) == (full.depth[:k], full.name[:k], [])
+    assert grown.goto == [t if t < k else 0 for t in full.goto[:k * n]]
+    assert M.trie() is grown and grown == full
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(chained_cases().map(lambda c: c[:2]), stemmed_cases()),
+       st.lists(st.integers(1, 6), min_size=1, max_size=3), st.integers(1, 14),
+       st.sampled_from([30, 300, 10**7]))
+def test_depth_grown_profiles_match_full_trie_profiles(case, s_values, r_max, budget):
+    """The profile on a trie grown a layer per radius, and its budget error,
+    against the same DP reading the full builder's trie from the start."""
+    n, defs = case
+    grown, full = macro_set(n, defs), macro_set(n, defs)
+    table = oracle_trie(n, full.macros)
+    full.trie = lambda depth=None: table
+
+    def profile(M):
+        try:
+            return expansion_profile(M, s_values, r_max, word_budget=budget).entries
+        except SphereBudgetError as exc:
+            return exc.largest_completed
+
+    assert profile(grown) == profile(full)
+    assert grown.automaton() == Automaton.build(n, grown.macros) == table.complete()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(chained_cases().map(lambda c: c[:2]), stemmed_cases()), st.integers(1, 5))
+def test_automaton_after_a_partial_profile_is_a_fresh_build(case, radii):
+    """A profile that stops after a few radii leaves a trie grown partway;
+    segmentation then completes that same table, which must equal a build
+    from nothing and the full builder's trie completed."""
+    n, defs = case
+    M = macro_set(n, defs)
+    worsts = list(itertools.islice(_match_state_worsts(M, 10**7), radii))
+    assert len(worsts) == radii
+    assert M.trie(0).depth[-1] == min(radii + 1, max(map(len, defs)))
+    fresh = Automaton.build(n, M.macros)
+    assert M.automaton() == fresh == oracle_trie(n, M.macros).complete()
 
 
 def test_a_profile_leaves_the_failure_links_uncompleted():

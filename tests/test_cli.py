@@ -833,6 +833,10 @@ def test_synth_requires_a_kind(tmp_path):
     ["analyze", "--graph", "{graph}", "--bin-log2", "0"],
     ["analyze", "--graph", "{graph}", "--bin-depth", "-1"],
     ["synth", "--kind", "mixed", "--nodes", "5", "--primitives", "20"],
+    ["sim", "--regime", "poly-free", "--c", "1", "--p", "2", "--n", "1", "--s", "1:3",
+     "--r-max", "10"],  # one letter: no linear slope d exists
+    ["sim", "--regime", "poly-free", "--c", "1", "--p", "700", "--n", "2", "--s", "1:3",
+     "--r-max", "10"],  # 2**700 words of length 2
 ])
 def test_input_error_leaves_no_output_directory(tmp_path, argv):
     paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
@@ -911,6 +915,10 @@ for argv in (
     ["ingest", "--in", "corpus.jsonl", "--format", "corpus", "--out", "ingest"],
     ["analyze", "--graph", "ingest/graph.jsonl", "--out", "analyze"],
     ["synth", "--kind", "hierarchy", "--b", "2", "--height", "4", "--out", "synth"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "20", "--mc-r", "16,64",
+     "--seed", "3", "--out", "prob"],
+    ["sim", "--regime", "poly-free", "--sampler", "random", "--c", "1", "--p", "1",
+     "--n", "2", "--s", "1:3", "--r-max", "12", "--seed", "3", "--out", "random"],
 ):
     assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
@@ -939,6 +947,35 @@ assert main(["sim", "--regime", "place", "--b", "2", "--n", "1",
              "--s", "1:4", "--r-max", "100", "--out", "place"]) == 0
 assert "numpy" not in sys.modules
 """
+
+
+HASHLIB_FREE_SCRIPT = """
+import sys
+
+if "hashlib" in sys.modules:
+    print("site loaded hashlib")
+    raise SystemExit
+from macrolab.cli import main
+
+for argv in (
+    ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:4", "--r-max", "20",
+     "--out", "place"],
+    ["sim", "--regime", "poly-free", "--c", "1", "--p", "2", "--n", "3", "--s", "1:3",
+     "--r-max", "12", "--out", "lex"],
+):
+    assert main(argv) == 0, argv
+    assert "hashlib" not in sys.modules, argv
+print("hashlib not loaded")
+"""
+
+
+def test_unseeded_sims_never_import_hashlib(tmp_path):
+    """Only seeded randomness hashes: the lazy family's membership and the
+    seeded letter stream."""
+    out = _run_fresh(HASHLIB_FREE_SCRIPT, tmp_path).splitlines()[-1]
+    if out == "site loaded hashlib":
+        pytest.skip("the interpreter loads hashlib at start-up")
+    assert out == "hashlib not loaded"
 
 
 def test_abelian_sim_never_imports_numpy(tmp_path):

@@ -32,7 +32,7 @@ from macrolab.expansion import (
     word_str,
 )
 from macrolab.expansion import _match_state_worsts, sample_words
-from macrolab.families import FamilySpec, LazyFreeMacroSet, build_macro_family
+from macrolab.families import FamilySpec, LazyFreeMacroSet, build_macro_family, prefix_periods
 from macrolab.monoid import (
     AbelianLattice,
     LatticeBudgetError,
@@ -515,6 +515,50 @@ periodic_words = st.tuples(
 def test_halving_search_matches_per_length_queries(letters, kind, seed, big_b, C):
     M = kind(free(2), big_b=big_b, big_c=4.0, seed=seed)
     assert find_halving_macro(letters, M, C) == halving_oracle(letters, M, C)
+
+
+def full_kmp_halving(letters, M, C=None):
+    """The scan before its period window: one failure-function pass over the
+    whole suffix of every start, and each candidate's own period."""
+    r = len(letters)
+    k = math.ceil((M.big_c if C is None else C) * math.log(math.e + r))
+    for start in range(1, min(k, r) + 1):
+        lengths = range(r - start + 1, max((r + 1) // 2, 2) - 1, -1)
+        if lengths:
+            periods = prefix_periods(letters, start - 1)
+        for length in lengths:
+            if M.contains_letters(letters[start - 1 : start - 1 + length], periods[length - 1]):
+                return start, length
+    return None
+
+
+@st.composite
+def windowed_halving_cases(draw):
+    """(letters, n, B, C): on n = 2..4 letters, a random word or noise
+    around a repeated block, with some letters changed (near-periodic);
+    C > 4 ln n and B >= 2C across their valid ranges."""
+    n = draw(st.integers(2, 4))
+    letter = st.integers(0, n - 1)
+    noise = st.lists(letter, max_size=4)
+    block = draw(st.lists(letter, min_size=1, max_size=40))
+    word = draw(st.one_of(
+        st.lists(letter, min_size=1, max_size=400),
+        st.tuples(noise, st.integers(1, 300), noise).map(
+            lambda t: t[0] + (block * t[1])[:400] + t[2])))
+    for i, a in draw(st.lists(st.tuples(st.integers(0, len(word) - 1), letter), max_size=3)):
+        word[i] = a
+    big_c = draw(st.floats(4 * math.log(n), 4 * math.log(n) + 12, exclude_min=True))
+    big_b = draw(st.floats(2 * big_c, 8 * big_c))
+    return tuple(word), n, big_b, big_c
+
+
+@settings(deadline=None, max_examples=300)
+@given(windowed_halving_cases(), st.sampled_from([LazyFreeMacroSet, PeriodicOnly]),
+       st.integers(0, 5))
+def test_windowed_halving_scan_matches_the_full_kmp_scan(case, kind, seed):
+    letters, n, big_b, big_c = case
+    M = kind(free(n), big_b=big_b, big_c=big_c, seed=seed)
+    assert find_halving_macro(letters, M) == full_kmp_halving(letters, M)
 
 
 def test_materialized_sets_need_an_explicit_window_constant():

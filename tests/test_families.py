@@ -1,6 +1,9 @@
-"""Tests for the macro family builders and the lazy probabilistic set."""
+"""Tests for the macro family builders, the lazy probabilistic set and the
+seeded letter stream."""
 
+import hashlib
 import itertools
+import sys
 import math
 import re
 
@@ -12,10 +15,13 @@ from macrolab.families import (
     FamilySpec,
     LazyFreeMacroSet,
     _free_macros,
+    _sampled_words,
     build_macro_family,
     minimal_period,
     prefix_periods,
+    seeded_words,
 )
+from macrolab.expansion import sample_words
 from macrolab.monoid import Word, abelian, free
 
 
@@ -163,6 +169,18 @@ def test_family_constructor_validation():
         FamilySpec.place_notation(b=2, n=1, r_max=0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 2.0, 1, 10), "polynomial density needs n >= 2 letters, got n=1"),
+    ((1.0, 700.0, 2, 10), "polynomial density asks for 5.26e+210 words of length 2, past "
+                          f"the {sys.maxsize} a family can list"),
+    ((1e-300, 700.0, 2, 10), "polynomial density asks for inf words of length 3, past "
+                             f"the {sys.maxsize} a family can list"),
+])
+def test_poly_family_rejects_one_letter_and_unlistable_counts(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilySpec.poly_density_free(*args)
+
+
 def test_probabilistic_constructor_validation():
     # C must clear 4 ln n and B must be at least 2C.
     with pytest.raises(ValueError):
@@ -269,3 +287,52 @@ def test_lazy_set_window_sizes():
     assert M.window(0) == math.ceil(4.0 * math.log(math.e))
     assert M.window(100) == math.ceil(4.0 * math.log(math.e + 100))
     assert M.window(1000) >= M.window(100)
+
+
+# --- the seeded letter stream ---
+
+
+def stream_oracle(n, length, seed, use, count):
+    """`count` words as `seeded_words` defines them, block by block."""
+    letters = []
+    i = 0
+    while len(letters) < count * length:
+        block = hashlib.blake2b(length.to_bytes(8, "little") + i.to_bytes(8, "little"),
+                                key=seed.to_bytes(8, "little"), person=use).digest()
+        letters += [b % n for b in block if b < 256 - 256 % n]
+        i += 1
+    return [tuple(letters[j * length:(j + 1) * length]) for j in range(count)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 256), st.integers(1, 150), st.integers(0, 2**64 - 1),
+       st.sampled_from([b"sample_words", b"poly_free", b"x" * 16]), st.integers(1, 12))
+def test_seeded_words_follow_their_definition(n, length, seed, use, count):
+    expected = stream_oracle(n, length, seed, use, count)
+    assert list(itertools.islice(seeded_words(n, length, seed, use), count)) == expected
+    if use == b"sample_words":
+        assert sample_words(n, length, count, seed) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(2, 8), st.integers(1, 40), st.integers(0, 2**64 - 1))
+def test_sampled_poly_words_are_the_first_distinct_words_of_the_stream(n, length, count, seed):
+    want = min(count, n**length)
+    stream = stream_oracle(n, length, seed, b"poly_free", 4000)
+    first = list(dict.fromkeys(stream))[:want]
+    assert len(first) == want  # 4000 draws hold every word on this scale
+    assert _sampled_words(length, count, n, seed) == sorted(first)
+
+
+def test_seeded_words_are_pinned_across_pythons():
+    # The stream is macrolab's own code over blake2b, so these hold on every
+    # CPython; the seeded sim digests in test_outputs rest on them.
+    assert sample_words(2, 12, 2, 0) == [(0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0),
+                                         (0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1)]
+    assert list(itertools.islice(seeded_words(3, 5, 7, b"poly_free"), 2)) == [
+        (0, 2, 1, 0, 2), (1, 0, 0, 1, 2)]
+
+
+def test_seeded_words_spell_letters_with_bytes():
+    with pytest.raises(ValueError, match="need n <= 256, got n=257"):
+        next(seeded_words(257, 4, 0, b"poly_free"))

@@ -5,7 +5,9 @@ The corpus digests were captured from the name-keyed graph code that the
 integer-indexed graph replaced, the free `sim` digests from the trie that the
 Aho-Corasick automaton replaced, and the abelian `sim` digests from the numpy
 lattice engine that the Python-int bitsets replaced; any change to a byte of
-these outputs must show up here and be named in CHANGES.md.
+these outputs must show up here and be named in CHANGES.md.  The seeded free
+runs (poly-random, poly-random-n3 and prob-free) read macrolab's own blake2b
+letter stream, so their digests hold on every Python.
 """
 
 import hashlib
@@ -82,6 +84,8 @@ SIM_RUNS = [
                   "--s", "1:3", "--r-max", "12"], 0),
     ("poly-random", ["sim", "--regime", "poly-free", "--c", "2", "--p", "1", "--n", "2",
                      "--s", "1:5", "--r-max", "14", "--sampler", "random", "--seed", "3"], 0),
+    ("poly-random-n3", ["sim", "--regime", "poly-free", "--sampler", "random", "--c", "1",
+                        "--p", "2", "--n", "3", "--s", "1:3", "--r-max", "40", "--seed", "1"], 0),
     ("prob-free", ["sim", "--regime", "prob-free", "--n", "2", "--trials", "30",
                    "--mc-r", "16,64,256", "--seed", "5"], 0),
     ("budget", ["sim", "--regime", "poly-free", "--c", "1", "--p", "1", "--n", "2",
@@ -96,11 +100,14 @@ SIM_DIGESTS = {
     "poly-lex/bounds.csv": "b37ff27000ffbb074b643693818cc4d5a9abdddcda26ea2339d8f029f7ae6d9d",
     "poly-lex/profile.csv": "87e08815fff342af52ae47de24c9ba53aac5b5c640b49d56546fa721e7bb4a14",
     "poly-lex/report.jsonl": "aa62223813db773cac0f94a8163708832de621e8b6686a3ec322faaa80f3e24a",
-    "poly-random/bounds.csv": "77a2954eb34d08499facc77b2a82a18523733eb627c05ffc5460c7185740ad5b",
-    "poly-random/profile.csv": "9e4aa5f5d317168297bc67a05d4ffaad7a800d22055cf5b14cd3f28bc2fd25b3",
+    "poly-random/bounds.csv": "ed6aafb518940864bc01424acdd616106aa624afc07f41c594f95e22122be584",
+    "poly-random/profile.csv": "8eeef23b758dd27afa6d4b310ad90fe621ddc71f4e8a01740141ea9ad5e80a11",
+    "poly-random-n3/bounds.csv": "713dbca95a1c52cbd1a496983fbfbd90f901a0182b8034b675f6effc322993dd",
+    "poly-random-n3/profile.csv": "ffc43480d2f46e8696136cff8649672d9cee0a28b39836da6e6a28f77e1fa5bf",
+    "poly-random-n3/report.jsonl": "ad54aa5455d12f0801c1e8b99dbea4e37516744af8ece91ed90aedcb2dedf20c",
     "poly-random/report.jsonl": "fbb74db84723f8cc3b2b3fc74b6f2e977723e6765a3dab64eaab4a3994ac78c7",
     "prob-free/mc_halving.csv": "609c8942b7a55acd61055ac827675dc76f9b190a546c86d068e1e7496bb863b1",
-    "prob-free/mc_parse.csv": "c7ac08664ec0930c14f7c5e1708465b1c6a9f25feaf553e2c35668eb55afcddc",
+    "prob-free/mc_parse.csv": "08bf0aea8b1c26fbb6ca4cec5ae1d675ede6e6f0db6f82f21e7072e5e01d65ed",
     "prob-free/report.jsonl": "c0ebe5f945804c15ed218b2a9030e4011d158cedae7a35f63d90c3af3b185d65",
 }
 
