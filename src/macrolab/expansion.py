@@ -445,6 +445,12 @@ class HalvingFailure(Exception):
         self.letters = letters
 
 
+def halving_window(C: float, r: int) -> int:
+    """Prefix window k(r) = ceil(C ln(e + r)): the starts a halving macro of
+    a length-r word may take."""
+    return math.ceil(C * math.log(math.e + r))
+
+
 def find_halving_macro(
     letters: tuple[int, ...],
     M: MacroSet | LazyFreeMacroSet,
@@ -469,7 +475,7 @@ def find_halving_macro(
         if not isinstance(M, LazyFreeMacroSet):
             raise ValueError("materialized macro sets need an explicit window constant")
         C = M.big_c
-    k = math.ceil(C * math.log(math.e + r))
+    k = halving_window(C, r)
     half = (r + 1) // 2
     lazy = isinstance(M, LazyFreeMacroSet)
     if lazy:
@@ -491,16 +497,6 @@ def find_halving_macro(
             if hit:
                 return start, length
     return None
-
-
-def halving_check(
-    w: Word | tuple[int, ...],
-    M: MacroSet | LazyFreeMacroSet,
-    C: float | None = None,
-) -> bool:
-    """True iff some macro starts in the window and covers at least half the word."""
-    letters = w.data if isinstance(w, Word) else tuple(w)
-    return find_halving_macro(letters, M, C) is not None
 
 
 def word_str(letters: tuple[int, ...]) -> str:
@@ -526,6 +522,8 @@ def recursive_parse_free(
     concatenation is exactly the input word.  Raises HalvingFailure when some
     level has no qualifying macro and the remainder is too long to spell out.
     """
+    if M.monoid.n > len(_ALPHABET):
+        raise ValueError("letter tokens support up to 26 generators")
     pieces, _, stuck = _greedy_parse(w.data if isinstance(w, Word) else tuple(w), M, C)
     if stuck is not None:
         raise HalvingFailure(stuck)
@@ -536,8 +534,6 @@ def _greedy_parse(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet, C: f
     """The parse of `recursive_parse_free` as (pieces, first, stuck): the
     tokens as letter tuples, `find_halving_macro` of the whole word, and the
     remainder the parse failed on (None if it did not fail)."""
-    if M.monoid.n > len(_ALPHABET):
-        raise ValueError("letter tokens support up to 26 generators")
     if C is None and isinstance(M, LazyFreeMacroSet):
         C = M.big_c
     pieces: list[tuple[int, ...]] = []
@@ -545,7 +541,7 @@ def _greedy_parse(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet, C: f
     rest = letters
     while rest:
         r = len(rest)
-        k = None if C is None else math.ceil(C * math.log(math.e + r))
+        k = None if C is None else halving_window(C, r)
         if r == 1:
             pieces.append(rest)
             break

@@ -78,8 +78,10 @@ class FamilySpec:
     def poly_density_free(
         c: float, p: float, n: int, r_max: int, seed: int | None = None, sampler: str = "lex"
     ) -> FamilySpec:
-        if c <= 0 or p < 0:
-            raise ValueError("polynomial density needs c > 0 and p >= 0")
+        if not c > 0:  # written so that a NaN c or p fails its check
+            raise ValueError(f"polynomial density needs c > 0, got c={c}")
+        if not p >= 0:
+            raise ValueError(f"polynomial density needs p >= 0, got p={p}")
         if n < 2:  # one letter has one word per length, and no linear slope d
             raise ValueError(f"polynomial density needs n >= 2 letters, got n={n}")
         if sampler not in ("lex", "random"):
@@ -107,10 +109,10 @@ class FamilySpec:
 
     @staticmethod
     def probabilistic_free(big_b: float, big_c: float, n: int, r_max: int, seed: int) -> FamilySpec:
-        if big_c <= 4 * math.log(n):
-            raise ValueError(f"need C > 4 ln n = {4 * math.log(n):.4f}, got {big_c}")
-        if big_b < 2 * big_c:
-            raise ValueError(f"need B >= 2C = {2 * big_c}, got {big_b}")
+        if not 4 * math.log(n) < big_c < math.inf:  # a NaN C or B fails its check too
+            raise ValueError(f"need finite C > 4 ln n = {4 * math.log(n):.4f}, got C={big_c}")
+        if not big_b >= 2 * big_c:  # B = inf is fine: every word is then log-periodic
+            raise ValueError(f"need B >= 2C = {2 * big_c}, got B={big_b}")
         return FamilySpec("prob_free", free(n), r_max, big_b=big_b, big_c=big_c, seed=seed)
 
 
@@ -181,10 +183,6 @@ class LazyFreeMacroSet:
         """Membership of a word; `period` is its minimal period, when known."""
         return len(letters) >= 2 and (
             self.is_log_periodic(letters, period) or self.random_included(letters))
-
-    def window(self, r: int) -> int:
-        """Prefix window k(r) = ceil(C ln(e + r)) scanned for a halving macro."""
-        return math.ceil(self.big_c * math.log(math.e + r))
 
 
 def _lex_words(length: int, count: int, n: int) -> list[tuple[int, ...]]:

@@ -90,11 +90,6 @@ class Word:
         return self.g_length() == 0
 
 
-def g_length(w: Word) -> int:
-    """Length of w over the primitive generators alone."""
-    return w.g_length()
-
-
 def ball_size(monoid: MonoidKind, r: int) -> int:
     """Exact number of words of length at most r."""
     if r < 0:
@@ -223,17 +218,13 @@ class Automaton(NamedTuple):
     once numbered, so a walk along definitions can read the trie while it is
     still growing, as far as it has grown.  `complete` then folds the
     failure links into goto and fills out, in place and only once, after
-    the last layer; `build` does both.
+    the last layer; `MacroSet.automaton` does both.
     """
 
     goto: list[int]
     depth: list[int]
     name: list[str | None]
     out: list[int]
-
-    @staticmethod
-    def build(n: int, macros) -> Automaton:
-        return MacroSet(free(n), macros).automaton()
 
     def grow(self, words: list[tuple[int, ...]], states: list[int],
              owner: dict[tuple[int, ...], Macro]) -> tuple[list[tuple[int, ...]], list[int]]:

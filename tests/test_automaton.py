@@ -271,7 +271,7 @@ def oracle_trie(n: int, macros) -> Automaton:
 def test_trie_edges_are_the_depth_increasing_edges_of_the_automaton(case):
     n, defs, _, _ = case
     macros = macro_set(n, defs).macros
-    trie, full = oracle_trie(n, macros), Automaton.build(n, macros)
+    trie, full = oracle_trie(n, macros), MacroSet(free(n), macros).automaton()
     assert trie.out == [] and len(full.out) == len(full.depth)
     assert (trie.depth, trie.name) == (full.depth, full.name)
     goto, depth = full.goto, full.depth
@@ -314,7 +314,7 @@ def test_depth_grown_profiles_match_full_trie_profiles(case, s_values, r_max, bu
             return exc.largest_completed
 
     assert profile(grown) == profile(full)
-    assert grown.automaton() == Automaton.build(n, grown.macros) == table.complete()
+    assert grown.automaton() == MacroSet(free(n), grown.macros).automaton() == table.complete()
 
 
 @settings(deadline=None, max_examples=100)
@@ -328,7 +328,7 @@ def test_automaton_after_a_partial_profile_is_a_fresh_build(case, radii):
     worsts = list(itertools.islice(_match_state_worsts(M, 10**7), radii))
     assert len(worsts) == radii
     assert M.trie(0).depth[-1] == min(radii + 1, max(map(len, defs)))
-    fresh = Automaton.build(n, M.macros)
+    fresh = MacroSet(free(n), M.macros).automaton()
     assert M.automaton() == fresh == oracle_trie(n, M.macros).complete()
 
 
@@ -338,7 +338,7 @@ def test_a_profile_leaves_the_failure_links_uncompleted():
     trie = M.trie()
     assert trie.out == []  # the profile read trie edges alone
     assert M.automaton() is trie and len(trie.out) == len(trie.depth)  # completed in place
-    assert M.trie() is trie and Automaton.build(3, M.macros) == trie
+    assert M.trie() is trie and MacroSet(free(3), M.macros).automaton() == trie
 
 
 def test_matches_behind_a_longer_prefix_come_through_output_links():

@@ -188,6 +188,14 @@ def test_sim_probabilistic_unreachable_rate_exits_two(tmp_path):
     assert report[-1]["status"] == "bound_violation"
 
 
+def test_sim_probabilistic_runs_past_twenty_six_letters(tmp_path):
+    # The sampled parse spells no letter; the letter stream alone limits n, to 256.
+    code = main(["sim", "--regime", "prob-free", "--n", "30", "--big-c", "14", "--big-b", "28",
+                 "--trials", "5", "--mc-r", "16", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len(read_csv(tmp_path / "mc_parse.csv")) == 5
+
+
 def test_poly_free_past_ten_letters_names_every_macro_apart(tmp_path):
     # (0, 10) and (0, 1, 0) are both macros here; they once shared the name "w010".
     code = main(["sim", "--regime", "poly-free", "--n", "11", "--c", "12", "--p", "1",
@@ -837,6 +845,16 @@ def test_synth_requires_a_kind(tmp_path):
      "--r-max", "10"],  # one letter: no linear slope d exists
     ["sim", "--regime", "poly-free", "--c", "1", "--p", "700", "--n", "2", "--s", "1:3",
      "--r-max", "10"],  # 2**700 words of length 2
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "16",
+     "--big-c", "nan"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "16",
+     "--big-b", "nan"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "16",
+     "--big-c", "inf", "--big-b", "inf"],
+    ["sim", "--regime", "poly-free", "--c", "nan", "--p", "2", "--n", "2", "--s", "1:3",
+     "--r-max", "10"],
+    ["sim", "--regime", "poly-free", "--c", "1", "--p", "nan", "--n", "2", "--s", "1:3",
+     "--r-max", "10"],
 ])
 def test_input_error_leaves_no_output_directory(tmp_path, argv):
     paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
@@ -1040,3 +1058,28 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, forbidden, argv
 
 def test_free_and_abelian_kernels_import_only_the_monoid_engine(tmp_path):
     assert _run_fresh(KERNEL_GUARD_SCRIPT, tmp_path, SIM_ONLY).splitlines()[-1] == "loaded:"
+
+
+PACKAGE_IMPORT_SCRIPT = """
+import importlib
+import sys
+
+import macrolab
+
+assert not [name for name in sys.modules if name.startswith("macrolab.")], sys.modules
+assert not hasattr(macrolab, "Word"), "the package re-exports module names"
+print(macrolab.__version__)
+from macrolab import families, monoid  # as the benchmark child imports them
+
+assert families.build_macro_family and monoid.gprime_length
+corpus = importlib.import_module("macrolab.corpus")  # as the benchmark tracer does
+assert corpus.load_graph is macrolab.corpus.load_graph
+print("ok")
+"""
+
+
+def test_package_import_loads_no_module_and_submodules_import_by_name(tmp_path):
+    import macrolab
+
+    assert _run_fresh(PACKAGE_IMPORT_SCRIPT, tmp_path).splitlines() == [
+        macrolab.__version__, "ok"]

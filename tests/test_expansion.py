@@ -22,7 +22,6 @@ from macrolab.expansion import (
     find_halving_macro,
     fit_parse_constant,
     gprime_length_free_lazy,
-    halving_check,
     letters_of_str,
     quasi_exponential_upper_report,
     recursive_parse_free,
@@ -445,6 +444,13 @@ def test_word_str_round_trip():
     assert letters_of_str("abba") == (0, 1, 1, 0)
 
 
+def test_letter_tokens_need_at_most_26_generators():
+    tokens, _ = recursive_parse_free((0, 25), LazyFreeMacroSet(free(26), 28.0, 14.0, seed=0))
+    assert "".join(tokens) == "az"
+    with pytest.raises(ValueError, match="^letter tokens support up to 26 generators$"):
+        recursive_parse_free((0, 26), LazyFreeMacroSet(free(27), 28.0, 14.0, seed=0))
+
+
 def test_parse_of_a_macro_is_one_token():
     M = lazy_set()
     letters = tuple([0, 1] * 32)
@@ -464,7 +470,7 @@ def test_parse_spells_out_short_macro_free_words():
 def test_parse_fails_without_halving_macros():
     M = MacroSet(free(2))
     long_word = tuple([0] * 100)
-    assert not halving_check(long_word, M, C=4.0)
+    assert find_halving_macro(long_word, M, C=4.0) is None
     with pytest.raises(HalvingFailure):
         recursive_parse_free(long_word, M, C=4.0)
 
@@ -640,7 +646,7 @@ def rates_oracle(M, r, trials, seed, C=None):
     """A separate halving check and parse of every sampled word."""
     successes, counts, failures = 0, [], 0
     for letters in sample_words(M.monoid.n, r, trials, seed):
-        successes += halving_check(letters, M, C)
+        successes += find_halving_macro(letters, M, C) is not None
         try:
             counts.append(parse_oracle(letters, M, C)[1])
         except HalvingFailure:

@@ -21,7 +21,7 @@ from macrolab.families import (
     prefix_periods,
     seeded_words,
 )
-from macrolab.expansion import sample_words
+from macrolab.expansion import halving_window, sample_words
 from macrolab.monoid import Word, abelian, free
 
 
@@ -191,6 +191,31 @@ def test_probabilistic_constructor_validation():
     assert isinstance(build_macro_family(spec), LazyFreeMacroSet)
 
 
+@pytest.mark.parametrize("big_b, big_c, message", [
+    (8.0, math.nan, "need finite C > 4 ln n = 2.7726, got C=nan"),
+    (math.inf, math.inf, "need finite C > 4 ln n = 2.7726, got C=inf"),
+    (math.nan, 4.0, "need B >= 2C = 8.0, got B=nan"),
+])
+def test_probabilistic_family_rejects_nan_and_infinite_c(big_b, big_c, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilySpec.probabilistic_free(big_b=big_b, big_c=big_c, n=2, r_max=100, seed=0)
+
+
+def test_probabilistic_family_accepts_infinite_b():
+    spec = FamilySpec.probabilistic_free(big_b=math.inf, big_c=4.0, n=2, r_max=100, seed=0)
+    assert build_macro_family(spec).contains_letters((0, 1, 1, 0, 1))  # every word is periodic
+
+
+@pytest.mark.parametrize("c, p, message", [
+    (math.nan, 2.0, "polynomial density needs c > 0, got c=nan"),
+    (1.0, math.nan, "polynomial density needs p >= 0, got p=nan"),
+    (1.0, -1.0, "polynomial density needs p >= 0, got p=-1.0"),
+])
+def test_poly_family_rejects_nan_constants(c, p, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilySpec.poly_density_free(c=c, p=p, n=2, r_max=10)
+
+
 # --- minimal period ---
 
 
@@ -283,10 +308,10 @@ def test_lazy_set_overall_density_on_random_words():
 
 
 def test_lazy_set_window_sizes():
-    M = lazy_set()
-    assert M.window(0) == math.ceil(4.0 * math.log(math.e))
-    assert M.window(100) == math.ceil(4.0 * math.log(math.e + 100))
-    assert M.window(1000) >= M.window(100)
+    C = lazy_set().big_c
+    assert halving_window(C, 0) == math.ceil(4.0 * math.log(math.e))
+    assert halving_window(C, 100) == math.ceil(4.0 * math.log(math.e + 100))
+    assert halving_window(C, 1000) >= halving_window(C, 100)
 
 
 # --- the seeded letter stream ---

@@ -22,7 +22,6 @@ from macrolab.monoid import (
     abelian,
     ball_size,
     free,
-    g_length,
     gprime_length,
     monoid_depth,
     wrapped_length,
@@ -118,17 +117,17 @@ def place_macro_set(b=10, js=(1, 2, 3)):
 
 def test_g_length_counts_multiplicities():
     w = Word.from_multiplicities((3, 4))
-    assert g_length(w) == 7
+    assert w.g_length() == 7
 
 
 def test_g_length_counts_letters():
     w = Word.from_letters((0, 1, 1, 0), n=2)
-    assert g_length(w) == 4
+    assert w.g_length() == 4
 
 
 def test_identity_words_have_length_zero():
-    assert g_length(Word.from_multiplicities((0, 0))) == 0
-    assert g_length(Word.from_letters((), n=3)) == 0
+    assert Word.from_multiplicities((0, 0)).g_length() == 0
+    assert Word.from_letters((), n=3).g_length() == 0
     assert Word.from_multiplicities((0,)).is_identity()
 
 
@@ -198,7 +197,7 @@ def test_concat_rejects_mixed_monoids():
 def test_abelian_concat_adds_lengths(a, b):
     u = Word.from_multiplicities(a)
     v = Word.from_multiplicities(b)
-    assert g_length(u.concat(v)) == g_length(u) + g_length(v)
+    assert u.concat(v).g_length() == u.g_length() + v.g_length()
 
 
 @given(
@@ -210,7 +209,7 @@ def test_free_concat_appends(a, b):
     v = Word.from_letters(b, n=2)
     w = u.concat(v)
     assert w.data == tuple(a) + tuple(b)
-    assert g_length(w) == len(a) + len(b)
+    assert w.g_length() == len(a) + len(b)
 
 
 # --- ball sizes ---
@@ -421,7 +420,7 @@ def test_gprime_never_exceeds_primitive_length(mults, defs):
     macros = [Macro(f"m{i}", Word.from_multiplicities(d)) for i, d in enumerate(defs)]
     M = MacroSet(abelian(2), macros)
     w = Word.from_multiplicities(mults)
-    assert gprime_length(w, M) <= g_length(w)
+    assert gprime_length(w, M) <= w.g_length()
 
 
 @settings(deadline=None)

@@ -2,11 +2,16 @@
 
 import importlib.util
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from macrolab.cli import EXIT_OK
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -71,3 +76,18 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert script.run(str(tmp_path)) == 9
     assert capsys.readouterr().out.splitlines() == ["    8 a.py", "    1 b.py", "    9 total"]
+
+
+def test_readme_python_example_runs_and_prints_its_comment(tmp_path):
+    """The README's Python block runs in a fresh interpreter, and its last
+    line prints what that line's comment says."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    code = blocks[0]
+    expected = code.rstrip().splitlines()[-1].rsplit("# ", 1)[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [expected]
