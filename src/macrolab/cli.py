@@ -17,9 +17,7 @@ import sys
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
-from .monoid import (
-    DEFAULT_LATTICE_BUDGET, DEFAULT_WORD_BUDGET, LatticeBudgetError, Word, abelian, free,
-)
+from .monoid import DEFAULT_BUDGET, Word, abelian, free
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -72,10 +70,11 @@ def _semicolon_list(text: str) -> list[str]:
 
 def read_config(path: str | None) -> dict[str, str]:
     """key=value lines; '#' starts a comment; a key is an option's dest, with
-    '_' or '-' between words (r_max=100 or r-max=100)."""
+    '_' or '-' between words (r_max=100 or r-max=100), and sets it once."""
     if path is None:
         return {}
     cfg: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # key -> the line that set it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -85,7 +84,12 @@ def read_config(path: str | None) -> dict[str, str]:
                 if "=" not in line:
                     raise InputError(f"{path}:{lineno}: expected key=value")
                 key, value = line.split("=", 1)
-                cfg[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key in set_on:
+                    raise InputError(f"{path}: key {key} is set on both line {set_on[key]} "
+                                     f"and line {lineno}")
+                set_on[key] = lineno
+                cfg[key] = value.strip()
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     return cfg
@@ -188,6 +192,8 @@ def _family_spec(opts: dict) -> families.FamilySpec:
     if regime == "double-log":
         if opts["b"] is None:
             raise InputError("double-log towers need --b")
+        if n != 1:
+            raise InputError(f"double-log towers have one generator; --n must be 1, got {n}")
         return families.FamilySpec.double_log(opts["b"], r_max)
     if regime == "finite":
         words = _parse_finite_words(opts["word"] or [], opts["monoid"], n)
@@ -222,8 +228,7 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
     try:
         profile = expansion.expansion_profile(
-            M, opts["s"], spec.r_max, spec=spec,
-            word_budget=opts["word_budget"], lattice_budget=opts["lattice_budget"])
+            M, opts["s"], spec.r_max, spec=spec, budget=opts["budget"])
     except expansion.SphereBudgetError as exc:
         _write_jsonl(os.path.join(out, "report.jsonl"), [
             {"format": "macrolab-sim", "version": 1},
@@ -566,10 +571,10 @@ COMMANDS = {
         Opt("--trials", int, 1000, bounds=(1, math.inf)),
         Opt("--mc-r", _int_list, [64, 128, 256]),
         Opt("--min-halving-rate", float, 0.99),
-        Opt("--word-budget", int, DEFAULT_WORD_BUDGET,
-            "free-monoid profile budget, in (match state, letter) transitions of the "
-            "worst-word DP", bounds=(1, math.inf)),
-        Opt("--lattice-budget", int, DEFAULT_LATTICE_BUDGET, bounds=(1, math.inf)),
+        Opt("--budget", int, DEFAULT_BUDGET,
+            "profile search budget: the points of each abelian lattice, or the "
+            "(match state, letter) transitions of the free worst-word DP",
+            bounds=(1, math.inf)),
         _SEED, *_COMMON)),
     "ingest": Command("corpus or edge-list file -> canonical graph file", cmd_ingest, (
         Opt("--in", required=True),
@@ -648,9 +653,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LatticeBudgetError as exc:  # sim reports its own SphereBudgetError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (ValueError, OSError) as exc:  # InputError and CorpusError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

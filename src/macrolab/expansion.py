@@ -3,11 +3,13 @@
 The expansion value f(s) is the largest radius r such that every word of
 primitive length <= r can be written with at most s generators-plus-macros.
 Exact values come from lattice reachability (abelian) or a forward DP over
-the match states of the macro set's trie (finite free macro sets), whose
-word budget counts (match state, letter) transitions.
+the match states of the macro set's trie (finite free macro sets).
 When every abelian macro lies on one axis, as in the place, Waring and
 double-log families, one 1-D lattice per axis and a (min, +) convolution
 over token counts replace the n-D lattice.
+One budget bounds either search by the work it builds: the points of each
+lattice, (r_max + 1)^n for the n-D lattice and r_max + 1 for each axis of a
+separable set, or the (match state, letter) transitions of the free DP.
 The lazy probabilistic family has unboundedly many match states and no
 profile; its regime is checked by sampling instead (halving checks and a
 greedy recursive parse).
@@ -22,8 +24,7 @@ from dataclasses import dataclass, field
 
 from .families import FamilySpec, LazyFreeMacroSet, prefix_periods, seeded_words
 from .monoid import (
-    DEFAULT_LATTICE_BUDGET,
-    DEFAULT_WORD_BUDGET,
+    DEFAULT_BUDGET,
     AbelianLattice,
     MacroSet,
     Word,
@@ -82,28 +83,31 @@ def _largest_box_radius(n: int, budget: int) -> int:
 
 
 def _abelian_entries(
-    M: MacroSet, s_values: list[int], r_max: int, lattice_budget: int
+    M: MacroSet, s_values: list[int], r_max: int, budget: int
 ) -> dict[int, ExpansionValue]:
     """f(s) = R - 1 for the first radius R with a point that needs more than
     s tokens, or a lower bound r_max when every |p| <= r_max is reached.
 
     g'(p) depends only on points dominated by p, so the simplex |p| <= r_max
-    is all either branch looks at; the budget gate on the box (r_max + 1)^n
-    comes first for both.  When every generator lies on one axis, g'(p) is
-    the sum of 1-D coin-change lengths h_i(p_i) (`_separable_firsts`);
-    otherwise one n-D lattice counts the reached points of each radius
-    (`_simplex_firsts`)."""
+    is all either branch looks at.  When every generator lies on one axis,
+    g'(p) is the sum of 1-D coin-change lengths h_i(p_i)
+    (`_separable_firsts`), on one lattice of r_max + 1 points per axis;
+    otherwise one n-D lattice of (r_max + 1)^n points counts the reached
+    points of each radius (`_simplex_firsts`).  The lattice to be built is
+    charged against `budget` first: past it, SphereBudgetError names the
+    largest radius whose lattice of the same dimension fits."""
     n = M.monoid.n
-    if (r_max + 1) ** n > lattice_budget:
-        raise SphereBudgetError(_largest_box_radius(n, lattice_budget), lattice_budget)
     gens = [(v, name) for v, name in _abelian_generators(M, (r_max,) * n, None)
             if sum(v) <= r_max]
     axes = _split_axes(gens, n)
+    dim = n if axes is None else 1
+    if (r_max + 1) ** dim > budget:
+        raise SphereBudgetError(_largest_box_radius(dim, budget), budget)
     wanted = sorted(set(s_values))
     if axes is None:
-        firsts = _simplex_firsts(M, [v for v, _ in gens], wanted, r_max, lattice_budget)
+        firsts = _simplex_firsts(M, [v for v, _ in gens], wanted, r_max, budget)
     else:
-        firsts = _separable_firsts(axes, wanted, r_max, lattice_budget)
+        firsts = _separable_firsts(axes, wanted, r_max, budget)
     return {s: ExpansionValue(r_max, exact=False) if first > r_max
             else ExpansionValue(first - 1, exact=True)
             for s, first in firsts.items()}
@@ -248,10 +252,13 @@ def expansion_profile(
     s_values: list[int] | range,
     r_max: int,
     spec: FamilySpec | None = None,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> ExpansionProfile:
-    """Exact expansion values f(s) for each requested s, scanning radii up to r_max."""
+    """Exact expansion values f(s) for each requested s, scanning radii up to r_max.
+
+    `budget` bounds the lattice points of each abelian lattice, or the
+    (match state, letter) transitions of a free profile; past it the search
+    raises SphereBudgetError."""
     s_values = [int(s) for s in s_values]
     if not s_values or min(s_values) < 1:
         raise ValueError("expansion profiles need s >= 1")
@@ -259,9 +266,9 @@ def expansion_profile(
         raise ValueError("the lazy probabilistic family has unboundedly many match states; "
                          "sample it with sampled_rates instead")
     if M.monoid.is_abelian:
-        entries = _abelian_entries(M, s_values, r_max, lattice_budget)
+        entries = _abelian_entries(M, s_values, r_max, budget)
     else:
-        entries = _free_entries(_match_state_worsts(M, word_budget), s_values, r_max)
+        entries = _free_entries(_match_state_worsts(M, budget), s_values, r_max)
     if spec is None:
         monoid = M.monoid
         spec = FamilySpec("finite", monoid, r_max, words=())
@@ -272,13 +279,10 @@ def expansion_function(
     M: MacroSet | LazyFreeMacroSet,
     s: int,
     r_max: int,
-    word_budget: int = DEFAULT_WORD_BUDGET,
-    lattice_budget: int = DEFAULT_LATTICE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> ExpansionValue:
     """f(s): the largest r with every length-<=r word writable in at most s tokens."""
-    profile = expansion_profile(
-        M, [s], r_max, word_budget=word_budget, lattice_budget=lattice_budget
-    )
+    profile = expansion_profile(M, [s], r_max, budget=budget)
     return profile.entries[s]
 
 
@@ -446,9 +450,12 @@ class HalvingFailure(Exception):
 
 
 def halving_window(C: float, r: int) -> int:
-    """Prefix window k(r) = ceil(C ln(e + r)): the starts a halving macro of
-    a length-r word may take."""
-    return math.ceil(C * math.log(math.e + r))
+    """Prefix window k(r) = ceil(C ln(e + r)), capped at r: the starts a
+    halving macro of a length-r word may take.  A length-r word has no more
+    than r starts, and the cap keeps a huge C (whose product overflows to
+    inf) from reaching `math.ceil`."""
+    k = C * math.log(math.e + r)
+    return math.ceil(k) if k < r else r
 
 
 def find_halving_macro(

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-DEFAULT_LATTICE_BUDGET = 10**7
-DEFAULT_WORD_BUDGET = 10**7  # (match state, letter) transitions of a free profile
+# Lattice points of one abelian lattice, or (match state, letter) transitions
+# of a free profile.
+DEFAULT_BUDGET = 10**7
 
 
 class Kind(Enum):
@@ -151,7 +152,7 @@ class MacroSet:
             _reject(monoid, self.macros)
         self._automaton: Automaton | None = None
         self._front: tuple[list, list[int]] = ([], [])  # what `Automaton.grow` reads next
-        # lattice budget -> macro depths; a free set's depths need no budget, key None
+        # budget -> macro depths of an abelian set; a free set's need no budget, key None
         self._depths: dict[int | None, dict[str, int]] = {}
 
     def __len__(self) -> int:
@@ -324,13 +325,6 @@ def _split_axes(gens: list[tuple[tuple[int, ...], str | None]], n: int):
     return axes
 
 
-def _check_box(bound: tuple[int, ...], budget: int) -> None:
-    """Raise LatticeBudgetError if the box dominated by `bound` exceeds `budget` points."""
-    size = math.prod(b + 1 for b in bound)
-    if size > budget:
-        raise LatticeBudgetError(size, budget)
-
-
 class AbelianLattice:
     """Layered reachability over the lattice points p <= bound, on Python ints.
 
@@ -352,7 +346,9 @@ class AbelianLattice:
 
     def __init__(self, bound: tuple[int, ...], vecs: list[tuple[int, ...]], budget: int,
                  cap: int | None = None):
-        _check_box(bound, budget)
+        size = math.prod(b + 1 for b in bound)
+        if size > budget:
+            raise LatticeBudgetError(size, budget)
         top = bound.index(max(bound))
         self.stride = [0] * len(bound)
         self.width = 1
@@ -483,19 +479,20 @@ def _best(
     layer of the box dominated by w that contains w (unbounded
     multi-dimensional coin change); with a depth table the same layers carry
     one bitset per depth level, and the score is the first level holding w.
-    Raises LatticeBudgetError if that box exceeds `budget` points.
 
     When every usable generator lies on one axis, a representation of w is
     one representation of w_i per axis, and it is shortest exactly when each
     of them is: so tokens is the sum, and score the largest, of the answers
     of one 1-D lattice per axis, each with the same `exclude` and `depth`.
+    Each lattice is checked against `budget` as it is built: the box
+    dominated by w, or for a separable set the w_i + 1 points of each axis.
+    Raises LatticeBudgetError for the first one past the budget.
     """
     if not w.monoid.is_abelian:
         a = M.automaton()
         return segment_free(a.heads(w.data), a.depth, a.name, a.out, exclude, depth)
     if w.is_identity():
         return 0, 0
-    _check_box(w.data, budget)
     gens = _abelian_generators(M, w.data, exclude)
     axes = _split_axes(gens, len(w.data))
     if axes is None:
@@ -519,18 +516,18 @@ def gprime_length(
     w: Word,
     M: MacroSet,
     exclude: str | None = None,
-    budget: int = DEFAULT_LATTICE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Minimal generator count for w over primitives plus macros (either monoid).
 
     `exclude` drops one macro by name (used for wrapped lengths); `budget`
-    bounds the lattice box of an abelian word.
+    bounds each lattice an abelian word needs, as `_best` builds them.
     """
     _check_monoid(w, M)
     return _best(w, M, exclude, None, budget)[0]
 
 
-def wrapped_length(m: Macro, M: MacroSet, budget: int = DEFAULT_LATTICE_BUDGET) -> int:
+def wrapped_length(m: Macro, M: MacroSet, budget: int = DEFAULT_BUDGET) -> int:
     """Minimal length of m's definition over the other generators (m itself excluded)."""
     return gprime_length(m.definition, M, exclude=m.name, budget=budget)
 
@@ -604,7 +601,7 @@ def _free_macro_depths(M: MacroSet) -> dict[str, int]:
 def monoid_depth(
     x: Word | Macro,
     M: MacroSet,
-    budget: int = DEFAULT_LATTICE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Nesting depth of x's optimal representation over primitives plus macros.
 

@@ -22,7 +22,7 @@ from macrolab import monoid
 from macrolab.expansion import SphereBudgetError, _match_state_worsts, expansion_profile
 from macrolab.families import FamilySpec, build_macro_family
 from macrolab.monoid import (
-    DEFAULT_LATTICE_BUDGET,
+    DEFAULT_BUDGET,
     Automaton,
     Macro,
     MacroSet,
@@ -163,7 +163,7 @@ def test_segmentation_matches_the_trie_oracle(case):
     assert gprime_length(w, M, exclude=exclude) == oracle_gprime(word, M, exclude)
     assert [wrapped_length(m, M) for m in M] == [
         oracle_gprime(m.definition.data, M, m.name) for m in M]
-    assert _macro_depths(M, DEFAULT_LATTICE_BUDGET) == oracle_macro_depths(M)
+    assert _macro_depths(M, DEFAULT_BUDGET) == oracle_macro_depths(M)
     assert monoid_depth(w, M) == oracle_depth(word, M)
     assert [monoid_depth(m, M) for m in M] == [
         oracle_depth(m.definition.data, M) for m in M]
@@ -203,7 +203,7 @@ def test_automaton_tables_follow_their_definition(case):
 def test_depths_on_shared_stems_match_the_oracle(case):
     n, defs = case
     M = macro_set(n, defs)
-    assert _macro_depths(M, DEFAULT_LATTICE_BUDGET) == oracle_macro_depths(M)
+    assert _macro_depths(M, DEFAULT_BUDGET) == oracle_macro_depths(M)
     assert [monoid_depth(m, M) for m in M] == [oracle_depth(m.definition.data, M) for m in M]
 
 
@@ -214,7 +214,7 @@ def test_depths_on_shared_stems_match_the_oracle(case):
 ], ids=["lex-1-1-2-30", "lex-1-2-3-10", "random-2-1-2-16"])
 def test_depths_of_poly_families_match_the_oracle(spec):
     M = build_macro_family(spec)
-    assert _macro_depths(M, DEFAULT_LATTICE_BUDGET) == oracle_macro_depths(M)
+    assert _macro_depths(M, DEFAULT_BUDGET) == oracle_macro_depths(M)
 
 
 def test_free_depths_need_no_budget_and_are_computed_once(monkeypatch):
@@ -309,7 +309,7 @@ def test_depth_grown_profiles_match_full_trie_profiles(case, s_values, r_max, bu
 
     def profile(M):
         try:
-            return expansion_profile(M, s_values, r_max, word_budget=budget).entries
+            return expansion_profile(M, s_values, r_max, budget=budget).entries
         except SphereBudgetError as exc:
             return exc.largest_completed
 

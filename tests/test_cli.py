@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -125,7 +126,7 @@ def test_sim_budget_exhaustion_exits_three(tmp_path):
     out = tmp_path / "budget"
     code = main([
         "sim", "--regime", "poly-free", "--c", "1", "--p", "1", "--n", "2",
-        "--s", "6", "--r-max", "12", "--word-budget", "40", "--out", str(out),
+        "--s", "6", "--r-max", "12", "--budget", "40", "--out", str(out),
     ])
     assert code == EXIT_BUDGET
     report = read_jsonl(out / "report.jsonl")
@@ -134,20 +135,76 @@ def test_sim_budget_exhaustion_exits_three(tmp_path):
 
 
 def test_lattice_overflow_reports_the_largest_box_that_fits(tmp_path):
-    # The default budget is 10**7 lattice points and 215**3 <= 10**7 < 216**3.
+    # Both macros span two axes, so the profile needs the 401**3 box; the default
+    # budget is 10**7 lattice points and 215**3 <= 10**7 < 216**3.
     out = tmp_path / "overflow"
-    code = main(["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
-                 "--r-max", "400", "--out", str(out)])
+    code = main(["sim", "--regime", "finite", "--monoid", "abelian", "--n", "3",
+                 "--word", "1,1,0;0,1,1", "--s", "1:4", "--r-max", "400", "--out", str(out)])
     assert code == EXIT_BUDGET
     report = read_jsonl(out / "report.jsonl")
     assert report[1]["status"] == "budget_exceeded"
     assert report[1]["largest_completed_radius"] == 214
 
 
+def digit_sum_profile(n, s_values, radius):
+    """Oracle: f(s) of base-2 place notation on n axes, the last radius
+    before some point |p| <= `radius` has coordinate popcounts summing past s."""
+    worst = [0] * (radius + 1)
+    for p in product(range(radius + 1), repeat=n):
+        if sum(p) <= radius:
+            worst[sum(p)] = max(worst[sum(p)], sum(bin(a).count("1") for a in p))
+    return [next(r - 1 for r in range(radius + 1) if worst[r] > s) for s in s_values]
+
+
+def test_place_profile_is_charged_one_lattice_per_axis(tmp_path):
+    # The 401**3 box is past the default budget, but place macros each lie on
+    # one axis, so the profile builds three lattices of 401 points.
+    code = main(["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
+                 "--r-max", "400", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    rows = read_csv(tmp_path / "profile.csv")
+    assert all(row["kind"] == "exact" for row in rows)
+    assert [int(row["value"]) for row in rows] == digit_sum_profile(3, [1, 2, 3, 4], 10) \
+        == [1, 2, 4, 6]
+
+
+def test_sim_budget_bounds_each_abelian_lattice(tmp_path):
+    # Place macros lie on one axis: two lattices of 41 points each.
+    args = ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:3", "--r-max", "40"]
+    assert main([*args, "--budget", "41", "--out", str(tmp_path / "fits")]) == EXIT_OK
+    assert main([*args, "--budget", "40", "--out", str(tmp_path / "over")]) == EXIT_BUDGET
+    report = read_jsonl(tmp_path / "over" / "report.jsonl")
+    assert (report[1]["largest_completed_radius"], report[1]["budget"]) == (39, 40)
+
+
+@pytest.mark.parametrize("key", ["word_budget", "lattice_budget"])
+def test_removed_budget_options_are_input_errors(tmp_path, capsys, key):
+    args = ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "1", "--word", "5",
+            "--s", "1:3", "--r-max", "40"]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--" + key.replace("_", "-"), "1", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == EXIT_INPUT
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key}=1\n")
+    assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == EXIT_INPUT
+    assert f"unknown config key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "cfg").exists()
+
+
+def test_double_log_takes_no_second_generator(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["sim", "--regime", "double-log", "--b", "2", "--n", "3", "--s", "1:5",
+                 "--r-max", "200", "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--n" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--regime", "finite", "--monoid", "free", "--n", "2", "--word", "aa;bb",
-     "--word-budget", "-5"],
-    ["--regime", "place", "--b", "2", "--n", "1", "--lattice-budget", "0"],
+     "--budget", "-5"],
+    ["--regime", "place", "--b", "2", "--n", "1", "--budget", "0"],
 ])
 def test_non_positive_budget_is_an_input_error(tmp_path, capsys, args):
     code = main(["sim", *args, "--s", "1:3", "--r-max", "10", "--out", str(tmp_path)])
@@ -186,6 +243,14 @@ def test_sim_probabilistic_unreachable_rate_exits_two(tmp_path):
     assert code == EXIT_VERIFY
     report = read_jsonl(out / "report.jsonl")
     assert report[-1]["status"] == "bound_violation"
+
+
+def test_sim_probabilistic_takes_a_huge_finite_window_constant(tmp_path):
+    # C ln(e + r) overflows to inf here; the window is capped at the word length.
+    code = main(["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "16",
+                 "--big-c", "1e308", "--big-b", "inf", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert len(read_csv(tmp_path / "mc_parse.csv")) == 5
 
 
 def test_sim_probabilistic_runs_past_twenty_six_letters(tmp_path):
@@ -266,10 +331,9 @@ PINNED_PARSER = {
         (("--trials",), "trials", None, None, False),
         (("--mc-r",), "mc_r", None, None, False),
         (("--min-halving-rate",), "min_halving_rate", None, None, False),
-        (("--word-budget",), "word_budget", None,
-         "free-monoid profile budget, in (match state, letter) "
-         "transitions of the worst-word DP", False),
-        (("--lattice-budget",), "lattice_budget", None, None, False),
+        (("--budget",), "budget", None,
+         "profile search budget: the points of each abelian lattice, or the "
+         "(match state, letter) transitions of the free worst-word DP", False),
         (("--seed",), "seed", None, "base seed for all streams", False),
         (("--out",), "out", None, "output directory", False),
         (("--config",), "config", None, "key=value defaults file; flags override", False),
@@ -330,7 +394,7 @@ PINNED_DEFAULTS = {
         "regime": "place", "monoid": "abelian", "n": 1, "b": None, "k": None, "c": None,
         "p": None, "big_b": 8.0, "big_c": 4.0, "s": None, "r_max": None, "word": None,
         "sampler": "lex", "trials": 1000, "mc_r": [64, 128, 256], "min_halving_rate": 0.99,
-        "seed": 0, "out": ".", "word_budget": 10000000, "lattice_budget": 10000000,
+        "seed": 0, "out": ".", "budget": 10000000,
     },
     "ingest": {
         "in": "corpus.jsonl", "format": "corpus", "out": ".",
@@ -421,6 +485,18 @@ def test_unknown_config_key_is_an_input_error(tmp_path, capsys):
     assert main(["sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "r_mx" in err
+
+
+def test_config_key_set_twice_is_an_input_error(tmp_path, capsys):
+    # r_max and r-max are one key.
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("regime=place\nb=2\ns=1:2\nr_max=3\nr-max=40\n")
+    out = tmp_path / "o"
+    assert main(["sim", "--config", str(cfg), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err and "r_max" in err
+    assert "line 4" in err and "line 5" in err
+    assert not out.exists()
 
 
 def test_config_key_of_ingest_in_is_in(tmp_path, capsys):

@@ -175,7 +175,7 @@ def test_expansion_grows_under_macro_addition():
 def test_sphere_budget_error_reports_progress():
     M = build_macro_family(FamilySpec.poly_density_free(c=1.0, p=1.0, n=2, r_max=12))
     with pytest.raises(SphereBudgetError) as err:
-        expansion_profile(M, [6], r_max=12, word_budget=40)
+        expansion_profile(M, [6], r_max=12, budget=40)
     assert err.value.budget == 40
     assert 0 <= err.value.largest_completed < 12
 
@@ -245,6 +245,30 @@ def test_abelian_profile_matches_brute_force(case, s_values):
             assert gprime_length(Word(abelian(n), p), M) == g, p
             worsts[sum(p)] = max(worsts[sum(p)], g)
     assert expansion_profile(M, s_values, r_max).entries == profile_oracle(worsts[1:], s_values)
+
+
+@settings(deadline=None, max_examples=80)
+@given(abelian_profile_cases, st.one_of(st.integers(1, 16), st.integers(1, 800)))
+def test_budget_charges_only_the_lattice_the_profile_builds(case, budget):
+    """A budgeted profile equals the unbudgeted one, or raises exactly when
+    the lattice it builds is past the budget: one of r_max + 1 points per
+    axis when every macro within the radius lies on one axis, else the
+    (r_max + 1)^n box.  The report names the largest radius whose lattice of
+    that dimension fits."""
+    n, defs, r_max = case
+    M = MacroSet(abelian(n), [Macro(f"m{i}", Word(abelian(n), d)) for i, d in enumerate(defs)])
+    s_values = [1, 2, 3]
+    unbudgeted = expansion_profile(M, s_values, r_max).entries
+    on_one_axis = all(sum(1 for a in d if a) == 1 for d in defs if sum(d) <= r_max)
+    dim = 1 if on_one_axis else n
+    if (r_max + 1) ** dim <= budget:
+        assert expansion_profile(M, s_values, r_max, budget=budget).entries == unbudgeted
+    else:
+        with pytest.raises(SphereBudgetError) as err:
+            expansion_profile(M, s_values, r_max, budget=budget)
+        fits = err.value.largest_completed
+        assert (fits + 1) ** dim <= budget < (fits + 2) ** dim
+        assert err.value.budget == budget
 
 
 def lattice_best(w, M, exclude=None, depth=None):
@@ -337,13 +361,13 @@ def test_free_linear_ceiling_is_checked_far_past_the_sphere_scan():
     words = [Word.from_letters(letters_of_str(t), n=2) for t in ("aa", "bb", "ab", "ba")]
     spec = FamilySpec.finite(words, r_max=100)
     profile = expansion_profile(build_macro_family(spec), range(1, 41), r_max=100,
-                                spec=spec, word_budget=10**5)
+                                spec=spec, budget=10**5)
     assert profile.entries == {s: ExpansionValue(2 * s, True) for s in range(1, 41)}
     assert verify_bounds(profile).all_passed
 
     spec = FamilySpec.poly_density_free(c=2.0, p=1.0, n=2, r_max=80)
     profile = expansion_profile(build_macro_family(spec), range(1, 13), r_max=80,
-                                spec=spec, word_budget=10**5)
+                                spec=spec, budget=10**5)
     assert all(v.exact for v in profile.entries.values())
     assert verify_bounds(profile).all_passed
 
@@ -767,8 +791,10 @@ def test_cached_depths_match_oracle_and_follow_with_macro(case, words, extra):
 
 
 def test_cached_depths_still_honour_a_smaller_lattice_budget():
-    # The 31 x 31 box of the macro's own depth exceeds a budget of 100 points.
-    M = MacroSet(abelian(2), [Macro("big", Word.from_multiplicities((30, 30)))])
+    # The depth of (30, 30) reads the 31 x 31 box, since (1, 1) spans two axes;
+    # that box exceeds a budget of 100 points.
+    M = MacroSet(abelian(2), [Macro("small", Word.from_multiplicities((1, 1))),
+                              Macro("big", Word.from_multiplicities((30, 30)))])
     w = Word.from_multiplicities((2, 0))
     assert monoid_depth(w, M) == 1
     with pytest.raises(LatticeBudgetError):

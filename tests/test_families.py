@@ -309,9 +309,11 @@ def test_lazy_set_overall_density_on_random_words():
 
 def test_lazy_set_window_sizes():
     C = lazy_set().big_c
-    assert halving_window(C, 0) == math.ceil(4.0 * math.log(math.e))
     assert halving_window(C, 100) == math.ceil(4.0 * math.log(math.e + 100))
     assert halving_window(C, 1000) >= halving_window(C, 100)
+    # ceil(4 ln(e + r)) is past r for r <= 10: a window of r scans every start.
+    assert [halving_window(C, r) for r in (0, 1, 10, 12)] == [0, 1, 10, 11]
+    assert halving_window(1e308, 5) == halving_window(math.inf, 5) == 5
 
 
 # --- the seeded letter stream ---

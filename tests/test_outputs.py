@@ -89,7 +89,7 @@ SIM_RUNS = [
     ("prob-free", ["sim", "--regime", "prob-free", "--n", "2", "--trials", "30",
                    "--mc-r", "16,64,256", "--seed", "5"], 0),
     ("budget", ["sim", "--regime", "poly-free", "--c", "1", "--p", "1", "--n", "2",
-                "--s", "6", "--r-max", "12", "--word-budget", "40"], 3),
+                "--s", "6", "--r-max", "12", "--budget", "40"], 3),
 ]
 
 SIM_DIGESTS = {
@@ -112,11 +112,13 @@ SIM_DIGESTS = {
 }
 
 
-# Abelian sim runs; the last outgrows the default lattice budget, so its
-# report pins the largest radius whose box fits (214).  place-3000 and
-# waring-n3 were captured on the n-D lattice before the per-axis path for
-# macro sets whose macros each lie on one axis; finite-abelian (3,0;0,2;2,3)
-# is not such a set and still runs the n-D lattice.
+# Abelian sim runs; the last outgrows the default budget on the n-D lattice
+# its macros need, so its report pins the largest radius whose box fits (214).
+# place-3000 and waring-n3 were captured on the n-D lattice before the
+# per-axis path for macro sets whose macros each lie on one axis;
+# finite-abelian (3,0;0,2;2,3) is not such a set and still runs the n-D
+# lattice.  place-400 is charged one lattice of 401 points per axis, not the
+# 401**3 box.
 ABELIAN_SIM_RUNS = [
     ("place", ["sim", "--regime", "place", "--b", "2", "--n", "2", "--s", "1:6",
                "--r-max", "40"], 0),
@@ -134,12 +136,14 @@ ABELIAN_SIM_RUNS = [
                     "--r-max", "3000"], 0),
     ("waring-n3", ["sim", "--regime", "waring", "--k", "2", "--n", "3", "--s", "1:12",
                    "--r-max", "150"], 0),
-    ("budget", ["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
-                "--r-max", "400"], 3),
+    ("place-400", ["sim", "--regime", "place", "--b", "2", "--n", "3", "--s", "1:4",
+                   "--r-max", "400"], 0),
+    ("budget", ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "3",
+                "--word", "1,1,0;0,1,1", "--s", "1:4", "--r-max", "400"], 3),
 ]
 
 ABELIAN_SIM_DIGESTS = {
-    "budget/report.jsonl": "3e285d2b451e057b73df6c273c58d176634f10cfea9db40f4e155839a5a3af62",
+    "budget/report.jsonl": "f487788fd9774aabb749b4f98fac6b4e3201d37b1580e81bb0a3d26f644cd855",
     "double-log/bounds.csv": "91593ef2838d2dda39133dc3a3f12effe497951b357ddebbcedb8e1bd03a0bf5",
     "double-log/profile.csv": "450d56c8608962dadd57c222acfa8039dfc25bdb32ae7d01226a285d96a42002",
     "double-log/report.jsonl": "c3ea222c8ba5664178532c386a3e780269f692954e7c36da115b95bd182c204d",
@@ -155,6 +159,9 @@ ABELIAN_SIM_DIGESTS = {
     "place/bounds.csv": "c2f3e5450b8f77a74316a271da6d5f1cf470c00b71ad927b19e6325d5fb5f30a",
     "place/profile.csv": "99f8814761fe42857380e4c332fd7005238886bc4e82e5662f9bea82d7f171f9",
     "place/report.jsonl": "248cd5668b47e2275bddfabcafa3743f4578d0afd9d4ba0264c2421b242e6c52",
+    "place-400/bounds.csv": "d918b5baa17982fc8f1b3fbb6a70f06cc8f4cf3ea59fd2668708f48a9c2b5bd1",
+    "place-400/profile.csv": "515d7cefc54ee0771adf05e191462fe82533b913424a5c380050f5b63cf1f8d2",
+    "place-400/report.jsonl": "61efc3615838ef6a277d7a51da6e50faf19dec6dbfe5ddcf5d8f88b5c7a68c44",
     "place-b3/bounds.csv": "7be6c6c26b57f84ce86ac8b1843683648041330d2e14edf53843559f9f8db9f2",
     "place-b3/profile.csv": "31a84716f9ad5ad22e154f9a588b0d9948c2268f5681ef62eaa290b192f89bc8",
     "place-b3/report.jsonl": "c091faf7ce76a2d1a67eb643bbd23360e4296d2c8406a4a607033099fdb9ad93",

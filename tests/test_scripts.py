@@ -4,11 +4,12 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-from macrolab.cli import EXIT_OK
+from macrolab.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -91,3 +92,16 @@ def test_readme_python_example_runs_and_prints_its_comment(tmp_path):
                           cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [expected]
+
+
+def test_readme_sim_and_synth_examples_exit_zero(tmp_path, monkeypatch):
+    """Every `macrolab sim` and `macrolab synth` command line in the README's
+    shell blocks, with its backslash continuations joined, exits 0."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith(("macrolab sim ", "macrolab synth "))]
+    assert len(commands) == 6
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == EXIT_OK, argv
