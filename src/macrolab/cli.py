@@ -110,7 +110,10 @@ def _merge(args: argparse.Namespace) -> dict:
     """Flags beat config, config beats defaults; a config key no option has is an input error.
 
     A config value goes through its flag's converter and choices; the required
-    and range checks apply to a value from either source.
+    and range checks apply to a value from either source.  The command's first
+    option is merged first, and its choice decides which options with a
+    ``read_by`` are read: one the choice does not read must be left unset and
+    is left out of the result; one it reads with no default must be set.
     """
     # --config names the file, so it is the one option that is no key in it.
     opts = [opt for opt in COMMANDS[args.command].options if opt.dest != "config"]
@@ -119,18 +122,24 @@ def _merge(args: argparse.Namespace) -> dict:
     if unknown:
         raise InputError(f"{args.config}: unknown config key {', '.join(unknown)}")
     out = {}
+    who = args.command
     for opt in opts:
         val = getattr(args, opt.dest)
         if val is None and opt.dest in cfg:
             val = _from_config(opt, cfg[opt.dest], args.config)
+        if opt.read_by is not None and out[opts[0].dest] not in opt.read_by:
+            if val is not None:
+                raise InputError(f"{who} does not read {opt.flag}")
+            continue
         if val is None:
-            if opt.required:
-                raise InputError(f"{args.command} needs {opt.flag}")
+            if opt.required or opt.read_by is not None and opt.default is None:
+                raise InputError(f"{who} needs {opt.flag}")
             val = opt.default
         elif opt.bounds and not opt.bounds[0] <= val < opt.bounds[1]:
             raise InputError(f"{opt.dest} must lie in [{opt.bounds[0]}, {opt.bounds[1]}), "
                              f"got {val}")
         out[opt.dest] = val
+        who = f"{args.command} {opts[0].flag} {out[opts[0].dest]}"  # names the choice
     return out
 
 
@@ -174,38 +183,26 @@ def _parse_finite_words(texts: list[str], monoid_name: str, n: int) -> list[Word
 
 
 def _family_spec(opts: dict) -> families.FamilySpec:
+    """The family of the merged options, which hold only those its regime reads."""
     from . import families
 
     regime = opts["regime"]
-    n = opts["n"]
-    r_max = opts["r_max"]
-    if regime in ("place", "waring", "double-log", "poly-free", "finite") and r_max is None:
-        raise InputError("this regime needs --r-max")
     if regime == "place":
-        if opts["b"] is None:
-            raise InputError("place notation needs --b")
-        return families.FamilySpec.place_notation(opts["b"], n, r_max)
+        return families.FamilySpec.place_notation(opts["b"], opts["n"], opts["r_max"])
     if regime == "waring":
-        if opts["k"] is None:
-            raise InputError("power sums need --k")
-        return families.FamilySpec.waring(opts["k"], n, r_max)
+        return families.FamilySpec.waring(opts["k"], opts["n"], opts["r_max"])
     if regime == "double-log":
-        if opts["b"] is None:
-            raise InputError("double-log towers need --b")
-        if n != 1:
-            raise InputError(f"double-log towers have one generator; --n must be 1, got {n}")
-        return families.FamilySpec.double_log(opts["b"], r_max)
+        return families.FamilySpec.double_log(opts["b"], opts["r_max"])
     if regime == "finite":
-        words = _parse_finite_words(opts["word"] or [], opts["monoid"], n)
-        mon = abelian(n) if opts["monoid"] == "abelian" else free(n)
-        return families.FamilySpec.finite(words, r_max, monoid=mon)
+        words = _parse_finite_words(opts["word"], opts["monoid"], opts["n"])
+        mon = abelian(opts["n"]) if opts["monoid"] == "abelian" else free(opts["n"])
+        return families.FamilySpec.finite(words, opts["r_max"], monoid=mon)
     if regime == "poly-free":
-        if opts["c"] is None or opts["p"] is None:
-            raise InputError("polynomial density needs --c and --p")
         return families.FamilySpec.poly_density_free(
-            opts["c"], opts["p"], n, r_max, seed=opts["seed"], sampler=opts["sampler"])
+            opts["c"], opts["p"], opts["n"], opts["r_max"], seed=opts["seed"],
+            sampler=opts["sampler"])
     return families.FamilySpec.probabilistic_free(  # prob-free, the last choice
-        opts["big_b"], opts["big_c"], n, r_max if r_max is not None else 1, opts["seed"])
+        opts["big_b"], opts["big_c"], opts["n"], 1, opts["seed"])
 
 
 def _bound_rows(report: expansion.BoundReport) -> list[list]:
@@ -219,8 +216,6 @@ def cmd_sim(args: argparse.Namespace) -> int:
 
     opts = _merge(args)
     spec = _family_spec(opts)
-    if spec.regime != "prob_free" and opts["s"] is None:
-        raise InputError("sim needs --s (a value or lo:hi range)")
     M = families.build_macro_family(spec)
     if spec.regime == "prob_free":
         return _sim_probabilistic(M, spec, opts)
@@ -346,6 +341,14 @@ def _wrapped_of(m: analytics.NodeMetrics, metric: str) -> int | None:
     return m.wrapped_refs
 
 
+def _decimal_digits(x: int) -> int:
+    """len(str(x)) for an int x >= 0, without the int-to-str conversion that
+    CPython refuses past 4,300 digits: 2**(L-1) <= x < 2**L for L bits, so x
+    has k or k + 1 digits, k being the digits of 2**(L-1)."""
+    k = int(max(x.bit_length() - 1, 0) * math.log10(2)) + 1
+    return k + (x >= 10**k)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analytics
     from .corpus import load_graph, normalize_kind
@@ -373,11 +376,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               "unwrapped_decimal_digits", "depth"]
     if opts["full_unwrapped"]:
         header.append("unwrapped")
+        if hasattr(sys, "set_int_max_str_digits"):  # the column holds every digit
+            sys.set_int_max_str_digits(0)
     rows = []
     pairs = []  # (depth, wrapped, log2 unwrapped) of each element with a wrapped size
     for m in metrics.values():  # in name order
         row = [m.name, m.kind, m.wrapped_tokens, m.wrapped_refs,
-               m.log2_unwrapped, len(str(m.unwrapped)), m.depth]
+               m.log2_unwrapped, _decimal_digits(m.unwrapped), m.depth]
         if opts["full_unwrapped"]:
             row.append(m.unwrapped)
         rows.append(row)
@@ -522,7 +527,9 @@ class Opt(NamedTuple):
     ``conv`` turns the flag's text into the value; ``bool`` makes a switch
     whose config value is one of true/false, yes/no, on/off, 1/0.  ``bounds``
     is an inclusive lower and an exclusive upper limit.  A ``required`` option
-    left out of both flags and config is an input error.
+    left out of both flags and config is an input error.  ``read_by`` names
+    the choices of the command's first option (``sim --regime``,
+    ``synth --kind``) that read the option; None means every choice does.
     """
 
     flag: str
@@ -532,6 +539,7 @@ class Opt(NamedTuple):
     choices: tuple[str, ...] | None = None
     required: bool = False
     bounds: tuple[int, float] | None = None
+    read_by: tuple[str, ...] | None = None
 
     @property
     def dest(self) -> str:
@@ -551,31 +559,34 @@ _COMMON = (
     Opt("--out", default=".", help="output directory"),
     Opt("--config", help="key=value defaults file; flags override"),
 )
+# The sim regimes that compute an expansion profile; prob-free samples instead.
+_PROFILED = ("place", "waring", "double-log", "finite", "poly-free")
 
 COMMANDS = {
     "sim": Command("expansion profile and bound checks for one macro family", cmd_sim, (
-        Opt("--regime", required=True, choices=(
-            "place", "waring", "double-log", "finite", "poly-free", "prob-free")),
-        Opt("--monoid", default="abelian", choices=("abelian", "free")),
-        Opt("--n", int, 1, "number of primitive generators"),
-        Opt("--b", int),
-        Opt("--k", int),
-        Opt("--c", float),
-        Opt("--p", float),
-        Opt("--big-b", float, 8.0),
-        Opt("--big-c", float, 4.0),
-        Opt("--s", _s_range, help="budget s or lo:hi range"),
-        Opt("--r-max", int),
-        Opt("--word", _semicolon_list, help="finite-regime definitions, ';'-separated"),
-        Opt("--sampler", default="lex", choices=("lex", "random")),
-        Opt("--trials", int, 1000, bounds=(1, math.inf)),
-        Opt("--mc-r", _int_list, [64, 128, 256]),
-        Opt("--min-halving-rate", float, 0.99),
+        Opt("--regime", required=True, choices=(*_PROFILED, "prob-free")),
+        Opt("--monoid", default="abelian", choices=("abelian", "free"), read_by=("finite",)),
+        Opt("--n", int, 1, "number of primitive generators",
+            read_by=("place", "waring", "finite", "poly-free", "prob-free")),
+        Opt("--b", int, read_by=("place", "double-log")),
+        Opt("--k", int, read_by=("waring",)),
+        Opt("--c", float, read_by=("poly-free",)),
+        Opt("--p", float, read_by=("poly-free",)),
+        Opt("--big-b", float, 8.0, read_by=("prob-free",)),
+        Opt("--big-c", float, 4.0, read_by=("prob-free",)),
+        Opt("--s", _s_range, help="budget s or lo:hi range", read_by=_PROFILED),
+        Opt("--r-max", int, read_by=_PROFILED),
+        Opt("--word", _semicolon_list, [], "finite-regime definitions, ';'-separated",
+            read_by=("finite",)),
+        Opt("--sampler", default="lex", choices=("lex", "random"), read_by=("poly-free",)),
+        Opt("--trials", int, 1000, bounds=(1, math.inf), read_by=("prob-free",)),
+        Opt("--mc-r", _int_list, [64, 128, 256], read_by=("prob-free",)),
+        Opt("--min-halving-rate", float, 0.99, read_by=("prob-free",)),
         Opt("--budget", int, DEFAULT_BUDGET,
             "profile search budget: the points of each abelian lattice, or the "
             "(match state, letter) transitions of the free worst-word DP",
-            bounds=(1, math.inf)),
-        _SEED, *_COMMON)),
+            bounds=(1, math.inf), read_by=_PROFILED),
+        _SEED._replace(read_by=("poly-free", "prob-free")), *_COMMON)),
     "ingest": Command("corpus or edge-list file -> canonical graph file", cmd_ingest, (
         Opt("--in", required=True),
         Opt("--format", default="corpus", choices=("corpus", "graph")),
@@ -608,14 +619,14 @@ COMMANDS = {
         *_COMMON)),
     "synth": Command("generate a synthetic corpus graph", cmd_synth, (
         Opt("--kind", required=True, choices=("hierarchy", "flat", "mixed")),
-        Opt("--b", int, 2),
-        Opt("--height", int, 10),
-        Opt("--fanout", int, 4),
-        Opt("--nodes", int, 1000),
-        Opt("--primitives", int, 20),
-        Opt("--macros", int, 50),
-        Opt("--max-weight", int, 5),
-        _SEED, *_COMMON)),
+        Opt("--b", int, 2, read_by=("hierarchy",)),
+        Opt("--height", int, 10, read_by=("hierarchy",)),
+        Opt("--fanout", int, 4, read_by=("flat", "mixed")),
+        Opt("--nodes", int, 1000, read_by=("mixed",)),
+        Opt("--primitives", int, 20, read_by=("flat", "mixed")),
+        Opt("--macros", int, 50, read_by=("flat",)),
+        Opt("--max-weight", int, 5, read_by=("mixed",)),
+        _SEED._replace(read_by=("flat", "mixed")), *_COMMON)),
 }
 
 

@@ -253,8 +253,10 @@ def _check_header(obj: dict, expected_format: str) -> None:
 
 def _read_jsonl(path: str, expected_format: str):
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        # Records end at "\n" alone: JSON strings may hold U+2028, U+2029 and
+        # U+0085 raw, which str.splitlines would also break at.
+        lines = fh.read().split("\n")
+    if lines == [""]:
         raise CorpusError("empty file", line=1)
     try:
         header = json.loads(lines[0])

@@ -152,8 +152,7 @@ class MacroSet:
             _reject(monoid, self.macros)
         self._automaton: Automaton | None = None
         self._front: tuple[list, list[int]] = ([], [])  # what `Automaton.grow` reads next
-        # budget -> macro depths of an abelian set; a free set's need no budget, key None
-        self._depths: dict[int | None, dict[str, int]] = {}
+        self._depths: dict[str, int] = {}  # macro name -> depth, as far as filled in
 
     def __len__(self) -> int:
         return len(self.macros)
@@ -532,27 +531,30 @@ def wrapped_length(m: Macro, M: MacroSet, budget: int = DEFAULT_BUDGET) -> int:
     return gprime_length(m.definition, M, exclude=m.name, budget=budget)
 
 
-def _macro_depths(M: MacroSet, budget: int) -> dict[str, int]:
-    """Depth of every macro, in increasing definition length, computed once
-    per budget, or once in all for a free set, whose depths need no budget.
+def _macro_depths(M: MacroSet, budget: int, bound: tuple[int, ...] | None = None) -> dict[str, int]:
+    """The depth table of M, filled in at least for every macro whose
+    definition `bound` dominates, which are the macros an abelian word with
+    multiplicities `bound` can use (for every macro when `bound` is None).
+    A free set's table is filled whole, once (`_free_macro_depths`), since
+    its depths need no budget.
 
     A macro's minimal representation (itself excluded) only ever uses macros
-    of strictly smaller length: an equal-length macro would have to equal the
-    definition, and definitions are unique.  So increasing-length order makes
-    each depth depend only on already-computed ones.  An abelian set runs
-    `_best` per macro; a free set memoises one segmentation per trie prefix
-    (`_free_macro_depths`).
+    dominated by its definition and of strictly smaller length: an
+    equal-length one would have to equal the definition, and definitions are
+    unique.  So filling in the missing dominated macros in increasing length
+    makes each depth depend only on known ones, and each of their lattices is
+    no larger than the word's own: a fill raises LatticeBudgetError only when
+    the word's own lattice exceeds `budget`, whatever was filled in before.
     """
-    key = budget if M.monoid.is_abelian else None
-    if key not in M._depths:
-        if key is None:
-            M._depths[key] = _free_macro_depths(M)
-        else:
-            depths: dict[str, int] = {}
-            for m in sorted(M, key=lambda m: (m.definition.g_length(), m.name)):
-                depths[m.name] = 1 + _best(m.definition, M, m.name, depths, budget)[1]
-            M._depths[key] = depths
-    return M._depths[key]
+    if not M.monoid.is_abelian:
+        if len(M._depths) < len(M):
+            M._depths.update(_free_macro_depths(M))
+        return M._depths
+    todo = [m for m in M if m.name not in M._depths
+            and (bound is None or all(a <= b for a, b in zip(m.definition.data, bound)))]
+    for m in sorted(todo, key=lambda m: (m.definition.g_length(), m.name)):
+        M._depths[m.name] = 1 + _best(m.definition, M, m.name, M._depths, budget)[1]
+    return M._depths
 
 
 def _free_macro_depths(M: MacroSet) -> dict[str, int]:
@@ -623,4 +625,4 @@ def monoid_depth(
     _check_monoid(word, M)
     if word.g_length() <= 1:
         return 0
-    return 1 + _best(word, M, exclude, _macro_depths(M, budget), budget)[1]
+    return 1 + _best(word, M, exclude, _macro_depths(M, budget, word.data), budget)[1]

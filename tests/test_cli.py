@@ -377,30 +377,49 @@ PINNED_PARSER = {
     ]),
 }
 
+# The merged value of each option left unset, on a choice that reads it.
 PINNED_DEFAULTS = {
     "sim": {
-        "regime": "place", "monoid": "abelian", "n": 1, "b": None, "k": None, "c": None,
-        "p": None, "big_b": 8.0, "big_c": 4.0, "s": None, "r_max": None, "word": None,
+        "monoid": "abelian", "n": 1, "big_b": 8.0, "big_c": 4.0, "word": [],
         "sampler": "lex", "trials": 1000, "mc_r": [64, 128, 256], "min_halving_rate": 0.99,
         "seed": 0, "out": ".", "budget": 10000000,
     },
     "ingest": {
-        "in": "corpus.jsonl", "format": "corpus", "out": ".",
+        "format": "corpus", "out": ".",
     },
     "analyze": {
-        "graph": "graph.jsonl", "out": ".", "wrapped_metric": "auto", "bin_log2": 5.0,
+        "out": ".", "wrapped_metric": "auto", "bin_log2": 5.0,
         "bin_wrapped": 10.0, "bin_depth": 1.0, "fit_lo": None, "fit_hi": None,
         "filter_percentile": None, "filter_kinds": None, "full_unwrapped": False,
         "min_distinct_x": 8, "flat_slope": 0.05, "min_x_span": 0.0,
     },
     "rank": {
-        "graph": "graph.jsonl", "out": ".", "alpha": 0.85, "beta": 0.5, "tolerance": 1e-12,
+        "out": ".", "alpha": 0.85, "beta": 0.5, "tolerance": 1e-12,
         "max_iter": 10000, "wrapped_metric": "auto", "sweep": None, "alt_deductive": False,
     },
     "synth": {
-        "kind": "mixed", "b": 2, "height": 10, "fanout": 4, "nodes": 1000, "primitives": 20,
+        "b": 2, "height": 10, "fanout": 4, "nodes": 1000, "primitives": 20,
         "macros": 50, "max_weight": 5, "seed": 0, "out": ".",
     },
+}
+
+# Per command and choice of its first option (None for a command without
+# choices), the flags of the options that run needs and nothing else.
+BASE_FLAGS = {
+    ("sim", "place"): ["--regime", "place", "--b", "2", "--s", "1:3", "--r-max", "10"],
+    ("sim", "waring"): ["--regime", "waring", "--k", "2", "--s", "1:3", "--r-max", "10"],
+    ("sim", "double-log"): ["--regime", "double-log", "--b", "2", "--s", "1:3",
+                            "--r-max", "10"],
+    ("sim", "finite"): ["--regime", "finite", "--s", "1:3", "--r-max", "10"],
+    ("sim", "poly-free"): ["--regime", "poly-free", "--c", "1", "--p", "2", "--s", "1:3",
+                           "--r-max", "10"],
+    ("sim", "prob-free"): ["--regime", "prob-free"],
+    ("ingest", None): ["--in", "corpus.jsonl"],
+    ("analyze", None): ["--graph", "graph.jsonl"],
+    ("rank", None): ["--graph", "graph.jsonl"],
+    ("synth", "hierarchy"): ["--kind", "hierarchy"],
+    ("synth", "flat"): ["--kind", "flat"],
+    ("synth", "mixed"): ["--kind", "mixed"],
 }
 
 
@@ -422,13 +441,17 @@ def test_parser_keeps_every_flag_dest_choice_and_help():
 
 
 def test_merged_defaults_are_unchanged():
+    """Every option left unset merges to its pinned default on each choice
+    that reads it, and each pinned option is read by some choice."""
     parser = build_parser()
-    required = {"sim": ["--regime", "place"], "ingest": ["--in", "corpus.jsonl"],
-                "analyze": ["--graph", "graph.jsonl"], "rank": ["--graph", "graph.jsonl"],
-                "synth": ["--kind", "mixed"]}
-    merged = {name: _merge(parser.parse_args([name, *flags]))
-              for name, flags in required.items()}
-    assert merged == PINNED_DEFAULTS
+    merged = {name: set() for name in PINNED_DEFAULTS}
+    for (name, _), flags in BASE_FLAGS.items():
+        given = {flag[2:].replace("-", "_") for flag in flags[::2]}
+        values = _merge(parser.parse_args([name, *flags]))
+        unset = {dest: val for dest, val in values.items() if dest not in given}
+        assert unset == {dest: PINNED_DEFAULTS[name][dest] for dest in unset}
+        merged[name] |= set(unset)
+    assert merged == {name: set(defaults) for name, defaults in PINNED_DEFAULTS.items()}
 
 
 @pytest.mark.parametrize("command", list(PINNED_PARSER))
@@ -510,16 +533,6 @@ def test_commands_without_randomness_take_no_seed(tmp_path, capsys, command):
     assert exc.value.code == EXIT_INPUT
 
 
-# Flags that give each command its required options (and sim a finite family).
-BASE_FLAGS = {
-    "sim": ["--regime", "finite", "--n", "2", "--word", "aa;bb", "--s", "1:3",
-            "--r-max", "10"],
-    "ingest": ["--in", "corpus.jsonl"],
-    "analyze": ["--graph", "graph.jsonl"],
-    "rank": ["--graph", "graph.jsonl"],
-    "synth": ["--kind", "flat"],
-}
-
 CHOICE_OPTIONS = [("sim", "regime"), ("sim", "monoid"), ("sim", "sampler"),
                   ("ingest", "format"), ("analyze", "wrapped_metric"),
                   ("rank", "wrapped_metric"), ("synth", "kind")]
@@ -529,11 +542,14 @@ def _option(command, dest):
     return next(opt for opt in COMMANDS[command].options if opt.dest == dest)
 
 
-def _flags_without(command, dest):
-    """BASE_FLAGS of the command, less the flag (and value) of `dest`."""
-    flags = BASE_FLAGS[command]
-    skip = _option(command, dest).flag
-    return [x for i in range(0, len(flags), 2) if flags[i] != skip for x in flags[i:i + 2]]
+def _reader_flags(command, dest, choice=None):
+    """BASE_FLAGS of the first choice of the command that reads `dest` (of
+    `choice`, when given), less the flag (and value) of `dest`."""
+    opt = _option(command, dest)
+    flags = next(flags for (name, ch), flags in BASE_FLAGS.items()
+                 if name == command and choice in (None, ch)
+                 and (opt.read_by is None or ch in opt.read_by))
+    return [x for i in range(0, len(flags), 2) if flags[i] != opt.flag for x in flags[i:i + 2]]
 
 
 def test_choice_options_cover_the_table():
@@ -547,7 +563,7 @@ def test_config_value_outside_the_choices_is_an_input_error(tmp_path, capsys, co
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(f"{dest}=abelain\n")
     out = tmp_path / "o"
-    code = main([command, *_flags_without(command, dest), "--config", str(cfg),
+    code = main([command, *_reader_flags(command, dest), "--config", str(cfg),
                  "--out", str(out)])
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
@@ -583,10 +599,62 @@ def test_flag_and_config_line_merge_to_the_same_value(tmp_path, command, opt):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{opt.dest}={text}\n")
     parser = build_parser()
-    base = [command, *_flags_without(command, opt.dest)]
+    # Setting the first option picks the choice; any other option is merged on
+    # a choice that reads it.
+    choice = text if opt.choices and opt is COMMANDS[command].options[0] else None
+    base = [command, *_reader_flags(command, opt.dest, choice)]
     from_flag = _merge(parser.parse_args([*base, *flag]))[opt.dest]
     from_config = _merge(parser.parse_args([*base, "--config", str(cfg)]))[opt.dest]
     assert from_flag == from_config != opt.default
+
+
+# (command, choice, option) for every option a choice of its command does not read.
+UNREAD_OPTIONS = [(name, choice, opt) for name, choice in BASE_FLAGS if choice is not None
+                  for opt in COMMANDS[name].options
+                  if opt.read_by is not None and choice not in opt.read_by]
+
+# (command, choice, option) for every option a choice reads and has no default for.
+NEEDED_OPTIONS = [(name, choice, opt) for name, choice in BASE_FLAGS if choice is not None
+                  for opt in COMMANDS[name].options
+                  if opt.read_by is not None and choice in opt.read_by and opt.default is None]
+
+
+def test_base_flags_set_exactly_the_needed_options():
+    for (name, choice), flags in BASE_FLAGS.items():
+        needed = [opt.flag for n, ch, opt in NEEDED_OPTIONS if (n, ch) == (name, choice)]
+        assert flags[2::2] == needed
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, choice, opt", UNREAD_OPTIONS,
+                         ids=[f"{name}-{ch}-{opt.dest}" for name, ch, opt in UNREAD_OPTIONS])
+def test_option_the_choice_does_not_read_is_an_input_error(tmp_path, capsys, command, choice,
+                                                            opt, source):
+    text = opt.choices[-1] if opt.choices else SAMPLE_TEXT[opt.conv]
+    args = [command, *BASE_FLAGS[command, choice]]
+    if source == "flag":
+        args += [opt.flag] if opt.conv is bool else [opt.flag, text]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{opt.dest}={text}\n")
+        args += ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main([*args, "--out", str(out)]) == EXIT_INPUT
+    who = f"{command} {COMMANDS[command].options[0].flag} {choice}"
+    assert capsys.readouterr().err == f"error: {who} does not read {opt.flag}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, choice, opt", NEEDED_OPTIONS,
+                         ids=[f"{name}-{ch}-{opt.dest}" for name, ch, opt in NEEDED_OPTIONS])
+def test_option_the_choice_reads_without_a_default_is_needed(tmp_path, capsys, command, choice,
+                                                             opt):
+    out = tmp_path / "o"
+    code = main([command, *_reader_flags(command, opt.dest, choice), "--out", str(out)])
+    assert code == EXIT_INPUT
+    who = f"{command} {COMMANDS[command].options[0].flag} {choice}"
+    assert capsys.readouterr().err == f"error: {who} needs {opt.flag}\n"
+    assert not out.exists()
 
 
 def test_malformed_config_line_is_an_input_error(tmp_path):
@@ -686,6 +754,37 @@ def test_analyze_full_unwrapped_column(hierarchy_graph, tmp_path):
                  "--out", str(out)]) == EXIT_OK
     rows = {r["name"]: r for r in read_csv(out / "metrics.csv")}
     assert rows["level30"]["unwrapped"] == str(2**30)
+
+
+@pytest.fixture()
+def default_int_str_limit():
+    """CPython's default 4,300-digit int-to-str limit, whatever an earlier
+    test set, restored afterwards; a Python without the limit runs as is."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_analyze_counts_the_digits_of_lengths_past_the_int_str_limit(tmp_path,
+                                                                      default_int_str_limit):
+    # Level k of a base-10000 hierarchy unwraps to 10000**k, 4k + 1 digits.
+    graph = tmp_path / "synth" / "graph.jsonl"
+    assert main(["synth", "--kind", "hierarchy", "--b", "10000", "--height", "1100",
+                 "--out", str(graph.parent)]) == EXIT_OK
+    for flags in ([], ["--full-unwrapped"]):
+        out = tmp_path / f"analysis{len(flags)}"
+        assert main(["analyze", "--graph", str(graph), *flags, "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "metrics.csv")
+        assert [r["unwrapped_decimal_digits"] for r in rows] == [
+            str(4 * k + 1) for k in range(1101)]
+        if flags:
+            assert [r["unwrapped"] for r in rows] == ["1" + "0000" * k for k in range(1101)]
 
 
 def test_analyze_fit_window_scope(hierarchy_graph, tmp_path):

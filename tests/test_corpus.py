@@ -1,5 +1,7 @@
 """Tests for corpus elements, graph assembly, and the JSONL formats."""
 
+import json
+
 import pytest
 
 from macrolab.corpus import (
@@ -189,6 +191,20 @@ def test_load_graph_reports_bad_json_line(tmp_path):
     with pytest.raises(CorpusError) as err:
         load_graph(str(path))
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("header, load, names", [
+    ("macrolab-graph", load_graph, lambda graph: list(graph.nodes)),
+    ("macrolab-corpus", load_corpus, lambda elements: [e.name for e in elements]),
+], ids=["graph", "corpus"])
+def test_records_end_at_newlines_alone(tmp_path, header, load, names):
+    # JSON strings may hold U+2028, U+2029 and U+0085 raw; str.splitlines breaks at each.
+    name = "a\u2028b\u2029c\x85d"
+    path = tmp_path / "file.jsonl"
+    path.write_text(json.dumps({"format": header, "version": 1}) + "\n"
+                    + json.dumps({"name": name, "kind": "definition"}, ensure_ascii=False)
+                    + "\n", encoding="utf-8")
+    assert names(load(str(path))) == [name]
 
 
 def test_load_graph_rejects_referencing_primitives(tmp_path):

@@ -47,7 +47,7 @@ from macrolab.monoid import (
     wrapped_length,
 )
 from test_automaton import oracle_gprime
-from test_monoid import slow_min_generators_abelian
+from test_monoid import slow_depth_abelian, slow_min_generators_abelian
 
 
 def digit_sum(value: int, base: int) -> int:
@@ -792,10 +792,47 @@ def test_cached_depths_match_oracle_and_follow_with_macro(case, words, extra):
 
 def test_cached_depths_still_honour_a_smaller_lattice_budget():
     # The depth of (30, 30) reads the 31 x 31 box, since (1, 1) spans two axes;
-    # that box exceeds a budget of 100 points.
+    # that box exceeds a budget of 100 points.  (2, 0) can use neither macro,
+    # so its depth reads only its own 3-point lattice, cold or warm.
     M = MacroSet(abelian(2), [Macro("small", Word.from_multiplicities((1, 1))),
                               Macro("big", Word.from_multiplicities((30, 30)))])
     w = Word.from_multiplicities((2, 0))
-    assert monoid_depth(w, M) == 1
+    over = Word.from_multiplicities((30, 31))
+    assert monoid_depth(w, M, budget=100) == 1
+    assert monoid_depth(over, M) == 3  # fills in both macros
+    assert monoid_depth(w, M, budget=100) == 1
     with pytest.raises(LatticeBudgetError):
-        monoid_depth(w, M, budget=100)
+        monoid_depth(over, M, budget=100)
+
+
+@st.composite
+def depth_queries(draw):
+    """An abelian macro set and a run of (word, budget) depth queries on it."""
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 6)] * n)
+    defs = draw(st.lists(vector.filter(lambda d: sum(d) >= 2), max_size=5, unique=True))
+    queries = draw(st.lists(st.tuples(vector, st.integers(1, 400)), min_size=1, max_size=6))
+    return n, defs, queries
+
+
+@settings(deadline=None, max_examples=150)
+@given(depth_queries())
+def test_depth_queries_raise_only_past_their_own_lattice_in_any_order(case):
+    """One depth table serves every query on a set: each answer matches the
+    oracle, and a query raises exactly when the word's own lattices, the ones
+    gprime_length builds for it, exceed its budget, whatever came before."""
+    n, defs, queries = case
+    M = MacroSet(abelian(n), [Macro(f"m{i}", Word(abelian(n), d)) for i, d in enumerate(defs)])
+    for data, budget in queries:
+        w = Word(abelian(n), data)
+        owner = M.macro_for_word(w)
+        try:
+            gprime_length(w, M, exclude=owner and owner.name, budget=budget)
+            fits = True
+        except LatticeBudgetError:
+            fits = w.g_length() <= 1  # a depth of 0 builds no lattice
+        if fits:
+            assert monoid_depth(w, M, budget=budget) == slow_depth_abelian(data, defs)
+        else:
+            with pytest.raises(LatticeBudgetError):
+                monoid_depth(w, M, budget=budget)

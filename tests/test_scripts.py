@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from macrolab.cli import EXIT_OK, main
+from macrolab.cli import COMMANDS, EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -105,3 +105,14 @@ def test_readme_sim_and_synth_examples_exit_zero(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, argv
+
+
+def test_readme_readers_table_matches_the_option_table():
+    """The README's table of the options each sim regime and synth kind reads
+    lists, per choice, the flags whose read_by names it, in table order."""
+    rows = re.findall(r"^\| (sim|synth) \| ([\w-]+) \| (.*) \|$", (ROOT / "README.md").read_text(),
+                      re.M)
+    expected = [(name, choice, ", ".join(f"`{opt.flag}`" for opt in COMMANDS[name].options
+                                         if opt.read_by is not None and choice in opt.read_by))
+                for name in ("sim", "synth") for choice in COMMANDS[name].options[0].choices]
+    assert rows == expected
