@@ -17,8 +17,6 @@ import sys
 from itertools import chain
 from typing import Any, Callable, NamedTuple
 
-from .monoid import DEFAULT_BUDGET, Word, abelian, free
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_VERIFY = 2
@@ -168,6 +166,7 @@ def _ensure_out(out: str) -> str:
 
 def _parse_finite_words(texts: list[str], monoid_name: str, n: int) -> list[Word]:
     from .expansion import letters_of_str
+    from .monoid import Word, abelian, free
 
     words = []
     for text in texts:
@@ -185,6 +184,7 @@ def _parse_finite_words(texts: list[str], monoid_name: str, n: int) -> list[Word
 def _family_spec(opts: dict) -> families.FamilySpec:
     """The family of the merged options, which hold only those its regime reads."""
     from . import families
+    from .monoid import abelian, free
 
     regime = opts["regime"]
     if regime == "place":
@@ -376,8 +376,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               "unwrapped_decimal_digits", "depth"]
     if opts["full_unwrapped"]:
         header.append("unwrapped")
-        if hasattr(sys, "set_int_max_str_digits"):  # the column holds every digit
-            sys.set_int_max_str_digits(0)
     rows = []
     pairs = []  # (depth, wrapped, log2 unwrapped) of each element with a wrapped size
     for m in metrics.values():  # in name order
@@ -389,7 +387,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         wrapped = _wrapped_of(m, metric_name)
         if wrapped is not None:
             pairs.append((m.depth, wrapped, m.log2_unwrapped))
-    _write_csv(os.path.join(out, "metrics.csv"), header, rows)
+    # The unwrapped column holds every digit: CPython's int-to-str limit is
+    # lifted while metrics.csv is written, and only then.
+    unlimited = opts["full_unwrapped"] and hasattr(sys, "set_int_max_str_digits")
+    if unlimited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        _write_csv(os.path.join(out, "metrics.csv"), header, rows)
+    finally:
+        if unlimited:
+            sys.set_int_max_str_digits(limit)
 
     def _hist(values, width, path):
         bins = analytics.histogram(values, width)
@@ -582,7 +590,9 @@ COMMANDS = {
         Opt("--trials", int, 1000, bounds=(1, math.inf), read_by=("prob-free",)),
         Opt("--mc-r", _int_list, [64, 128, 256], read_by=("prob-free",)),
         Opt("--min-halving-rate", float, 0.99, read_by=("prob-free",)),
-        Opt("--budget", int, DEFAULT_BUDGET,
+        # 10**7 is monoid.DEFAULT_BUDGET, spelt out so that the corpus
+        # commands, which build the same parser, never load monoid.
+        Opt("--budget", int, 10**7,
             "profile search budget: the points of each abelian lattice, or the "
             "(match state, letter) transitions of the free worst-word DP",
             bounds=(1, math.inf), read_by=_PROFILED),

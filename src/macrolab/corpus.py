@@ -30,8 +30,10 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .exprs import ExprNode, collect_elems, parse_expr, print_expr
+if TYPE_CHECKING:
+    from .exprs import ExprNode
 
 ELEMENT_KINDS = ("definition", "theorem", "structure", "inductive", "primitive", "synthetic")
 _LEAF_KINDS = ("primitive", "synthetic")  # no body, no references
@@ -220,6 +222,8 @@ def _with_sinks(rows: list[tuple]) -> DepGraph:
 
 def build_graph(elements: list[Element]) -> DepGraph:
     """Assemble the dependency graph, adding synthetic sinks for unknown names."""
+    from .exprs import collect_elems
+
     return _with_sinks([
         (el.name, el.kind, el.generated, el.token_count_signature, el.token_count_body,
          *(dict(collect_elems(e)) if e is not None else {} for e in (el.signature, el.body)))
@@ -316,11 +320,11 @@ def load_graph(path: str) -> DepGraph:
         raise CorpusError(f"inconsistent graph: {exc}") from exc
 
 
-def _exprs(lineno: int, rec: dict, sig_refs: dict | None = None,
+def _exprs(parse_expr, lineno: int, rec: dict, sig_refs: dict | None = None,
            body_refs: dict | None = None) -> tuple:
-    """The parsed signature and body of a corpus record (None where absent);
-    `parse_expr` counts their references into `sig_refs` and `body_refs`
-    when given."""
+    """The signature and body of a corpus record (None where absent), parsed
+    by `exprs.parse_expr`, which the caller imports once per file; it counts
+    their references into `sig_refs` and `body_refs` when given."""
     out = []
     for key, refs in (("signature", sig_refs), ("body", body_refs)):
         text = rec.get(key)
@@ -335,12 +339,14 @@ def _exprs(lineno: int, rec: dict, sig_refs: dict | None = None,
 
 def load_corpus(path: str) -> list[Element]:
     """Read an expression corpus (JSONL with S-expression signature/body strings)."""
+    from .exprs import parse_expr
+
     elements = []
     for lineno, rec in _read_jsonl(path, CORPUS_FORMAT):
         name, kind, generated, tokens_sig, tokens_body = _fields(
             lineno, rec, rec.get("body") is not None)
-        elements.append(Element(name, kind, *_exprs(lineno, rec), tokens_sig, tokens_body,
-                                generated))
+        elements.append(Element(name, kind, *_exprs(parse_expr, lineno, rec), tokens_sig,
+                                tokens_body, generated))
     return elements
 
 
@@ -348,16 +354,20 @@ def ingest_corpus(path: str) -> DepGraph:
     """`build_graph(load_corpus(path))` in one pass over the file, with no
     `Element` per record: each expression's references are counted while it
     is parsed, and its tree is dropped at once."""
+    from .exprs import parse_expr
+
     rows = []
     for lineno, rec in _read_jsonl(path, CORPUS_FORMAT):
         fields = _fields(lineno, rec, rec.get("body") is not None)
         refs: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        _exprs(lineno, rec, *refs)
+        _exprs(parse_expr, lineno, rec, *refs)
         rows.append((*fields, *refs))
     return _with_sinks(rows)
 
 
 def save_corpus(elements: list[Element], path: str) -> None:
+    from .exprs import print_expr
+
     header = _encode({"format": CORPUS_FORMAT, "version": FORMAT_VERSION})
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")

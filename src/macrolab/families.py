@@ -4,7 +4,8 @@ Five regimes materialize explicit macro sets; the probabilistic free-monoid
 regime would need exponentially many macros, so it is represented lazily
 with membership decided per word (periodicity test plus a seeded hash).
 Seeded randomness, that hash and the letter stream of `seeded_words`, is
-blake2b from hashlib, which only those two load.
+blake2b from hashlib, which only those two load (the stream through
+`macrolab.stream`).
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def seeded_words(n: int, length: int, seed: int, use: bytes):
     """Endless uniform random words of `length` letters in [0, n), one
     stream per (seed, use, length), for n <= 256.
 
-    The stream is blake2b in counter mode.  Block i = 0, 1, ... is the
-    64-byte digest of length and i, each as 8 little-endian bytes, keyed by
-    the seed as 8 little-endian bytes (the key of the probabilistic
+    The blocks are those of `stream.blocks(seed, use, prefix)` with the
+    prefix `length` as 8 little-endian bytes: blake2b in counter mode, keyed
+    by the seed as 8 little-endian bytes (the key of the probabilistic
     family's membership hash) and personalised by `use`, so that each use
     of one seed reads its own stream.  The blocks' bytes become letters by
     rejection: a byte b below 256 - 256 % n is the letter b % n, any other
@@ -204,15 +205,12 @@ def seeded_words(n: int, length: int, seed: int, use: bytes):
     defined by this code alone, so it is the same on every Python."""
     if not 1 <= n <= 256:
         raise ValueError(f"seeded words spell one letter per byte, so need n <= 256, got n={n}")
-    from hashlib import blake2b
+    from .stream import blocks
 
-    key = seed.to_bytes(8, "little", signed=False)
     letters = bytes(b % n for b in range(256))
     skipped = bytes(range(256 - 256 % n, 256))
-    size = length.to_bytes(8, "little")
     buf = b""
-    for i in itertools.count():
-        block = blake2b(size + i.to_bytes(8, "little"), key=key, person=use).digest()
+    for block in blocks(seed, use, length.to_bytes(8, "little")):
         buf += block.translate(letters, skipped)
         cut = len(buf) - len(buf) % length
         yield from (tuple(buf[j:j + length]) for j in range(0, cut, length))

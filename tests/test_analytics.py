@@ -5,11 +5,12 @@ space (zero residual there, positive residual everywhere else), so the
 expected label is forced rather than frozen from a previous run.
 """
 
+import hashlib
+import itertools
 import math
 import struct
 from statistics import fmean
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from macrolab.analytics import (
     unwrapped_lengths,
 )
 from macrolab.corpus import DepGraph, GraphNode
-from macrolab.synth import _rng, synth_flat, synth_hierarchy, synth_mixed
+from macrolab.synth import synth_flat, synth_hierarchy, synth_mixed
 
 
 def plain_node(name, refs=None, kind="definition", body_refs=None, tokens=None):
@@ -542,22 +543,76 @@ def test_synth_mixed_is_deterministic_and_acyclic():
     ]
 
 
-def test_synth_mixed_targets_match_an_arange_draw():
-    """Oracle: replay the generator's stream, drawing each node's targets from
-    np.arange(i + 1, n) as a materialised population."""
-    n, prims, fanout, max_weight, seed = 120, 10, 6, 4, 3
-    graph = synth_mixed(n, prims, fanout, max_weight, seed)
-    rng = _rng(seed, 2)
+def replay_below(seed, use):
+    """Draws as `stream.draws` defines them, decoded word by word from hashlib."""
+    def words():
+        for i in itertools.count():
+            block = hashlib.blake2b(i.to_bytes(8, "little"), key=seed.to_bytes(8, "little"),
+                                    person=use).digest()
+            yield from (int.from_bytes(block[j:j + 4], "little") for j in range(0, 64, 4))
+
+    stream = words()
+
+    def below(k):
+        while (w := next(stream)) >= 2**32 - 2**32 % k:
+            pass
+        return w % k
+
+    return below
+
+
+def mixed_oracle(n, prims, fanout, max_weight, seed):
+    """(kind, sig_refs, body_refs) per node index, replaying the stream with
+    Floyd's subset sampling in its textbook form: for j = N - m + 1, ..., N
+    draw t from 1..j, and take j if t is already chosen, else t."""
+    below = replay_below(seed, b"synth_mixed")
+    name = f"node{{:0{len(str(n - 1))}d}}".format
+    nodes = []
     for i in range(n - prims):
-        size = min(int(rng.integers(1, fanout + 1)), n - i - 1)
-        targets = sorted(int(t) for t in rng.choice(np.arange(i + 1, n), size=size,
-                                                   replace=False))
-        expected = {}
-        for t in targets:
-            expected[f"node{t:03d}"] = int(rng.integers(1, max_weight + 1))
-            rng.integers(0, 2)  # signature or body side
-        rng.integers(0, 2)  # kind
-        assert graph.nodes[f"node{i:03d}"].merged_refs() == expected
+        span = n - i - 1
+        m = min(below(fanout) + 1, span)
+        chosen = []
+        for j in range(span - m + 1, span + 1):
+            t = below(j) + 1
+            chosen.append(j if t in chosen else t)
+        refs = [(name(i + t), below(max_weight) + 1, below(2)) for t in sorted(chosen)]
+        sig = {t: w for t, w, side in refs if side == 0}
+        body = {t: w for t, w, side in refs if side == 1}
+        if not sig:
+            first = min(body)
+            sig[first] = body.pop(first)
+        nodes.append(("theorem" if below(2) else "definition", sig, body))
+    nodes += [("primitive", {}, {})] * prims
+    return nodes
+
+
+@pytest.mark.parametrize("n, prims, fanout, max_weight, seed", [
+    (120, 10, 6, 4, 3), (30, 3, 40, 2, 0), (50, 49, 1, 1, 2**64 - 1)])
+def test_synth_mixed_replays_its_stream(n, prims, fanout, max_weight, seed):
+    graph = synth_mixed(n, prims, fanout, max_weight, seed)
+    got = [(nd.kind, nd.sig_refs, nd.body_refs) for nd in graph.nodes.values()]
+    assert got == mixed_oracle(n, prims, fanout, max_weight, seed)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, n - 1), st.integers(1, n), st.integers(1, 6),
+    st.integers(0, 2**64 - 1))))
+def test_synth_mixed_invariants(args):
+    n, prims, fanout, max_weight, seed = args
+    graph = synth_mixed(n, prims, fanout, max_weight, seed)
+    assert len(graph) == n
+    assert [nd.sig_refs for nd in graph.nodes.values()] == [
+        nd.sig_refs for nd in synth_mixed(n, prims, fanout, max_weight, seed).nodes.values()]
+    for i, (name, nd) in enumerate(graph.nodes.items()):
+        refs = {**nd.sig_refs, **nd.body_refs}
+        if i >= n - prims:
+            assert nd.kind == "primitive" and not refs
+            continue
+        assert nd.kind in ("definition", "theorem")
+        assert nd.sig_refs and not nd.sig_refs.keys() & nd.body_refs.keys()
+        assert 1 <= len(refs) <= min(fanout, n - i - 1)
+        assert all(graph.index[t] > i and 1 <= w <= max_weight for t, w in refs.items())
 
 
 def test_synth_validation():

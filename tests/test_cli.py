@@ -454,6 +454,13 @@ def test_merged_defaults_are_unchanged():
     assert merged == {name: set(defaults) for name, defaults in PINNED_DEFAULTS.items()}
 
 
+def test_sim_budget_default_is_the_engine_default():
+    from macrolab.monoid import DEFAULT_BUDGET
+
+    budget = next(opt for opt in COMMANDS["sim"].options if opt.flag == "--budget")
+    assert budget.default == DEFAULT_BUDGET
+
+
 @pytest.mark.parametrize("command", list(PINNED_PARSER))
 def test_command_help_lists_every_flag(capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -771,6 +778,18 @@ def default_int_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_analyze_full_unwrapped_restores_the_int_str_limit(hierarchy_graph, tmp_path,
+                                                           default_int_str_limit):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str limit")
+    blocked = tmp_path / "blocked"
+    (blocked / "metrics.csv").mkdir(parents=True)  # so writing metrics.csv fails
+    for out, code in ((tmp_path / "full", EXIT_OK), (blocked, EXIT_INPUT)):
+        assert main(["analyze", "--graph", str(hierarchy_graph), "--full-unwrapped",
+                     "--out", str(out)]) == code
+        assert sys.get_int_max_str_digits() == 4300
+
+
 def test_analyze_counts_the_digits_of_lengths_past_the_int_str_limit(tmp_path,
                                                                       default_int_str_limit):
     # Level k of a base-10000 hierarchy unwraps to 10000**k, 4k + 1 digits.
@@ -823,13 +842,18 @@ def mixed_graph(tmp_path):
 
 
 def test_analyze_kind_filter_reads_lemma_as_theorem(mixed_graph, tmp_path):
+    # Filtering on theorems inlines every definition; the theorems and the
+    # primitives (sinks) stay, so the expected rows come from the graph file.
+    kinds = Counter(load_graph(str(mixed_graph)).kinds)
+    assert kinds["theorem"] and kinds["definition"]
     counts = {}
     for kind in ("theorem", "lemma"):
         out = tmp_path / kind
         assert main(["analyze", "--graph", str(mixed_graph), "--filter-kinds", kind,
                      "--out", str(out)]) == EXIT_OK
         counts[kind] = len(read_csv(out / "metrics.csv"))
-    assert counts == {"theorem": 38, "lemma": 38}
+    expected = sum(kinds.values()) - kinds["definition"]
+    assert counts == {"theorem": expected, "lemma": expected}
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -1096,6 +1120,8 @@ for argv in (
     ["ingest", "--in", "corpus.jsonl", "--format", "corpus", "--out", "ingest"],
     ["analyze", "--graph", "ingest/graph.jsonl", "--out", "analyze"],
     ["synth", "--kind", "hierarchy", "--b", "2", "--height", "4", "--out", "synth"],
+    ["synth", "--kind", "mixed", "--nodes", "60", "--seed", "3", "--out", "mixed"],
+    ["synth", "--kind", "flat", "--macros", "30", "--seed", "3", "--out", "flat"],
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "20", "--mc-r", "16,64",
      "--seed", "3", "--out", "prob"],
     ["sim", "--regime", "poly-free", "--sampler", "random", "--c", "1", "--p", "1",
@@ -1193,7 +1219,8 @@ print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))))
 """
 
 SIM_ONLY = "analytics,corpus,exprs,interest,synth"
-CORPUS_ONLY = "expansion,families"
+CORPUS_ONLY = "expansion,families,monoid"
+GRAPH_ONLY = CORPUS_ONLY + ",exprs"  # the commands that parse no expression
 
 
 @pytest.mark.parametrize("forbidden, argv", [
@@ -1205,12 +1232,15 @@ CORPUS_ONLY = "expansion,families"
                 "--mc-r", "16", "--out", "o"]),
     (SIM_ONLY, ["sim", "--regime", "place", "--b", "2", "--n", "1", "--s", "1:3",
                 "--r-max", "20", "--out", "o"]),
-    (CORPUS_ONLY, ["synth", "--kind", "mixed", "--nodes", "40", "--out", "g"]),
+    (GRAPH_ONLY, ["synth", "--kind", "mixed", "--nodes", "40", "--out", "g"]),
+    (GRAPH_ONLY, ["synth", "--kind", "flat", "--out", "g"]),
+    (GRAPH_ONLY, ["synth", "--kind", "hierarchy", "--out", "g"]),
     (CORPUS_ONLY, ["ingest", "--in", "corpus.jsonl", "--out", "o"]),
-    (CORPUS_ONLY, ["analyze", "--graph", "graph.jsonl", "--out", "o"]),
-    (CORPUS_ONLY, ["rank", "--graph", "graph.jsonl", "--out", "o"]),
-], ids=["sim-finite", "sim-poly", "sim-prob", "sim-place", "synth", "ingest", "analyze",
-        "rank"])
+    (GRAPH_ONLY, ["ingest", "--in", "graph.jsonl", "--format", "graph", "--out", "o"]),
+    (GRAPH_ONLY, ["analyze", "--graph", "graph.jsonl", "--out", "o"]),
+    (GRAPH_ONLY, ["rank", "--graph", "graph.jsonl", "--out", "o"]),
+], ids=["sim-finite", "sim-poly", "sim-prob", "sim-place", "synth", "synth-flat",
+        "synth-hierarchy", "ingest", "ingest-graph", "analyze", "rank"])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, forbidden, argv):
     (tmp_path / "corpus.jsonl").write_text(WORKED_CORPUS)
     assert main(["ingest", "--in", str(tmp_path / "corpus.jsonl"),

@@ -7,7 +7,11 @@ Aho-Corasick automaton replaced, and the abelian `sim` digests from the numpy
 lattice engine that the Python-int bitsets replaced; any change to a byte of
 these outputs must show up here and be named in CHANGES.md.  The seeded free
 runs (poly-random, poly-random-n3 and prob-free) read macrolab's own blake2b
-letter stream, so their digests hold on every Python.
+letter stream, so their digests hold on every Python.  So do the 16 digests
+of the seeded `synth --kind mixed --seed 5` chain (synth/, ingest/, the
+analyze/ files, sweep/ and alt/): they were re-pinned when synth moved from
+numpy's PCG64 to the blake2b draws of `macrolab.stream`, and only they; the
+corpus-* digests come from the unseeded export and were kept.
 """
 
 import hashlib
@@ -43,18 +47,18 @@ RUNS = [
 ]
 
 DIGESTS = {
-    "alt/rank.csv": "a57b03f368d12073a5b32712e35aaf7c09d65b20bac5250e665624fc489b810a",
-    "analyze/curve_log2_unwrapped_vs_depth.csv": "4492afe16346e40ff444c417b549b5a7aa96720995dfc6274862744f7738f046",
-    "analyze/curve_log2_unwrapped_vs_wrapped.csv": "1802f67a38eaad4c82bfc00afdf95badb37d9fda9529060830b37d99764ee899",
-    "analyze/curve_wrapped_vs_depth.csv": "711adf34bfc2a680cfdaceb47bb6829467a3eb57aa6558f1027c95e46ecff2f6",
-    "analyze/fit_log2_unwrapped_vs_depth.csv": "4e5a358627f0f109b3f9d882a3668c39b92f8096344d2352299d2de05e051097",
-    "analyze/fit_log2_unwrapped_vs_wrapped.csv": "1c9397eef6da42e0ac359a08e20437e577ad342444dccb65263ac684fe31e64b",
-    "analyze/fit_wrapped_vs_depth.csv": "a099d016e7c9e58ae886b4b76f356e31cd1afd849876884e66db708e1f0e6572",
-    "analyze/hist_depth.csv": "314c4e042dfb352cb3f24c04b7aef934c84028e9f5aed9620be5691d97c92e56",
-    "analyze/hist_log2_unwrapped.csv": "8f4341bc95e87ac9ab91531d610577d3c4d62a5bf15a6c6f088209ef4b7c2d6a",
-    "analyze/hist_wrapped.csv": "b8867e08d03e709c8edf65c1a977a35db5018ebaace496bd1f545b97be20cd47",
-    "analyze/metrics.csv": "455c9f75abc52c13a10cc11e3a4f26334a5d1f8d5a86f030efbedcb4215af168",
-    "analyze/regime.csv": "7029937808f5eda7c4eec6cb7e309597afdfc107061e6bd3613539fddedf4d80",
+    "alt/rank.csv": "97382bce679fc6f5b8258c97c194a1a3d374437b2e38ff30e092364847590b9d",
+    "analyze/curve_log2_unwrapped_vs_depth.csv": "2ce1ee949a7eb13c1431e08dacd6f369d271c6fc2239522bd984f1e5823d6ebc",
+    "analyze/curve_log2_unwrapped_vs_wrapped.csv": "b2467726409ad7a40779949bfb9486ff7cb5566f3851caa751d80359d4dd0fd1",
+    "analyze/curve_wrapped_vs_depth.csv": "cac7dfe5117ede9b9eb5b34fb16707d2de229710ded9a33cb2d4519f66eff604",
+    "analyze/fit_log2_unwrapped_vs_depth.csv": "938cad342317a93fb2c70fb9b950142b0e53c6081081a3c235ea676f80359d03",
+    "analyze/fit_log2_unwrapped_vs_wrapped.csv": "eb3fd04602c96225933ead53d6d0271d6fcf972794f79be3d7e380bfd9dab676",
+    "analyze/fit_wrapped_vs_depth.csv": "826d58b895912ca2235f1f6be154de765b883884dfccdec671d552cb863a5390",
+    "analyze/hist_depth.csv": "8cf2fcdc32e1f43f537d748fff88175f53329e77d18fcebe57c37f35f8760ce5",
+    "analyze/hist_log2_unwrapped.csv": "7431cbd6ea0bd0ca7c0be9223ee8c4516399b435559cc6dece128b39784a61a7",
+    "analyze/hist_wrapped.csv": "0f107d8454d2d38ea608c549051f065eb3d3d7284b26ab723bbbdbefaefb7015",
+    "analyze/metrics.csv": "ea641923113530e0ec810bf0397018bbaf5e7bb2e1616ab5e0365f2e955c313a",
+    "analyze/regime.csv": "5de55eaaa0959f3a172ade7752e50c40675b25aa0d0cbb7614f0a9d85e081d0d",
     "corpus/graph.jsonl": "017bafb5341b2499dda381b765822a8ae4eb5eb8aaf034e2c65fec0bb09825ee",
     "corpus-analyze/curve_log2_unwrapped_vs_depth.csv": "a07ab3f9965afaf6c15a1312439fe3dacbf5e05bf805bb091795c85977388529",
     "corpus-analyze/curve_log2_unwrapped_vs_wrapped.csv": "a023777434b53bc2269f6d1ec2ecdceb4c398dc2f8fa39f21aaa0b9d62323f13",
@@ -68,10 +72,10 @@ DIGESTS = {
     "corpus-analyze/metrics.csv": "26bccaa9472e063d11093d90a49bd39a5cc67703e95aba52366a97d0866113fb",
     "corpus-analyze/regime.csv": "b43f71853b1ca95bfc0418ca751088c643e09282b1f1414ff3acf6b0947a974b",
     "corpus-rank/rank.csv": "3b4767f096d156687385a895af678d751c1c3f6b0779eb0e4d530ec3a1ff5336",
-    "ingest/graph.jsonl": "b857a1c310e8cad42f05ffa5a652700afd1dd205876314094d32419d3da97c39",
-    "sweep/rank.csv": "3f99e9fbb4f1a92ff3eb334fc913fbf06ab786cf414a14666586674c3f067c9e",
-    "sweep/rank_sweep.csv": "cc45e64b2bbd4e77bf27ea579d5cf1c8b68b7008a5066bba73cbaeae2070d620",
-    "synth/graph.jsonl": "b857a1c310e8cad42f05ffa5a652700afd1dd205876314094d32419d3da97c39",
+    "ingest/graph.jsonl": "39098bc5b078a735fe01b0f03e6a572ade885342a8d1f726474731121ec21d83",
+    "sweep/rank.csv": "d2a44aa16bc0d65943a9f774ea2db7d2ac093ce6e09e2b327163f11cf2a24717",
+    "sweep/rank_sweep.csv": "1fcbf3ae23135f8192067967836f12783640693fe3c1a9089a31db2501bad348",
+    "synth/graph.jsonl": "39098bc5b078a735fe01b0f03e6a572ade885342a8d1f726474731121ec21d83",
 }
 
 
