@@ -5,8 +5,6 @@ space (zero residual there, positive residual everywhere else), so the
 expected label is forced rather than frozen from a previous run.
 """
 
-import hashlib
-import itertools
 import math
 import struct
 from statistics import fmean
@@ -39,6 +37,7 @@ from macrolab.analytics import (
 )
 from macrolab.corpus import DepGraph, GraphNode
 from macrolab.synth import synth_flat, synth_hierarchy, synth_mixed
+from test_stream import replay_below
 
 
 def plain_node(name, refs=None, kind="definition", body_refs=None, tokens=None):
@@ -541,24 +540,6 @@ def test_synth_mixed_is_deterministic_and_acyclic():
     assert [(n, g.sig_refs) for n, g in a.nodes.items()] != [
         (n, g.sig_refs) for n, g in c.nodes.items()
     ]
-
-
-def replay_below(seed, use):
-    """Draws as `stream.draws` defines them, decoded word by word from hashlib."""
-    def words():
-        for i in itertools.count():
-            block = hashlib.blake2b(i.to_bytes(8, "little"), key=seed.to_bytes(8, "little"),
-                                    person=use).digest()
-            yield from (int.from_bytes(block[j:j + 4], "little") for j in range(0, 64, 4))
-
-    stream = words()
-
-    def below(k):
-        while (w := next(stream)) >= 2**32 - 2**32 % k:
-            pass
-        return w % k
-
-    return below
 
 
 def mixed_oracle(n, prims, fanout, max_weight, seed):

@@ -14,15 +14,22 @@ BOUNDS = st.one_of(st.integers(1, 8), st.integers(1, 2**32),
                    st.sampled_from([2**31 + 1, 2**32 - 1, 2**32]))
 
 
-def words_oracle(seed, use, count):
-    """The first `count` 32-bit words of stream (seed, use), from hashlib."""
-    out = []
-    for i in itertools.count():
-        block = hashlib.blake2b(i.to_bytes(8, "little"), key=seed.to_bytes(8, "little"),
-                                person=use).digest()
-        out += [int.from_bytes(block[j:j + 4], "little") for j in range(0, 64, 4)]
-        if len(out) >= count:
-            return out[:count]
+def replay_below(seed, use):
+    """Draws as `stream.draws` defines them, decoded word by word from hashlib."""
+    def words():
+        for i in itertools.count():
+            block = hashlib.blake2b(i.to_bytes(8, "little"), key=seed.to_bytes(8, "little"),
+                                    person=use).digest()
+            yield from (int.from_bytes(block[j:j + 4], "little") for j in range(0, 64, 4))
+
+    stream = words()
+
+    def below(k):
+        while (w := next(stream)) >= 2**32 - 2**32 % k:
+            pass
+        return w % k
+
+    return below
 
 
 @settings(deadline=None, max_examples=200)
@@ -37,14 +44,8 @@ def test_draws_lie_below_k_and_repeat(seed, use, ks):
 @settings(deadline=None, max_examples=100)
 @given(SEEDS, USES, st.lists(BOUNDS, min_size=1, max_size=40))
 def test_draws_follow_their_definition(seed, use, ks):
-    words = iter(words_oracle(seed, use, 64 * len(ks)))  # rejections are rare
-    expected = []
-    for k in ks:
-        while (w := next(words)) >= 2**32 - 2**32 % k:
-            pass
-        expected.append(w % k)
-    below = draws(seed, use)
-    assert [below(k) for k in ks] == expected
+    oracle, below = replay_below(seed, use), draws(seed, use)
+    assert [below(k) for k in ks] == [oracle(k) for k in ks]
 
 
 @settings(deadline=None, max_examples=100)
