@@ -237,11 +237,14 @@ class HistogramBin:
 
 def histogram(values, bin_width: float) -> list[HistogramBin]:
     """Fixed-width bins [lo, lo+width) aligned on 0; total count equals len(values)."""
-    if bin_width <= 0:
-        raise ValueError("bin width must be positive")
+    if not 0 < bin_width < math.inf:
+        raise ValueError("bin width must be positive and finite")
     counts: dict[int, int] = {}
     for v in values:
-        idx = math.floor(v / bin_width)
+        q = v / bin_width
+        if not math.isfinite(q):
+            raise ValueError(f"value {v} is too large for bin width {bin_width}")
+        idx = math.floor(q)
         counts[idx] = counts.get(idx, 0) + 1
     return [
         HistogramBin(i * bin_width, (i + 1) * bin_width, counts[i])

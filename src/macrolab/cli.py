@@ -365,9 +365,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cg = analytics.filter_macro_set(
             cg, analytics.FilterPolicy("indegree_percentile",
                                        percentile=opts["filter_percentile"]))
-    if not all(opts[key] > 0 for key in ("bin_log2", "bin_wrapped", "bin_depth")):
-        raise InputError("bin width must be positive")
-    out = _ensure_out(opts["out"])
+    if not all(0 < opts[key] < math.inf for key in ("bin_log2", "bin_wrapped", "bin_depth")):
+        raise InputError("bin width must be positive and finite")
     metrics = analytics.node_metrics(graph, cg)
     metric_name = _resolve_metric(opts["wrapped_metric"],
                                   (m.wrapped_tokens for m in metrics.values()))
@@ -387,6 +386,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         wrapped = _wrapped_of(m, metric_name)
         if wrapped is not None:
             pairs.append((m.depth, wrapped, m.log2_unwrapped))
+    hists = {name: analytics.histogram(values, opts[key]) for name, key, values in (
+        ("log2_unwrapped", "bin_log2", [m.log2_unwrapped for m in metrics.values()]),
+        ("wrapped", "bin_wrapped", [w for _, w, _ in pairs]),
+        ("depth", "bin_depth", [m.depth for m in metrics.values()]))}
+    out = _ensure_out(opts["out"])
     # The unwrapped column holds every digit: CPython's int-to-str limit is
     # lifted while metrics.csv is written, and only then.
     unlimited = opts["full_unwrapped"] and hasattr(sys, "set_int_max_str_digits")
@@ -399,17 +403,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if unlimited:
             sys.set_int_max_str_digits(limit)
 
-    def _hist(values, width, path):
-        bins = analytics.histogram(values, width)
-        _write_csv(path, ["lo", "hi", "count"],
+    for name, bins in hists.items():
+        _write_csv(os.path.join(out, f"hist_{name}.csv"), ["lo", "hi", "count"],
                    [[b.lo, b.hi, b.count] for b in bins])
-
-    _hist([m.log2_unwrapped for m in metrics.values()], opts["bin_log2"],
-          os.path.join(out, "hist_log2_unwrapped.csv"))
-    _hist([w for _, w, _ in pairs], opts["bin_wrapped"],
-          os.path.join(out, "hist_wrapped.csv"))
-    _hist([m.depth for m in metrics.values()], opts["bin_depth"],
-          os.path.join(out, "hist_depth.csv"))
 
     curves = {
         "log2_unwrapped_vs_depth": analytics.median_curve((d, u) for d, _, u in pairs),
@@ -455,10 +451,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # --- rank ---
 
 
-def _rank_rows(graph, scores, params, alt) -> list[list]:
+def _rank_rows(graph, cg, scores, params, alt) -> list[list]:
     from . import interest
 
-    result = interest.pagerank(graph, {k: v.j0 for k, v in scores.items()}, params)
+    result = interest.pagerank(graph, {k: v.j0 for k, v in scores.items()}, params, cg)
     order = sorted(result.pi, key=lambda name: (-result.pi[name], name))
     rows = []
     for rank, name in enumerate(order, start=1):
@@ -492,11 +488,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if alt is not None:
         header.append("i0_alt")
     try:
-        _write_csv(os.path.join(out, "rank.csv"), header, _rank_rows(graph, scores, params, alt))
+        _write_csv(os.path.join(out, "rank.csv"), header,
+                   _rank_rows(graph, cg, scores, params, alt))
         if sweep:
             _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header],
                        [[p.alpha, *row] for p in sweep
-                        for row in _rank_rows(graph, scores, p, alt)])
+                        for row in _rank_rows(graph, cg, scores, p, alt)])
     except interest.PowerIterationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -12,8 +12,9 @@ flags, token counts and one CSR row of references per element.  `load_graph`
 fills them straight from a graph file, `build_graph` from parsed elements,
 and `ingest_corpus` from a corpus file in one pass: each expression's
 references are counted while it is parsed, and its tree is dropped before
-the next element is read.  Every analytics pass reads the arrays; the
-name-keyed `GraphNode` view is built only when something asks for it.
+the next element is read.  Every analytics pass and the ranking walk read
+the arrays as plain lists; the name-keyed `GraphNode` view is built only
+when something asks for it.
 
 Both file formats are line-delimited JSON with a leading header record, one
 canonical byte rendering per graph (sorted names, sorted keys, no float
@@ -185,19 +186,6 @@ class DepGraph:
                             self.refs(i, self.body_w))
             for i, name in enumerate(self.sorted_names)
         }
-
-    @cached_property
-    def edge_arrays(self):
-        """(source, target, summed weight, out total per element) as numpy
-        arrays, one entry per CSR entry in row order; numpy is imported here,
-        on first use, and the arrays are built once per graph."""
-        import numpy as np
-
-        n = len(self)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.off))
-        w = np.array(self.ref_w, dtype=np.float64)
-        # exact: the sums of integer weights stay below 2**53
-        return src, np.array(self.dst, dtype=np.int64), w, np.bincount(src, w, minlength=n)
 
     def edges(self):
         """Yield (source, target, summed weight), deterministic order."""

@@ -2,19 +2,20 @@
 
 The walk follows dependency edges with probability alpha and teleports in
 proportion to a per-node interest weight otherwise; sink nodes always
-teleport.  Stationary mass is found by power iteration on the exact column-
-stochastic operator, so total probability is conserved to rounding.  The
-operator's edge arrays are the graph's `edge_arrays`, built once per graph,
-so a sweep over alpha reuses them.  numpy is imported on first array use,
-by `pagerank` and those arrays only, so the score functions run without
-loading it.
+teleport.  Every teleport lands by the same weights, so the stationary mass
+is y / sum(y), where y = alpha P^T y + j0 (Langville & Meyer 2004).  The
+condensation numbers components in dependency order, so `pagerank` solves
+that system in one pass from dependents down to sinks, block by block (Del
+Corso, Gulli & Romani 2005): an element outside a cycle is final once its
+dependents have pushed their mass, and only a component with an edge inside
+it is swept to the tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytics import CondensedGraph, split_unwrapped
+from .analytics import CondensedGraph, condense_scc, split_unwrapped
 from .corpus import DepGraph
 
 J0_FLOOR = 1e-9
@@ -60,13 +61,12 @@ def element_splits(
     token counts, None when absent) or "refs" (outgoing reference weight)."""
     if wrapped_metric not in ("tokens", "refs"):
         raise ValueError(f"unknown wrapped metric {wrapped_metric!r}")
-    off = graph.off
     out: dict[str, ElementSplit] = {}
     for v, (name, (u_sig, u_body)) in enumerate(split_unwrapped(graph, cg).items()):
         if wrapped_metric == "tokens":
             w_sig, w_body = graph.tokens_sig[v], graph.tokens_body[v]
         else:
-            w_sig, w_body = (sum(ws[off[v]:off[v + 1]]) or None
+            w_sig, w_body = (sum(ws[graph.off[v]:graph.off[v + 1]]) or None
                              for ws in (graph.sig_w, graph.body_w))
         out[name] = ElementSplit(w_sig, w_body, u_sig, u_body, graph.has_body(v))
     return out
@@ -80,10 +80,8 @@ class CompressionScores:
 
 
 def _min_max(values: dict[str, float]) -> dict[str, float]:
-    if not values:
-        return {}
-    lo = min(values.values())
-    hi = max(values.values())
+    lo = min(values.values(), default=0.0)
+    hi = max(values.values(), default=0.0)
     if hi == lo:
         return {k: 0.0 for k in values}
     return {k: (v - lo) / (hi - lo) for k, v in values.items()}
@@ -140,9 +138,8 @@ def alt_deductive_scores(splits: dict[str, ElementSplit]) -> dict[str, float | N
 @dataclass
 class RankResult:
     pi: dict[str, float]
-    iterations: int
-    residual: float
-    residuals: tuple[float, ...] = ()
+    iterations: int  # the pass, plus every repeated sweep of a cyclic component
+    residual: float  # the most a cyclic component's leftover adds to y, over sum(j0)
 
 
 class PowerIterationError(RuntimeError):
@@ -158,38 +155,57 @@ def pagerank(
     graph: DepGraph,
     j0: dict[str, float],
     params: RankParams = RankParams(),
+    cg: CondensedGraph | None = None,
 ) -> RankResult:
     """Stationary distribution of the interest-biased dependency walk.
 
-    Power iteration from the uniform distribution until the L1 residual drops
-    below params.tolerance; raises PowerIterationError at the iteration cap.
+    One pass over the condensation `cg` of `graph` (built here when not
+    given), from the highest component down.  A sweep of a component moves
+    the mass each member still holds into y and pushes alpha times it, split
+    by edge weight, to the member's targets.  A component that mass flows
+    back into is swept again until what the mass left in it could still add
+    to y, at most 1 / (1 - alpha) times that mass, is below params.tolerance
+    times sum(j0), so each pi value ends within about params.tolerance of the
+    fixed point; PowerIterationError when that takes more than
+    params.max_iterations sweeps.
     """
     names = graph.sorted_names
-    n = len(names)
-    if n == 0:
+    if not names:
         raise ValueError("empty graph")
-    import numpy as np
-
-    weights = np.array([j0[name] for name in names], dtype=np.float64)
-    if np.any(weights <= 0):
+    todo = [j0[name] for name in names]  # mass each element has still to push
+    if min(todo) <= 0:
         raise ValueError("teleport weights must be positive (J0 is floored above zero)")
-    teleport = weights / weights.sum()
-    src, dst, w, out_total = graph.edge_arrays
-    is_sink = out_total == 0
-    safe_total = np.where(is_sink, 1.0, out_total)
+    z = sum(todo)
+    if cg is None:
+        cg = condense_scc(graph)
+    off, dst, ref_w, index, alpha = graph.off, graph.dst, graph.ref_w, graph.index, params.alpha
+    y = [0.0] * len(names)
 
-    pi = np.full(n, 1.0 / n, dtype=np.float64)
-    alpha = params.alpha
-    history: list[float] = []
-    for it in range(1, params.max_iterations + 1):
-        flow = pi / safe_total
-        nxt = alpha * np.bincount(dst, weights=w * flow[src], minlength=n)
-        sink_mass = float(pi[is_sink].sum())
-        nxt += teleport * ((1 - alpha) * (1.0 - sink_mass) + sink_mass)
-        residual = float(np.abs(nxt - pi).sum())
-        history.append(residual)
-        nxt /= nxt.sum()
-        pi = nxt
-        if residual < params.tolerance:
-            return RankResult(dict(zip(names, pi.tolist())), it, residual, tuple(history))
-    raise PowerIterationError(params.max_iterations, residual)
+    def sweep(block: list[int]) -> None:
+        for v in block:
+            m, todo[v] = todo[v], 0.0
+            y[v] += m
+            lo, hi = off[v], off[v + 1]
+            if lo < hi:
+                ws = ref_w[lo:hi]
+                f = alpha * m / sum(ws)
+                for t, w in zip(dst[lo:hi], ws):
+                    todo[t] += f * w
+
+    iterations, residual = 1, 0.0
+    for c in range(len(cg) - 1, -1, -1):
+        block = [index[name] for name in cg.members[c]]
+        sweep(block)
+        if len(block) > 1 or todo[block[0]]:  # mass came back: a cycle
+            for k in range(1, params.max_iterations + 1):
+                # the most that the mass left could still add to y, over sum(j0)
+                left = sum(todo[v] for v in block) / (z * (1 - alpha))
+                if left < params.tolerance:
+                    break
+                if k == params.max_iterations:
+                    raise PowerIterationError(k, left)
+                sweep(block)
+            iterations += k - 1
+            residual = max(residual, left)
+    total = sum(y)
+    return RankResult({name: v / total for name, v in zip(names, y)}, iterations, residual)

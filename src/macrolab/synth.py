@@ -64,7 +64,8 @@ def synth_mixed(
     seed: int,
 ) -> DepGraph:
     """Seeded random DAG: node i only references higher-indexed nodes, the last
-    n_primitives of which are sinks, so the graph is acyclic by construction.
+    n_primitives of which are sinks, so the graph is acyclic by construction;
+    at least one is needed, as the last other node references one of them.
 
     Each non-primitive node draws its fanout f below max_fanout (plus one),
     then its targets as a uniform subset of size m = min(f, span) of the span
@@ -73,8 +74,8 @@ def synth_mixed(
     max_weight (plus one) and a side (signature or body); then its kind."""
     if n_nodes <= n_primitives:
         raise ValueError("need more nodes than primitives")
-    if max_fanout < 1 or max_weight < 1:
-        raise ValueError("fanout and weight caps must be positive")
+    if n_primitives < 1 or max_fanout < 1 or max_weight < 1:
+        raise ValueError("primitive count, fanout and weight caps must be positive")
     below = draws(seed, b"synth_mixed")
     pad = len(str(n_nodes - 1))
     names = [f"node{i:0{pad}d}" for i in range(n_nodes)]

@@ -235,8 +235,12 @@ def test_histogram_handles_negative_values():
 def test_histogram_single_value_and_validation():
     bins = histogram([5.0], 10.0)
     assert [(b.lo, b.hi, b.count) for b in bins] == [(0.0, 10.0, 1)]
-    with pytest.raises(ValueError):
-        histogram([1.0], 0.0)
+    # a zero, infinite or NaN width, and a width so small that value / width
+    # overflows to inf, are errors rather than a NaN edge or an OverflowError
+    for values, width in (([1.0], 0.0), ([1.0], math.inf), ([1.0], math.nan), ([1], 1e-320)):
+        with pytest.raises(ValueError):
+            histogram(values, width)
+    assert histogram([0], 1e-320)[0].count == 1
 
 
 def test_median_curve_uses_the_lower_median():
@@ -603,3 +607,6 @@ def test_synth_validation():
         synth_flat(0, 5, 3, seed=0)
     with pytest.raises(ValueError):
         synth_mixed(5, 5, 3, 3, seed=0)
+    for n_primitives in (0, -3):  # the last other node would have nothing to reference
+        with pytest.raises(ValueError):
+            synth_mixed(10, n_primitives, 3, 3, seed=0)

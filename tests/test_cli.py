@@ -19,7 +19,7 @@ from macrolab import analytics, cli, interest
 from macrolab.cli import (
     COMMANDS, EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _merge, build_parser, main,
 )
-from macrolab.corpus import DepGraph, load_graph
+from macrolab.corpus import load_graph
 
 WORKED_CORPUS = (
     '{"format":"macrolab-corpus","version":1}\n'
@@ -946,14 +946,15 @@ def test_rank_sweep_blocks(tmp_path, monkeypatch):
 
     for owner, attr in [(analytics, "unwrapped_lengths"), (interest, "element_splits"),
                         (interest, "compression_scores"), (interest, "pagerank"),
-                        (DepGraph.edge_arrays, "func")]:
+                        (analytics, "condense_scc")]:
         counted(owner, attr)
     rank_out = tmp_path / "rank"
     assert main(["rank", "--graph", str(synth_out / "graph.jsonl"),
                  "--sweep", "0.5,0.85", "--out", str(rank_out)]) == EXIT_OK
-    # scores and the walk's edge arrays are shared by --alpha and both sweep alphas
+    # scores and the condensation the walk runs on are shared by --alpha and
+    # both sweep alphas
     assert calls == {"unwrapped_lengths": 1, "element_splits": 1, "compression_scores": 1,
-                     "func": 1, "pagerank": 3}
+                     "condense_scc": 1, "pagerank": 3}
     sweep = read_csv(rank_out / "rank_sweep.csv")
     assert len(sweep) == 60
     assert {r["alpha"] for r in sweep} == {"0.5", "0.85"}
@@ -980,10 +981,13 @@ def test_rank_resolves_auto_metric_from_token_counts(tmp_path, capsys, monkeypat
 
 
 def test_rank_without_convergence_is_a_verification_failure(tmp_path, capsys):
-    synth_out = tmp_path / "mixed"
-    assert main(["synth", "--kind", "mixed", "--nodes", "30", "--seed", "2",
-                 "--out", str(synth_out)]) == EXIT_OK
-    code = main(["rank", "--graph", str(synth_out / "graph.jsonl"), "--max-iter", "1",
+    # only a cycle is iterated: a and b reference each other
+    graph = tmp_path / "graph.jsonl"
+    graph.write_text('{"format":"macrolab-graph","version":1}\n'
+                     '{"name":"a","kind":"definition","sig_refs":{"b":1,"p":1}}\n'
+                     '{"name":"b","kind":"definition","sig_refs":{"a":2}}\n'
+                     '{"name":"p","kind":"primitive"}\n')
+    code = main(["rank", "--graph", str(graph), "--max-iter", "1",
                  "--tolerance", "1e-300", "--out", str(tmp_path / "rank")])
     assert code == EXIT_VERIFY
     assert "no convergence after 1 iterations" in capsys.readouterr().err
@@ -1027,7 +1031,12 @@ def test_synth_requires_a_kind(tmp_path):
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", ","],
     ["analyze", "--graph", "{graph}", "--bin-log2", "0"],
     ["analyze", "--graph", "{graph}", "--bin-depth", "-1"],
+    ["analyze", "--graph", "{graph}", "--bin-log2", "inf"],
+    ["analyze", "--graph", "{graph}", "--bin-wrapped", "nan"],
+    ["analyze", "--graph", "{graph}", "--bin-depth", "1e-320"],  # 1 / 1e-320 is inf
     ["synth", "--kind", "mixed", "--nodes", "5", "--primitives", "20"],
+    ["synth", "--kind", "mixed", "--nodes", "10", "--primitives", "0"],
+    ["synth", "--kind", "mixed", "--nodes", "10", "--primitives", "-3"],
     ["sim", "--regime", "poly-free", "--c", "1", "--p", "2", "--n", "1", "--s", "1:3",
      "--r-max", "10"],  # one letter: no linear slope d exists
     ["sim", "--regime", "poly-free", "--c", "1", "--p", "700", "--n", "2", "--s", "1:3",
@@ -1085,7 +1094,7 @@ def test_module_entry_point_runs():
         assert command in proc.stdout
 
 
-# --- numpy is imported only by the code that builds arrays ---
+# --- no command imports numpy ---
 
 
 def _run_fresh(script, tmp_path, *args):
@@ -1122,6 +1131,8 @@ for argv in (
     ["synth", "--kind", "hierarchy", "--b", "2", "--height", "4", "--out", "synth"],
     ["synth", "--kind", "mixed", "--nodes", "60", "--seed", "3", "--out", "mixed"],
     ["synth", "--kind", "flat", "--macros", "30", "--seed", "3", "--out", "flat"],
+    ["rank", "--graph", "ingest/graph.jsonl", "--out", "rank"],
+    ["rank", "--graph", "mixed/graph.jsonl", "--sweep", "0.5,0.85", "--out", "sweep"],
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "20", "--mc-r", "16,64",
      "--seed", "3", "--out", "prob"],
     ["sim", "--regime", "poly-free", "--sampler", "random", "--c", "1", "--p", "1",

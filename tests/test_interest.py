@@ -257,11 +257,22 @@ def test_pagerank_distribution_properties():
     result = pagerank(graph, j0_for(graph))
     assert sum(result.pi.values()) == pytest.approx(1.0)
     assert all(p > 0 for p in result.pi.values())
-    assert result.iterations == len(result.residuals)
-    assert result.residual == result.residuals[-1]
-    # the loop stops at the first residual below tolerance, so the last one
-    # is the strict minimum of the history
-    assert min(result.residuals) == result.residuals[-1]
+    # an acyclic graph is solved in the one pass, with no sweep
+    assert result.iterations == 1
+    assert result.residual == 0.0
+
+
+def test_pagerank_tolerance_bounds_the_distance_to_the_fixed_point():
+    # s keeps alpha of its mass on each step, so y_s = j0_s / (1 - alpha); a
+    # small j0_s puts the whole shortfall of a stopped sweep on one entry
+    graph = DepGraph([node("s", sig={"s": 1}), sink("p")])
+    j0 = {"s": 1e-9, "p": 1.0}
+    y_s = 1e-9 / (1 - 0.85)
+    exact = {"s": y_s / (y_s + 1), "p": 1 / (y_s + 1)}
+    for tol in (1e-6, 1e-9, 1e-12):
+        result = pagerank(graph, j0, RankParams(tolerance=tol))
+        assert 0 < result.residual < tol
+        assert all(abs(result.pi[k] - exact[k]) <= tol for k in exact)
 
 
 def test_pagerank_walkless_limit_is_the_teleport_distribution():
@@ -284,12 +295,16 @@ def test_pagerank_is_invariant_under_teleport_rescaling():
 
 
 def test_pagerank_error_paths():
+    # only a component with an edge inside it is swept: a two-cycle, and a
+    # singleton that references itself
+    for cyclic in ([node("a", sig={"b": 1}), node("b", sig={"a": 1, "p": 1}), sink("p")],
+                   [node("s", sig={"s": 1, "p": 1}), sink("p")]):
+        graph = DepGraph(cyclic)
+        with pytest.raises(PowerIterationError) as err:
+            pagerank(graph, j0_for(graph), RankParams(max_iterations=1, tolerance=1e-15))
+        assert err.value.iterations == 1
+        assert err.value.residual > 0
     graph = ratio_graph()
-    j0 = j0_for(graph)
-    with pytest.raises(PowerIterationError) as err:
-        pagerank(graph, j0, RankParams(max_iterations=1, tolerance=1e-15))
-    assert err.value.iterations == 1
-    assert err.value.residual > 0
     with pytest.raises(ValueError):
         pagerank(DepGraph([]), {})
     with pytest.raises(ValueError):
