@@ -20,27 +20,27 @@ from .corpus import DepGraph
 
 @dataclass
 class CondensedGraph:
-    """Acyclic condensation: supernode -> sorted member names, summed edges.
+    """Acyclic condensation of ``graph``: supernode -> its elements, summed edges.
 
-    Supernode numbers are a dependency order: every edge i -> j has j < i, so
-    a loop over ``range(len(cg))`` meets each dependency before its
-    dependents.  ``comp_of[v]`` is the supernode of the graph's element ``v``
-    (-1 once it is inlined away) and ``names`` the graph's sorted names;
-    ``node_of``, the same map keyed by name, is built from them on first use.
+    ``blocks[i]`` holds the element indices of supernode i in ascending
+    order, which is name order.  Supernode numbers are a dependency order:
+    every edge i -> j has j < i, so a loop over ``range(len(cg))`` meets each
+    dependency before its dependents.  ``comp_of[v]`` is the supernode of the
+    graph's element ``v`` (-1 once it is inlined away); ``node_of``, the same
+    map keyed by name, is built from it on first use.
     """
 
-    members: list[tuple[str, ...]]
+    graph: DepGraph
+    blocks: list[list[int]]
     edges: list[dict[int, int]]
-    kinds: list[tuple[str, ...]]
-    names: list[str]
     comp_of: list[int]
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.blocks)
 
     @cached_property
     def node_of(self) -> dict[str, int]:
-        return self.per_element(range(len(self.members)))
+        return self.per_element(range(len(self.blocks)))
 
     def is_sink(self, i: int) -> bool:
         return not self.edges[i]
@@ -49,18 +49,19 @@ class CondensedGraph:
         return sum(self.edges[i].values())
 
     def in_degrees(self) -> list[int]:
-        degs = [0] * len(self.members)
+        degs = [0] * len(self.blocks)
         for adj in self.edges:
             for j in adj:
                 degs[j] += 1
         return degs
 
     def label(self, i: int) -> str:
-        return self.members[i][0]
+        return self.graph.sorted_names[self.blocks[i][0]]
 
     def per_element(self, values: list) -> dict:
         """Name -> the value of its supernode, in name order, inlined elements left out."""
-        return {name: values[c] for name, c in zip(self.names, self.comp_of) if c >= 0}
+        return {name: values[c] for name, c in zip(self.graph.sorted_names, self.comp_of)
+                if c >= 0}
 
 
 def condense_scc(graph: DepGraph) -> CondensedGraph:
@@ -76,7 +77,7 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
     comp = [UNSEEN] * n  # still UNSEEN for a visited node means it is on the stack
     stack: list[int] = []
     counter = 0
-    comp_members: list[list[int]] = []
+    blocks: list[list[int]] = []
 
     for root in range(n):
         if index[root] != UNSEEN:
@@ -105,20 +106,18 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
                     members = []
                     while True:
                         u = stack.pop()
-                        comp[u] = len(comp_members)
+                        comp[u] = len(blocks)
                         members.append(u)
                         if u == v:
                             break
-                    comp_members.append(members)
+                    members.sort()
+                    blocks.append(members)
                 if work:
                     parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
 
-    names, kinds = graph.sorted_names, graph.kinds
-    members = [tuple(names[u] for u in sorted(ms)) for ms in comp_members]
-    comp_kinds = [tuple(sorted({kinds[u] for u in ms})) for ms in comp_members]
-    edges: list[dict[int, int]] = [{} for _ in comp_members]
+    edges: list[dict[int, int]] = [{} for _ in blocks]
     for v in range(n):
         cv = comp[v]
         adj = edges[cv]
@@ -126,7 +125,7 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
             cw = comp[dst[e]]
             if cw != cv:
                 adj[cw] = adj.get(cw, 0) + ref_w[e]
-    return CondensedGraph(members, edges, comp_kinds, names, comp)
+    return CondensedGraph(graph, blocks, edges, comp)
 
 
 def unwrapped_lengths(cg: CondensedGraph) -> dict[str, int]:
@@ -493,11 +492,10 @@ def inline_nodes(cg: CondensedGraph, remove: set[int]) -> CondensedGraph:
             else:
                 adj[new_index[j]] = adj.get(new_index[j], 0) + w
         rows.append(adj)
-    members = [cg.members[i] for i in keep]
-    kinds = [cg.kinds[i] for i in keep]
+    blocks = [cg.blocks[i] for i in keep]
     edges = [rows[i] for i in keep]
     comp_of = [new_index[c] if c >= 0 else -1 for c in cg.comp_of]
-    return CondensedGraph(members, edges, kinds, cg.names, comp_of)
+    return CondensedGraph(cg.graph, blocks, edges, comp_of)
 
 
 def filter_macro_set(cg: CondensedGraph, policy: FilterPolicy) -> CondensedGraph:
@@ -512,7 +510,7 @@ def filter_macro_set(cg: CondensedGraph, policy: FilterPolicy) -> CondensedGraph
     elif policy.mode == "kind":
         remove = {
             i for i in non_sinks
-            if not any(k in policy.kinds for k in cg.kinds[i])
+            if not any(cg.graph.kinds[v] in policy.kinds for v in cg.blocks[i])
         }
     else:
         degs = cg.in_degrees()

@@ -476,13 +476,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
         raise InputError("graph has no elements")
     params, *sweep = [interest.RankParams(a, opts["beta"], opts["tolerance"], opts["max_iter"])
                       for a in [opts["alpha"], *(opts["sweep"] or [])]]
-    out = _ensure_out(opts["out"])
     cg = analytics.condense_scc(graph)
     metric_name = _resolve_metric(opts["wrapped_metric"],
                                   chain(graph.tokens_sig, graph.tokens_body))
     splits = interest.element_splits(graph, cg, metric_name)
     alt = interest.alt_deductive_scores(splits) if opts["alt_deductive"] else None
     scores = interest.compression_scores(splits, opts["beta"])
+    out = _ensure_out(opts["out"])
 
     header = ["name", "t0", "i0", "j0", "pi", "rank"]
     if alt is not None:
@@ -609,9 +609,9 @@ COMMANDS = {
         Opt("--filter-percentile", float),
         Opt("--filter-kinds", _comma_list),
         Opt("--full-unwrapped", bool, False),
-        Opt("--min-distinct-x", int, 8),
-        Opt("--flat-slope", float, 0.05),
-        Opt("--min-x-span", float, 0.0),
+        Opt("--min-distinct-x", int, 8, bounds=(1, math.inf)),
+        Opt("--flat-slope", float, 0.05, bounds=(0, math.inf)),
+        Opt("--min-x-span", float, 0.0, bounds=(0, math.inf)),
         *_COMMON)),
     "rank": Command("compression scores and walk-based ranking", cmd_rank, (
         _GRAPH,

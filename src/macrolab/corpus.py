@@ -118,14 +118,15 @@ class GraphNode:
 class DepGraph:
     """Weighted dependency graph over named elements, held as index arrays.
 
-    Element ``i`` is ``sorted_names[i]`` (``index`` maps a name back to it),
-    with ``kinds[i]``, ``generated[i]`` and the token counts ``tokens_sig[i]``
-    and ``tokens_body[i]``.  Its references form one CSR row: the targets
-    ``dst[off[i]:off[i + 1]]`` in ascending order, which is name order, each
-    with its signature-origin weight ``sig_w[e]``, its body-origin weight
-    ``body_w[e]`` (one of the two may be 0) and their sum ``ref_w[e]``.  The
-    arrays are not changed once built.  ``nodes`` gives the same graph as
-    name-keyed `GraphNode`s; it is built on first use, and no command uses it.
+    Element ``i`` is ``sorted_names[i]``, with ``kinds[i]``, ``generated[i]``
+    and the token counts ``tokens_sig[i]`` and ``tokens_body[i]``.  Its
+    references form one CSR row: the targets ``dst[off[i]:off[i + 1]]`` in
+    ascending order, which is name order, each with its signature-origin
+    weight ``sig_w[e]``, its body-origin weight ``body_w[e]`` (one of the two
+    may be 0) and their sum ``ref_w[e]``.  The arrays are not changed once
+    built.  The name -> index map that resolves references lives only while
+    the graph is built.  ``nodes`` gives the same graph as name-keyed
+    `GraphNode`s; it is built on first use, and no command uses it.
     """
 
     def __init__(self, nodes: list[GraphNode] = (), rows: list[tuple] | None = None):
@@ -144,7 +145,7 @@ class DepGraph:
         sigs.reverse()
         bodies.reverse()
         self.sorted_names = names
-        self.index = index = {name: i for i, name in enumerate(names)}
+        index = {name: i for i, name in enumerate(names)}
         if len(index) < len(names):
             dup = next(a for a, b in zip(names, names[1:]) if a == b)
             raise CorpusError(f"duplicate element name {dup!r}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .families import FamilySpec, LazyFreeMacroSet, prefix_periods, seeded_words
@@ -320,6 +321,14 @@ def _check_row(s: int, v: ExpansionValue, lower: float | None, upper: float | No
     return BoundRow(s, lower, v, upper, ok, note)
 
 
+def _or_inf(bound: Callable[[], float]) -> float:
+    """The bound, or inf where it lies past the float range."""
+    try:
+        return bound()
+    except OverflowError:
+        return math.inf
+
+
 def smallest_linear_slope(n: int, c: float, p: float) -> int:
     """Smallest integer d >= 3 with n**d > 4e(n + c) d**(p+1)."""
     d = 3
@@ -338,8 +347,8 @@ def verify_bounds(profile: ExpansionProfile, spec: FamilySpec | None = None) -> 
         b = spec.b
         denom = n * (b - 1)
         for s, v in sorted(profile.entries.items()):
-            lower = b ** (s / denom - 1)
-            upper = n * b * b ** (s / denom)
+            lower = _or_inf(lambda: b ** (s / denom - 1))
+            upper = _or_inf(lambda: n * b * b ** (s / denom))
             report.rows.append(_check_row(s, v, lower, upper))
         return report
 
@@ -430,10 +439,7 @@ def quasi_exponential_upper_report(
     for s, v in sorted(profile.entries.items()):
         if s < 2:
             continue
-        try:
-            upper = math.exp(fitted * s * math.log(s))
-        except OverflowError:
-            upper = math.inf
+        upper = _or_inf(lambda: math.exp(fitted * s * math.log(s)))
         report.rows.append(_check_row(s, v, None, upper))
     return report
 

@@ -159,15 +159,15 @@ def pagerank(
 ) -> RankResult:
     """Stationary distribution of the interest-biased dependency walk.
 
-    One pass over the condensation `cg` of `graph` (built here when not
-    given), from the highest component down.  A sweep of a component moves
-    the mass each member still holds into y and pushes alpha times it, split
-    by edge weight, to the member's targets.  A component that mass flows
-    back into is swept again until what the mass left in it could still add
-    to y, at most 1 / (1 - alpha) times that mass, is below params.tolerance
-    times sum(j0), so each pi value ends within about params.tolerance of the
-    fixed point; PowerIterationError when that takes more than
-    params.max_iterations sweeps.
+    One pass over the blocks of the condensation `cg` of `graph` (built here
+    when not given), from the highest component down.  A sweep of a block
+    moves the mass each of its elements still holds into y and pushes alpha
+    times it, split by edge weight, to the element's targets.  A block that
+    mass flows back into is swept again until what the mass left in it could
+    still add to y, at most 1 / (1 - alpha) times that mass, is below
+    params.tolerance times sum(j0), so each pi value ends within about
+    params.tolerance of the fixed point; PowerIterationError when that takes
+    more than params.max_iterations sweeps.
     """
     names = graph.sorted_names
     if not names:
@@ -178,7 +178,7 @@ def pagerank(
     z = sum(todo)
     if cg is None:
         cg = condense_scc(graph)
-    off, dst, ref_w, index, alpha = graph.off, graph.dst, graph.ref_w, graph.index, params.alpha
+    off, dst, ref_w, alpha = graph.off, graph.dst, graph.ref_w, params.alpha
     y = [0.0] * len(names)
 
     def sweep(block: list[int]) -> None:
@@ -193,8 +193,7 @@ def pagerank(
                     todo[t] += f * w
 
     iterations, residual = 1, 0.0
-    for c in range(len(cg) - 1, -1, -1):
-        block = [index[name] for name in cg.members[c]]
+    for block in reversed(cg.blocks):
         sweep(block)
         if len(block) > 1 or todo[block[0]]:  # mass came back: a cycle
             for k in range(1, params.max_iterations + 1):

@@ -78,7 +78,7 @@ def curve(xs, fn):
 def test_condense_acyclic_graph_is_isomorphic():
     graph = chain_graph()
     cg = condense_scc(graph)
-    assert sorted(cg.members) == [("a",), ("b",), ("p",)]
+    assert sorted(cg.blocks) == [[0], [1], [2]]  # a, b, p
     a, b, p = cg.node_of["a"], cg.node_of["b"], cg.node_of["p"]
     assert cg.edges[a] == {b: 2}
     assert cg.edges[b] == {p: 3}
@@ -103,7 +103,7 @@ def test_condense_merges_cycles_and_drops_self_loops():
     assert len(cg) == 2
     comp = cg.node_of["c"]
     assert cg.node_of["d"] == comp
-    assert cg.members[comp] == ("c", "d")
+    assert cg.blocks[comp] == [0, 1]  # c, d
     assert cg.edges[comp] == {cg.node_of["p"]: 3}
     assert cg.out_weight(comp) == 3
 
@@ -448,7 +448,7 @@ def test_inline_refuses_to_remove_sinks():
 def test_percentile_zero_keeps_everything():
     cg = condense_scc(synth_mixed(40, 6, 3, 3, seed=1))
     filtered = filter_macro_set(cg, FilterPolicy("indegree_percentile", percentile=0.0))
-    assert filtered.members == cg.members
+    assert filtered.blocks == cg.blocks
     assert filtered.edges == cg.edges
 
 
@@ -589,6 +589,7 @@ def test_synth_mixed_invariants(args):
     assert len(graph) == n
     assert [nd.sig_refs for nd in graph.nodes.values()] == [
         nd.sig_refs for nd in synth_mixed(n, prims, fanout, max_weight, seed).nodes.values()]
+    index = {name: i for i, name in enumerate(graph.sorted_names)}
     for i, (name, nd) in enumerate(graph.nodes.items()):
         refs = {**nd.sig_refs, **nd.body_refs}
         if i >= n - prims:
@@ -597,7 +598,7 @@ def test_synth_mixed_invariants(args):
         assert nd.kind in ("definition", "theorem")
         assert nd.sig_refs and not nd.sig_refs.keys() & nd.body_refs.keys()
         assert 1 <= len(refs) <= min(fanout, n - i - 1)
-        assert all(graph.index[t] > i and 1 <= w <= max_weight for t, w in refs.items())
+        assert all(index[t] > i and 1 <= w <= max_weight for t, w in refs.items())
 
 
 def test_synth_validation():

@@ -69,6 +69,19 @@ def test_sim_place_profile_and_bounds(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_sim_place_bound_past_the_float_range_is_inf(tmp_path):
+    # 2 ** 1024 overflows a float: that upper bound reads inf, the lower
+    # bound 2 ** 1023 stays finite and fails against the capped scan
+    out = tmp_path / "place"
+    code = main(["sim", "--regime", "place", "--b", "2", "--n", "1",
+                 "--s", "1024", "--r-max", "10", "--out", str(out)])
+    assert code == EXIT_VERIFY
+    place, quasi = read_csv(out / "bounds.csv")
+    assert (place["lower"], place["upper"], place["pass"]) == (
+        repr(2.0 ** 1023), "inf", "false")
+    assert (quasi["upper"], quasi["pass"]) == ("inf", "true")
+
+
 def test_sim_is_byte_deterministic(tmp_path):
     args = ["sim", "--regime", "double-log", "--b", "2", "--s", "1:5",
             "--r-max", "300"]
@@ -1025,6 +1038,7 @@ def test_synth_requires_a_kind(tmp_path):
     ["rank", "--graph", "{graph}", "--max-iter", "-2"],
     ["rank", "--graph", "{graph}", "--tolerance", "0"],
     ["rank", "--graph", "{graph}", "--tolerance", "nan"],
+    ["rank", "--graph", "{zero_sig}"],  # a body but zero wrapped signature
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "0"],
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "8,1"],
     ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "8,0"],
@@ -1034,6 +1048,9 @@ def test_synth_requires_a_kind(tmp_path):
     ["analyze", "--graph", "{graph}", "--bin-log2", "inf"],
     ["analyze", "--graph", "{graph}", "--bin-wrapped", "nan"],
     ["analyze", "--graph", "{graph}", "--bin-depth", "1e-320"],  # 1 / 1e-320 is inf
+    ["analyze", "--graph", "{graph}", "--min-distinct-x", "0"],
+    ["analyze", "--graph", "{graph}", "--flat-slope", "nan"],
+    ["analyze", "--graph", "{graph}", "--min-x-span", "nan"],
     ["synth", "--kind", "mixed", "--nodes", "5", "--primitives", "20"],
     ["synth", "--kind", "mixed", "--nodes", "10", "--primitives", "0"],
     ["synth", "--kind", "mixed", "--nodes", "10", "--primitives", "-3"],
@@ -1055,11 +1072,15 @@ def test_synth_requires_a_kind(tmp_path):
 def test_input_error_leaves_no_output_directory(tmp_path, argv):
     paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
              "corpus": tmp_path / "corpus.jsonl", "graph": tmp_path / "graph" / "graph.jsonl",
-             "bad_graph": tmp_path / "bad_graph.jsonl"}
+             "bad_graph": tmp_path / "bad_graph.jsonl", "zero_sig": tmp_path / "zero_sig.jsonl"}
     paths["corpus"].write_text(WORKED_CORPUS)
     paths["bad_graph"].write_text('{"format":"macrolab-graph","version":1}\n'
                                   '{"name":"a","kind":"primitive","sig_refs":{"b":1}}\n'
                                   '{"name":"b","kind":"definition"}\n')
+    paths["zero_sig"].write_text('{"format":"macrolab-graph","version":1}\n'
+                                 '{"name":"a","kind":"theorem","token_count_body":5,'
+                                 '"sig_refs":{"p":1}}\n'
+                                 '{"name":"p","kind":"primitive"}\n')
     paths["bad_corpus"].write_text(WORKED_CORPUS.replace("(const And)", "(const And"))
     assert main(["ingest", "--in", str(paths["corpus"]),
                  "--out", str(paths["graph"].parent)]) == EXIT_OK

@@ -227,11 +227,17 @@ def graphs(draw) -> list[GraphNode]:
 
 
 def assert_same(cg, oracle: OracleCondensed) -> None:
-    assert cg.members == oracle.members
+    names, kinds = cg.graph.sorted_names, cg.graph.kinds
+    # the blocks partition the kept elements, each ascending, and comp_of agrees
+    kept = [v for v, c in enumerate(cg.comp_of) if c >= 0]
+    assert sorted(v for block in cg.blocks for v in block) == kept
+    assert all(block == sorted(block) for block in cg.blocks)
+    assert all(cg.comp_of[v] == i for i, block in enumerate(cg.blocks) for v in block)
+    assert [tuple(names[v] for v in block) for block in cg.blocks] == oracle.members
     assert cg.edges == oracle.edges
     assert list(map(list, cg.edges)) == list(map(list, oracle.edges))  # insertion order too
     assert all(j < i for i, adj in enumerate(cg.edges) for j in adj)  # dependency order
-    assert cg.kinds == oracle.kinds
+    assert [tuple(sorted({kinds[v] for v in block})) for block in cg.blocks] == oracle.kinds
     assert cg.node_of == oracle.node_of
     assert list(cg.node_of) == list(oracle.node_of)
 
