@@ -11,14 +11,12 @@ once per node from the exact value, never accumulated in floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from statistics import fmean
+from typing import NamedTuple
 
 from .corpus import DepGraph
 
 
-@dataclass
 class CondensedGraph:
     """Acyclic condensation of ``graph``: supernode -> its elements, summed edges.
 
@@ -30,10 +28,12 @@ class CondensedGraph:
     map keyed by name, is built from it on first use.
     """
 
-    graph: DepGraph
-    blocks: list[list[int]]
-    edges: list[dict[int, int]]
-    comp_of: list[int]
+    def __init__(self, graph: DepGraph, blocks: list[list[int]], edges: list[dict[int, int]],
+                 comp_of: list[int]):
+        self.graph = graph
+        self.blocks = blocks
+        self.edges = edges
+        self.comp_of = comp_of
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -160,8 +160,7 @@ def log2_exact(x: int) -> float:
     return math.log2(x >> shift) + shift
 
 
-@dataclass
-class NodeMetrics:
+class NodeMetrics(NamedTuple):
     name: str
     kind: str
     generated: bool
@@ -227,8 +226,7 @@ def split_unwrapped(graph: DepGraph, cg: CondensedGraph) -> dict[str, tuple[int,
     return out
 
 
-@dataclass(frozen=True)
-class HistogramBin:
+class HistogramBin(NamedTuple):
     lo: float
     hi: float
     count: int
@@ -251,8 +249,7 @@ def histogram(values, bin_width: float) -> list[HistogramBin]:
     ]
 
 
-@dataclass
-class MedianCurve:
+class MedianCurve(NamedTuple):
     """Lower median of y at each distinct x, with per-x population counts."""
 
     xs: list[float]
@@ -278,8 +275,7 @@ class DegenerateFitError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -303,7 +299,7 @@ def slope_fit(curve: MedianCurve, x_range: tuple[float, float] | None = None) ->
         raise DegenerateFitError(f"need at least 3 points, got {len(pairs)}")
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
-    mx = fmean(xs)
+    mx = math.fsum(xs) / len(xs)
     if sum((x - mx) ** 2 for x in xs) == 0:
         raise DegenerateFitError("x variance is zero")
     slope, intercept = _ols(xs, ys)
@@ -319,8 +315,7 @@ LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class ClassifyConfig:
+class ClassifyConfig(NamedTuple):
     """Thresholds for curve labeling.
 
     A curve is Degenerate when its x values are effectively bounded: fewer
@@ -334,8 +329,8 @@ class ClassifyConfig:
 
 
 def _ols(xs: list[float], ys: list[float]) -> tuple[float, float]:
-    mx = fmean(xs)
-    my = fmean(ys)
+    mx = math.fsum(xs) / len(xs)  # statistics.fmean, to the last bit
+    my = math.fsum(ys) / len(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
     if sxx == 0:
         return 0.0, my
@@ -351,7 +346,7 @@ def _lack_of_fit(us: list[float], vs: list[float]) -> float:
     """Normalized residual of the OLS line v ~ u (this is 1 - r^2)."""
     a, b = _ols(us, vs)
     sse = _sse(vs, [a * u + b for u in us])
-    mv = fmean(vs)
+    mv = math.fsum(vs) / len(vs)
     ssv = sum((v - mv) ** 2 for v in vs)
     if ssv == 0.0:
         return 0.0 if sse == 0.0 else math.inf
@@ -407,8 +402,7 @@ REGIME_TABLE: dict[str, tuple[set[str], set[str], set[str]]] = {
 }
 
 
-@dataclass
-class RegimeVerdict:
+class RegimeVerdict(NamedTuple):
     labels: tuple[str, str, str]
     matches: list[str]
 
@@ -436,8 +430,14 @@ def regime_classify(
 # --- macro-set filtering ---
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
+class _FilterPolicy(NamedTuple):
+    mode: str
+    percentile: float | None = None
+    kinds: frozenset[str] | None = None
+    names: frozenset[str] | None = None
+
+
+class FilterPolicy(_FilterPolicy):
     """Which non-sink elements to inline away.
 
     mode "indegree_percentile": remove the bottom `percentile` percent by
@@ -445,22 +445,21 @@ class FilterPolicy:
     listed.  mode "explicit": remove exactly `names`.
     """
 
-    mode: str
-    percentile: float | None = None
-    kinds: frozenset[str] | None = None
-    names: frozenset[str] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("indegree_percentile", "kind", "explicit"):
-            raise ValueError(f"unknown filter mode {self.mode!r}")
-        if self.mode == "indegree_percentile" and not (
-            self.percentile is not None and 0 <= self.percentile <= 100
+    def __new__(cls, *args, **kwargs) -> FilterPolicy:
+        policy = super().__new__(cls, *args, **kwargs)
+        if policy.mode not in ("indegree_percentile", "kind", "explicit"):
+            raise ValueError(f"unknown filter mode {policy.mode!r}")
+        if policy.mode == "indegree_percentile" and not (
+            policy.percentile is not None and 0 <= policy.percentile <= 100
         ):
             raise ValueError("percentile must lie in [0, 100]")
-        if self.mode == "kind" and not self.kinds:
+        if policy.mode == "kind" and not policy.kinds:
             raise ValueError("kind filter needs at least one kind to keep")
-        if self.mode == "explicit" and self.names is None:
+        if policy.mode == "explicit" and policy.names is None:
             raise ValueError("explicit filter needs a name set")
+        return policy
 
 
 def inline_nodes(cg: CondensedGraph, remove: set[int]) -> CondensedGraph:

@@ -271,6 +271,8 @@ def _sim_probabilistic(M, spec: families.FamilySpec, opts: dict) -> int:
 
     if not opts["mc_r"]:
         raise InputError("--mc-r needs at least one radius")
+    if not 0 <= opts["min_halving_rate"] <= 1:  # written so that NaN fails too
+        raise InputError(f"min_halving_rate must lie in [0, 1], got {opts['min_halving_rate']}")
     rates = [
         expansion.sampled_rates(M, r, opts["trials"], opts["seed"])
         for r in opts["mc_r"]
@@ -354,6 +356,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .corpus import load_graph, normalize_kind
 
     opts = _merge(args)
+    scopes = [("full", None)]
+    if opts["fit_lo"] is not None or opts["fit_hi"] is not None:
+        lo = opts["fit_lo"] if opts["fit_lo"] is not None else -math.inf
+        hi = opts["fit_hi"] if opts["fit_hi"] is not None else math.inf
+        if not lo <= hi:  # written so that a NaN end fails too
+            raise InputError(f"fit window needs fit_lo <= fit_hi, neither NaN; got [{lo}, {hi}]")
+        scopes.append(("window", (lo, hi)))
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
         raise InputError("graph has no elements")
@@ -412,11 +421,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "wrapped_vs_depth": analytics.median_curve((d, w) for d, w, _ in pairs),
         "log2_unwrapped_vs_wrapped": analytics.median_curve((w, u) for _, w, u in pairs),
     }
-    scopes = [("full", None)]
-    if opts["fit_lo"] is not None or opts["fit_hi"] is not None:
-        lo = opts["fit_lo"] if opts["fit_lo"] is not None else -math.inf
-        hi = opts["fit_hi"] if opts["fit_hi"] is not None else math.inf
-        scopes.append(("window", (lo, hi)))
     for name, curve in curves.items():
         _write_csv(os.path.join(out, f"curve_{name}.csv"),
                    ["x", "median", "count"],
@@ -471,6 +475,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     from .corpus import load_graph
 
     opts = _merge(args)
+    if opts["sweep"] == []:
+        raise InputError("--sweep needs at least one alpha")
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
         raise InputError("graph has no elements")

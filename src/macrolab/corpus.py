@@ -28,10 +28,9 @@ synthetic elements that reference something.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .exprs import ExprNode
@@ -78,10 +77,7 @@ def _check_element(name: str, kind: str, generated: bool, token_count_signature:
     return kind
 
 
-@dataclass
-class Element:
-    """One corpus entry, pre graph assembly."""
-
+class _Element(NamedTuple):
     name: str
     kind: str
     signature: ExprNode | None = None
@@ -90,23 +86,42 @@ class Element:
     token_count_body: int | None = None
     generated: bool = False
 
-    def __post_init__(self) -> None:
-        self.kind = _check_element(self.name, self.kind, self.generated,
-                                   self.token_count_signature, self.token_count_body,
-                                   self.body is not None)
+
+class Element(_Element):
+    """One corpus entry, pre graph assembly; its kind is stored with aliases
+    resolved."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Element:
+        el = super().__new__(cls, *args, **kwargs)
+        kind = _check_element(el.name, el.kind, el.generated, el.token_count_signature,
+                              el.token_count_body, el.body is not None)
+        return el._replace(kind=kind)
 
 
-@dataclass
-class GraphNode:
-    """A dependency-graph node with signature/body reference splits."""
-
+class _GraphNode(NamedTuple):
     name: str
     kind: str
     generated: bool
     token_count_signature: int | None
     token_count_body: int | None
-    sig_refs: dict[str, int] = field(default_factory=dict)
-    body_refs: dict[str, int] = field(default_factory=dict)
+    sig_refs: dict[str, int]
+    body_refs: dict[str, int]
+
+
+class GraphNode(_GraphNode):
+    """A dependency-graph node with signature/body reference splits; a
+    reference map left out is a fresh empty dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str, generated: bool, token_count_signature: int | None,
+                token_count_body: int | None, sig_refs: dict[str, int] | None = None,
+                body_refs: dict[str, int] | None = None) -> GraphNode:
+        return tuple.__new__(cls, (name, kind, generated, token_count_signature,
+                                   token_count_body, {} if sig_refs is None else sig_refs,
+                                   {} if body_refs is None else body_refs))
 
     def merged_refs(self) -> dict[str, int]:
         merged = dict(self.sig_refs)

@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .families import FamilySpec, LazyFreeMacroSet, prefix_periods, seeded_words
 from .monoid import (
@@ -39,11 +38,10 @@ from .monoid import (
 # where that count is settled.
 POWER_SUM_COUNTS = {2: 4, 3: 9, 4: 19, 5: 37, 6: 73}
 
-_ALPHABET = string.ascii_lowercase
+_ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class ExpansionValue:
+class ExpansionValue(NamedTuple):
     """Exact value when `exact`, otherwise a certified lower bound (scan exhausted r_max)."""
 
     value: int
@@ -53,8 +51,10 @@ class ExpansionValue:
         return str(self.value) if self.exact else f">={self.value}"
 
 
-@dataclass
-class ExpansionProfile:
+class ExpansionProfile(NamedTuple):
+    """f(s) for each budget s in ``entries``; ``profile[s]`` reads one, so a
+    profile does not index as a tuple."""
+
     spec: FamilySpec
     entries: dict[int, ExpansionValue]
 
@@ -287,8 +287,7 @@ def expansion_function(
     return profile.entries[s]
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     s: int
     lower: float | None
     measured: ExpansionValue
@@ -297,12 +296,11 @@ class BoundRow:
     note: str = ""
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     regime: str
     params: str
-    rows: list[BoundRow] = field(default_factory=list)
-    constants: dict[str, float] = field(default_factory=dict)
+    rows: list[BoundRow]
+    constants: dict[str, float]
 
     @property
     def all_passed(self) -> bool:
@@ -341,7 +339,7 @@ def verify_bounds(profile: ExpansionProfile, spec: FamilySpec | None = None) -> 
     """Check measured expansion values against the regime's predicted growth bounds."""
     spec = spec if spec is not None else profile.spec
     n = spec.monoid.n
-    report = BoundReport(spec.regime, _params_str(spec))
+    report = BoundReport(spec.regime, _params_str(spec), [], {})
 
     if spec.regime == "place":
         b = spec.b
@@ -433,7 +431,7 @@ def quasi_exponential_upper_report(
     for s, val in exact:
         if val >= 1:
             fitted = max(fitted, math.log(val) / (s * math.log(s)))
-    report = BoundReport("quasi_exponential_upper", f"q={q} n={n}")
+    report = BoundReport("quasi_exponential_upper", f"q={q} n={n}", [], {})
     report.constants["K"] = fitted
     report.constants["K_floor"] = floor
     for s, v in sorted(profile.entries.items()):
@@ -584,8 +582,7 @@ def sample_words(n: int, length: int, count: int, seed: int) -> list[tuple[int, 
     return list(itertools.islice(seeded_words(n, length, seed, b"sample_words"), count))
 
 
-@dataclass
-class SampledRates:
+class SampledRates(NamedTuple):
     r: int
     trials: int
     halving_successes: int

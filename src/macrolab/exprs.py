@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 SORT_NAME = "Sort"
 
@@ -44,21 +44,24 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class ExprNode:
+class _ExprNode(NamedTuple):
     tag: str
     name: str | None = None
     children: tuple[ExprNode, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in _ARITY:
-            raise ValueError(f"unknown expression tag {self.tag!r}")
-        if len(self.children) != _ARITY[self.tag]:
-            raise ValueError(
-                f"{self.tag} takes {_ARITY[self.tag]} children, got {len(self.children)}"
-            )
-        if (self.tag == "const") != (self.name is not None):
+
+class ExprNode(_ExprNode):
+    __slots__ = ()
+
+    def __new__(cls, tag: str, name: str | None = None,
+                children: tuple[ExprNode, ...] = ()) -> ExprNode:
+        if tag not in _ARITY:
+            raise ValueError(f"unknown expression tag {tag!r}")
+        if len(children) != _ARITY[tag]:
+            raise ValueError(f"{tag} takes {_ARITY[tag]} children, got {len(children)}")
+        if (tag == "const") != (name is not None):
             raise ValueError("exactly const nodes carry a name")
+        return tuple.__new__(cls, (tag, name, children))
 
 
 def const(name: str) -> ExprNode:
@@ -91,11 +94,8 @@ def proj(struct: ExprNode) -> ExprNode:
 
 _LEAVES = {"sort": ExprNode("sort"), "other": ExprNode("other")}
 # parse_expr has checked an interior node's tag and arity by the time it
-# builds it, so it fills the slots directly: the frozen __init__ and its
-# checks took over a third of the parse.
-_blank = object.__new__
-_set_tag, _set_name, _set_children = (ExprNode.__dict__[f].__set__
-                                      for f in ("tag", "name", "children"))
+# builds it, so it builds the node's tuple directly, without the checks.
+_new = tuple.__new__
 _PARENS = ("(", ")")
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
@@ -182,11 +182,7 @@ def parse_expr(text: str, refs: dict[str, int] | None = None) -> ExprNode:
             tag, at, parent = frames.pop()
             if len(children) != _ARITY[tag]:
                 raise _error(text, at, f"{tag} takes {_ARITY[tag]} children, got {len(children)}")
-            node = _blank(ExprNode)
-            _set_tag(node, tag)
-            _set_name(node, None)
-            _set_children(node, tuple(children))
-            parent.append(node)
+            parent.append(_new(ExprNode, (tag, None, tuple(children))))
             children = parent
             pos += 1
             if not frames:

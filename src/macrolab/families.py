@@ -13,17 +13,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .monoid import Macro, MacroSet, MonoidKind, Word, abelian, free
 
 REGIMES = ("place", "waring", "double_log", "finite", "poly_free", "prob_free")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters for one macro family, truncated to definitions of length <= r_max."""
-
+class _FamilySpec(NamedTuple):
     regime: str
     monoid: MonoidKind
     r_max: int
@@ -37,11 +34,19 @@ class FamilySpec:
     words: tuple[Word, ...] | None = None
     sampler: str = "lex"
 
-    def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.r_max < 1:
+
+class FamilySpec(_FamilySpec):
+    """Parameters for one macro family, truncated to definitions of length <= r_max."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> FamilySpec:
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.regime not in REGIMES:
+            raise ValueError(f"unknown regime {spec.regime!r}")
+        if spec.r_max < 1:
             raise ValueError("r_max must be at least 1")
+        return spec
 
     @staticmethod
     def place_notation(b: int, n: int, r_max: int) -> FamilySpec:
@@ -228,10 +233,6 @@ def _sampled_words(length: int, count: int, n: int, seed: int) -> list[tuple[int
     return sorted(drawn)
 
 
-# _free_macros fills the slots of words and macros it has checked in bulk.
-_blank = object.__new__
-_set_monoid, _set_data = (Word.__dict__[f].__set__ for f in ("monoid", "data"))
-_set_name, _set_definition = (Macro.__dict__[f].__set__ for f in ("name", "definition"))
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
@@ -240,7 +241,7 @@ def _free_macros(monoid: MonoidKind, words: list[tuple[int, ...]]) -> list[Macro
     for generated free words, checked in bulk.
 
     When every letter lies in [0, n) and every word has at least two, the
-    checks of `Word` and `Macro` cannot fail, so their slots are filled
+    checks of `Word` and `Macro` cannot fail, so their tuples are built
     directly; otherwise the checked constructors raise their usual errors.
     """
     n = monoid.n
@@ -252,15 +253,8 @@ def _free_macros(monoid: MonoidKind, words: list[tuple[int, ...]]) -> list[Macro
         names = ["w" + sep.join(map(str, w)) for w in words]
     else:
         names = ["w" + bytes(w).translate(_DIGITS).decode() for w in words]
-    macros = []
-    for name, w in zip(names, words):
-        word, macro = _blank(Word), _blank(Macro)
-        _set_monoid(word, monoid)
-        _set_data(word, w)
-        _set_name(macro, name)
-        _set_definition(macro, word)
-        macros.append(macro)
-    return macros
+    new = tuple.__new__
+    return [new(Macro, (name, new(Word, (monoid, w)))) for name, w in zip(names, words)]
 
 
 def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:

@@ -13,7 +13,7 @@ it is swept to the tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytics import CondensedGraph, condense_scc, split_unwrapped
 from .corpus import DepGraph
@@ -21,26 +21,30 @@ from .corpus import DepGraph
 J0_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class RankParams:
+class _RankParams(NamedTuple):
     alpha: float = 0.85
     beta: float = 0.5
     tolerance: float = 1e-12
     max_iterations: int = 10_000
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.alpha < 1:
+
+class RankParams(_RankParams):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RankParams:
+        params = super().__new__(cls, *args, **kwargs)
+        if not 0 <= params.alpha < 1:
             raise ValueError("alpha must lie in [0, 1)")
-        if not 0 <= self.beta <= 1:
+        if not 0 <= params.beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
-        if not self.tolerance > 0:
+        if not params.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
+        if params.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        return params
 
 
-@dataclass(frozen=True)
-class ElementSplit:
+class ElementSplit(NamedTuple):
     """Wrapped/unwrapped lengths of one element, split into signature and body."""
 
     wrapped_sig: int | None
@@ -72,8 +76,7 @@ def element_splits(
     return out
 
 
-@dataclass(frozen=True)
-class CompressionScores:
+class CompressionScores(NamedTuple):
     t0: float | None  # whole-element expansion ratio; None when wrapped length unknown
     i0: float  # body-to-signature wrapped ratio; 0 for bodiless elements
     j0: float  # convex mix of the min-max normalized ratios, floored above zero
@@ -135,8 +138,7 @@ def alt_deductive_scores(splits: dict[str, ElementSplit]) -> dict[str, float | N
     return out
 
 
-@dataclass
-class RankResult:
+class RankResult(NamedTuple):
     pi: dict[str, float]
     iterations: int  # the pass, plus every repeated sweep of a cyclic component
     residual: float  # the most a cyclic component's leftover adds to y, over sum(j0)

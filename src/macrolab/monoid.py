@@ -12,7 +12,6 @@ Neither monoid loads numpy: abelian point sets are Python-int bitsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -26,14 +25,18 @@ class Kind(Enum):
     FREE = "free"
 
 
-@dataclass(frozen=True)
-class MonoidKind:
+class _MonoidKind(NamedTuple):
     kind: Kind
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one generator, got n={self.n}")
+
+class MonoidKind(_MonoidKind):
+    __slots__ = ()
+
+    def __new__(cls, kind: Kind, n: int) -> MonoidKind:
+        if n < 1:
+            raise ValueError(f"need at least one generator, got n={n}")
+        return tuple.__new__(cls, (kind, n))
 
     @property
     def is_abelian(self) -> bool:
@@ -48,23 +51,25 @@ def free(n: int) -> MonoidKind:
     return MonoidKind(Kind.FREE, n)
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
-    """A monoid element: multiplicities if abelian, letters if free."""
-
+class _Word(NamedTuple):
     monoid: MonoidKind
     data: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.monoid.is_abelian:
-            if len(self.data) != self.monoid.n:
-                raise ValueError(
-                    f"expected {self.monoid.n} multiplicities, got {len(self.data)}"
-                )
-            if min(self.data) < 0:
+
+class Word(_Word):
+    """A monoid element: multiplicities if abelian, letters if free."""
+
+    __slots__ = ()
+
+    def __new__(cls, monoid: MonoidKind, data: tuple[int, ...]) -> Word:
+        if monoid.is_abelian:
+            if len(data) != monoid.n:
+                raise ValueError(f"expected {monoid.n} multiplicities, got {len(data)}")
+            if min(data) < 0:
                 raise ValueError("multiplicities must be non-negative")
-        elif self.data and (min(self.data) < 0 or max(self.data) >= self.monoid.n):
-            raise ValueError(f"letters must lie in [0, {self.monoid.n})")
+        elif data and (min(data) < 0 or max(data) >= monoid.n):
+            raise ValueError(f"letters must lie in [0, {monoid.n})")
+        return tuple.__new__(cls, (monoid, data))
 
     @staticmethod
     def from_multiplicities(mults: tuple[int, ...] | list[int], n: int | None = None) -> Word:
@@ -103,19 +108,23 @@ def ball_size(monoid: MonoidKind, r: int) -> int:
     return (n ** (r + 1) - 1) // (n - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Macro:
-    """A named shorthand for a word of primitive length at least 2."""
-
+class _Macro(NamedTuple):
     name: str
     definition: Word
 
-    def __post_init__(self) -> None:
-        if self.definition.g_length() < 2:
+
+class Macro(_Macro):
+    """A named shorthand for a word of primitive length at least 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, definition: Word) -> Macro:
+        if definition.g_length() < 2:
             raise ValueError(
-                f"macro {self.name!r} has length {self.definition.g_length()}; "
+                f"macro {name!r} has length {definition.g_length()}; "
                 "a length-1 macro duplicates a primitive"
             )
+        return tuple.__new__(cls, (name, definition))
 
 
 def _reject(monoid: MonoidKind, macros: tuple[Macro, ...]) -> None:

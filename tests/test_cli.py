@@ -234,16 +234,12 @@ def test_sim_probabilistic_monte_carlo(tmp_path):
     assert report["smallest_failure_free_r"] == 32
 
 
-def test_sim_probabilistic_unreachable_rate_exits_two(tmp_path):
-    out = tmp_path / "prob_fail"
-    code = main([
-        "sim", "--regime", "prob-free", "--n", "2", "--trials", "10",
-        "--mc-r", "32", "--min-halving-rate", "1.1", "--seed", "7",
-        "--out", str(out),
-    ])
-    assert code == EXIT_VERIFY
-    report = read_jsonl(out / "report.jsonl")
-    assert report[-1]["status"] == "bound_violation"
+def test_sim_probabilistic_accepts_a_rate_of_one(tmp_path):
+    # The rate is bounded to [0, 1], both ends included; past them is an input error.
+    code = main(["sim", "--regime", "prob-free", "--n", "2", "--trials", "10", "--mc-r", "32",
+                 "--min-halving-rate", "1", "--seed", "7", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert read_jsonl(tmp_path / "report.jsonl")[1]["min_halving_rate"] == 1.0
 
 
 def test_sim_probabilistic_takes_a_huge_finite_window_constant(tmp_path):
@@ -1068,6 +1064,14 @@ def test_synth_requires_a_kind(tmp_path):
      "--r-max", "10"],
     ["sim", "--regime", "poly-free", "--c", "1", "--p", "nan", "--n", "2", "--s", "1:3",
      "--r-max", "10"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "16",
+     "--min-halving-rate", "nan"],
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5", "--mc-r", "16",
+     "--min-halving-rate", "2"],  # a bound no family can pass
+    ["rank", "--graph", "{graph}", "--sweep", ","],
+    ["analyze", "--graph", "{graph}", "--fit-lo", "nan"],
+    ["analyze", "--graph", "{graph}", "--fit-hi", "nan"],
+    ["analyze", "--graph", "{graph}", "--fit-lo", "3", "--fit-hi", "2"],
 ])
 def test_input_error_leaves_no_output_directory(tmp_path, argv):
     paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
@@ -1225,19 +1229,24 @@ def test_abelian_sim_never_imports_numpy(tmp_path):
 
 # --- each command imports only the modules it runs ---
 
+# Both guards also name any of the dataclass machinery (with the inspect it
+# pulls in) and statistics that macrolab loaded; a module the bare
+# interpreter had already loaded is not counted.
 IMPORT_GUARD_SCRIPT = """
 import sys
 
+heavy = {"dataclasses", "inspect", "statistics"} - sys.modules.keys()
 from macrolab.cli import main
 
 assert main(sys.argv[2:]) == 0, sys.argv[2:]
 loaded = {name.split(".")[1] for name in sys.modules if name.startswith("macrolab.")}
-print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))))
+print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))), *sorted(heavy & sys.modules.keys()))
 """
 
 KERNEL_GUARD_SCRIPT = """
 import sys
 
+heavy = {"dataclasses", "inspect", "statistics"} - sys.modules.keys()
 from macrolab.families import FamilySpec, build_macro_family
 from macrolab.monoid import Word, gprime_length, monoid_depth, wrapped_length
 
@@ -1247,7 +1256,7 @@ for spec, word in ((FamilySpec.poly_density_free(1, 1, 2, 8), (0, 1, 1, 0, 1, 0)
     w = Word(M.monoid, word)
     gprime_length(w, M), monoid_depth(w, M), wrapped_length(M.macros[0], M)
 loaded = {name.split(".")[1] for name in sys.modules if name.startswith("macrolab.")}
-print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))))
+print("loaded:", *sorted(loaded & set(sys.argv[1].split(","))), *sorted(heavy & sys.modules.keys()))
 """
 
 SIM_ONLY = "analytics,corpus,exprs,interest,synth"
