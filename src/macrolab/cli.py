@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from itertools import chain
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -141,7 +141,7 @@ def _merge(args: argparse.Namespace) -> dict:
     return out
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable) -> None:
     """Cells as given: csv.writer writes None as "" and any other value with
     str(), which for a float is its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -455,21 +455,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # --- rank ---
 
 
-def _rank_rows(graph, cg, scores, params, alt) -> list[list]:
-    from . import interest
-
-    result = interest.pagerank(graph, {k: v.j0 for k, v in scores.items()}, params, cg)
-    order = sorted(result.pi, key=lambda name: (-result.pi[name], name))
-    rows = []
-    for rank, name in enumerate(order, start=1):
-        sc = scores[name]
-        row = [name, sc.t0, sc.i0, sc.j0, result.pi[name], rank]
-        if alt is not None:
-            row.append(alt[name])
-        rows.append(row)
-    return rows
-
-
 def cmd_rank(args: argparse.Namespace) -> int:
     from . import analytics, interest
     from .corpus import load_graph
@@ -488,18 +473,33 @@ def cmd_rank(args: argparse.Namespace) -> int:
     splits = interest.element_splits(graph, cg, metric_name)
     alt = interest.alt_deductive_scores(splits) if opts["alt_deductive"] else None
     scores = interest.compression_scores(splits, opts["beta"])
+    del splits
     out = _ensure_out(opts["out"])
 
-    header = ["name", "t0", "i0", "j0", "pi", "rank"]
-    if alt is not None:
-        header.append("i0_alt")
+    # Columns in element order: each score is formatted once, for rank.csv and
+    # every sweep block, and each distinct RankParams is walked once.
+    teleport = {name: sc.j0 for name, sc in scores.items()}
+    cells = [(name, "" if t0 is None else repr(t0), repr(i0), repr(j0))
+             for name, (t0, i0, j0) in scores.items()]
+    tails = ([("" if alt[name] is None else repr(alt[name]),) for name in scores]
+             if alt is not None else [()] * len(cells))
+    header = ["name", "t0", "i0", "j0", "pi", "rank", *(["i0_alt"] if alt is not None else [])]
+    del scores, alt
+    walks: dict = {}
+
+    def table(p: interest.RankParams):
+        if p not in walks:
+            pi = list(interest.pagerank(graph, teleport, p, cg).pi.values())
+            walks[p] = sorted(range(len(pi)), key=pi.__getitem__, reverse=True), [*map(repr, pi)]
+        order, pi = walks[p]  # pi descending, ties in name order
+        return ((*cells[i], pi[i], rank, *tails[i]) for rank, i in enumerate(order, start=1))
+
     try:
-        _write_csv(os.path.join(out, "rank.csv"), header,
-                   _rank_rows(graph, cg, scores, params, alt))
+        _write_csv(os.path.join(out, "rank.csv"), header, table(params))
         if sweep:
+            blocks = [(repr(p.alpha), table(p)) for p in sweep]  # walked before the file opens
             _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header],
-                       [[p.alpha, *row] for p in sweep
-                        for row in _rank_rows(graph, cg, scores, p, alt)])
+                       ((a, *row) for a, rows in blocks for row in rows))
     except interest.PowerIterationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -9,27 +9,33 @@ stay distinguishable.
 
 A `DepGraph` holds the graph as integer-indexed arrays: sorted names, kinds,
 flags, token counts and one CSR row of references per element.  `load_graph`
-fills them straight from a graph file, `build_graph` from parsed elements,
-and `ingest_corpus` from a corpus file in one pass: each expression's
-references are counted while it is parsed, and its tree is dropped before
-the next element is read.  Every analytics pass and the ranking walk read
-the arrays as plain lists; the name-keyed `GraphNode` view is built only
-when something asks for it.
+fills them from a graph file whose records it decodes in bulk, one `json`
+call per chunk of about a megabyte of lines, and checks column by column; a
+file that fails any of those checks is read again record by record, which
+names the first bad line.  `build_graph` fills them from parsed elements, and
+`ingest_corpus` from a corpus file in one pass: each expression's references
+are counted while it is parsed, and its tree is dropped before the next
+element is read.  Every analytics pass and the ranking walk read the arrays
+as plain lists; the name-keyed `GraphNode` view is built only when something
+asks for it.
 
 Both file formats are line-delimited JSON with a leading header record, one
 canonical byte rendering per graph (sorted names, sorted keys, no float
-fields), so save(load(path)) reproduces the file exactly.  An element obeys
-the same rules whichever way it arrives: `_check_element` holds the rules on
-its fields, which every `Element` and every record of either file format
-passes, and `DepGraph` checks every row it is built from for primitive and
-synthetic elements that reference something.
+fields), so save(load(path)) reproduces the file exactly; `save_graph` writes
+that rendering directly, a line at a time.  An element obeys the same rules
+whichever way it arrives: `_check_element` holds the rules on its fields,
+which every `Element` and every record of either file format passes, and
+`DepGraph` checks every row it is built from for primitive and synthetic
+elements that reference something.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, partial
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -69,6 +75,8 @@ def _check_element(name: str, kind: str, generated: bool, token_count_signature:
     if not isinstance(name, str) or not name:
         raise CorpusError("element names must be non-empty strings")
     kind = normalize_kind(kind)
+    if not isinstance(generated, bool):
+        raise CorpusError(f"element {name!r}: generated must be true or false")
     for label, count in (("signature", token_count_signature), ("body", token_count_body)):
         if count is not None and count < 1 and not generated:
             raise CorpusError(f"element {name!r}: {label} token count must be >= 1")
@@ -165,22 +173,24 @@ class DepGraph:
             dup = next(a for a, b in zip(names, names[1:]) if a == b)
             raise CorpusError(f"duplicate element name {dup!r}")
         self.off, self.dst, self.sig_w, self.body_w = off, dst, sig_w, body_w = [0], [], [], []
+        at, zeros = index.__getitem__, repeat(0)
         for name, kind in zip(names, self.kinds):
             sig, body = sigs.pop(), bodies.pop()
-            if (sig or body) and kind in _LEAF_KINDS:
-                raise CorpusError(f"{kind} element {name!r} must reference nothing")
-            targets = sorted(sig.keys() | body.keys())
-            try:
-                dst.extend([index[t] for t in targets])
-            except KeyError as exc:
-                raise CorpusError(
-                    f"{name!r} references undeclared {exc.args[0]!r}; "
-                    "build_graph adds synthetic sinks for these"
-                ) from None
-            sig_w.extend([sig.get(t, 0) for t in targets])
-            body_w.extend([body.get(t, 0) for t in targets])
+            if sig or body:
+                if kind in _LEAF_KINDS:
+                    raise CorpusError(f"{kind} element {name!r} must reference nothing")
+                targets = sorted(sig.keys() | body.keys() if sig and body else sig or body)
+                try:
+                    dst += map(at, targets)
+                except KeyError as exc:
+                    raise CorpusError(
+                        f"{name!r} references undeclared {exc.args[0]!r}; "
+                        "build_graph adds synthetic sinks for these"
+                    ) from None
+                sig_w += map(sig.get, targets, zeros)
+                body_w += map(body.get, targets, zeros)
             off.append(len(dst))
-        self.ref_w = [s + b for s, b in zip(sig_w, body_w)]
+        self.ref_w = list(map(add, sig_w, body_w))
 
     def __len__(self) -> int:
         return len(self.sorted_names)
@@ -236,20 +246,25 @@ def build_graph(elements: list[Element]) -> DepGraph:
 
 
 def save_graph(graph: DepGraph, path: str) -> None:
-    header = _encode({"format": GRAPH_FORMAT, "version": FORMAT_VERSION})
+    """Write the canonical file: each record is the text `json` gives it with
+    sorted keys, no spaces and ASCII escapes, spelled out here directly."""
+    quoted = list(map(_quote, graph.sorted_names))
+    off, dst = graph.off, graph.dst
+
+    def refs(i: int, weights: list[int]) -> str:
+        lo, hi = off[i], off[i + 1]
+        return ",".join([f"{quoted[t]}:{w}" for t, w in zip(dst[lo:hi], weights[lo:hi]) if w])
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, name in enumerate(graph.sorted_names):
-            rec = {
-                "name": name,
-                "kind": graph.kinds[i],
-                "generated": graph.generated[i],
-                "token_count_signature": graph.tokens_sig[i],
-                "token_count_body": graph.tokens_body[i],
-                "sig_refs": graph.refs(i, graph.sig_w),
-                "body_refs": graph.refs(i, graph.body_w),
-            }
-            fh.write(_encode(rec) + "\n")
+        fh.write(_encode({"format": GRAPH_FORMAT, "version": FORMAT_VERSION}) + "\n")
+        for i, (name, kind, generated, tokens_sig, tokens_body) in enumerate(zip(
+                quoted, graph.kinds, graph.generated, graph.tokens_sig, graph.tokens_body)):
+            fh.write(f'{{"body_refs":{{{refs(i, graph.body_w)}}},'
+                     f'"generated":{"true" if generated else "false"},"kind":{_quote(kind)},'
+                     f'"name":{name},"sig_refs":{{{refs(i, graph.sig_w)}}},'
+                     f'"token_count_body":{"null" if tokens_body is None else tokens_body},'
+                     f'"token_count_signature":'
+                     f'{"null" if tokens_sig is None else tokens_sig}}}\n')
 
 
 def _check_header(obj: dict, expected_format: str) -> None:
@@ -295,7 +310,7 @@ def _opt_nat(rec: dict, key: str, lineno: int) -> int | None:
 def _fields(lineno: int, rec: dict, has_body: bool = False) -> tuple:
     """(name, kind, generated, token_count_signature, token_count_body) of one
     record of either file format, checked by `_check_element`."""
-    name, generated = rec.get("name"), bool(rec.get("generated", False))
+    name, generated = rec.get("name"), rec.get("generated", False)
     counts = [_opt_nat(rec, key, lineno) for key in ("token_count_signature", "token_count_body")]
     try:
         kind = _check_element(name, rec.get("kind", ""), generated, *counts, has_body)
@@ -314,10 +329,78 @@ def _refs_field(rec: dict, key: str, lineno: int) -> dict[str, int]:
     return val
 
 
+# A graph record's seven keys in `DepGraph` row order.
+_GRAPH_ROW = itemgetter("name", "kind", "generated", "token_count_signature", "token_count_body",
+                        "sig_refs", "body_refs")
+_CHUNK = 1 << 20  # characters of lines that `_bulk_rows` decodes in one `json` call
+
+
+def _counts_ok(counts: tuple) -> bool:
+    return (set(map(type, counts)) <= {int, type(None)} and 0 not in counts
+            and min(filter(None, counts), default=1) > 0)
+
+
+def _chunk_rows(lines: list[str]) -> list[tuple] | None:
+    """The rows of consecutive graph-file lines decoded in one `json` call;
+    None, or a ValueError from `json`, unless every non-blank line is one
+    record that holds the seven keys and no other, and passes the checks of
+    `_fields` and `_refs_field`.
+
+    Each line is decoded inside its own pair of brackets: no JSON string holds
+    a raw newline and no accepted record holds an array, so a line that is
+    not exactly one record changes the number or the length of those wrappers.
+    """
+    wrapped = json.loads("".join(("[[", "],[".join(lines), "]]")))
+    if (len(wrapped) != len(lines) or set(map(type, wrapped)) != {list}
+            or max(map(len, wrapped)) > 1):
+        return None
+    records = list(chain.from_iterable(wrapped))  # blank lines hold none
+    if not records:
+        return []
+    if set(map(type, records)) != {dict} or set(map(len, records)) != {7}:
+        return None
+    try:
+        rows = list(map(_GRAPH_ROW, records))
+    except KeyError:
+        return None
+    names, kinds, generated, tokens_sig, tokens_body, sigs, bodies = zip(*rows)
+    refs = (*sigs, *bodies)
+    if not (set(map(type, names)) == {str} and "" not in names
+            and set(map(type, kinds)) == {str} and set(kinds) <= set(ELEMENT_KINDS)
+            and set(map(type, generated)) == {bool}
+            and _counts_ok(tokens_sig) and _counts_ok(tokens_body)
+            and set(map(type, refs)) == {dict}):
+        return None
+    weights = list(chain.from_iterable(map(dict.values, refs)))
+    if not (set(map(type, weights)) <= {int} and min(weights, default=1) > 0):
+        return None
+    return rows
+
+
+def _bulk_rows(path: str) -> list[tuple] | None:
+    """The rows of a graph file, decoded about `_CHUNK` characters of lines at
+    a time, or None when the header or any chunk fails; the file is then read
+    record by record, which reports the first bad line as it always has."""
+    rows: list[tuple] = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            _check_header(json.loads(fh.readline()), GRAPH_FORMAT)
+            for lines in iter(partial(fh.readlines, _CHUNK), []):
+                chunk = _chunk_rows(lines)
+                if chunk is None:
+                    return None
+                rows += chunk
+    except ValueError:  # bad UTF-8 or JSON, or a CorpusError from the header
+        return None
+    return rows
+
+
 def load_graph(path: str) -> DepGraph:
-    rows = [(*_fields(lineno, rec), _refs_field(rec, "sig_refs", lineno),
-             _refs_field(rec, "body_refs", lineno))
-            for lineno, rec in _read_jsonl(path, GRAPH_FORMAT)]
+    rows = _bulk_rows(path)
+    if rows is None:
+        rows = [(*_fields(lineno, rec), _refs_field(rec, "sig_refs", lineno),
+                 _refs_field(rec, "body_refs", lineno))
+                for lineno, rec in _read_jsonl(path, GRAPH_FORMAT)]
     try:
         return DepGraph(rows=rows)
     except CorpusError as exc:

@@ -65,15 +65,16 @@ def element_splits(
     token counts, None when absent) or "refs" (outgoing reference weight)."""
     if wrapped_metric not in ("tokens", "refs"):
         raise ValueError(f"unknown wrapped metric {wrapped_metric!r}")
-    out: dict[str, ElementSplit] = {}
-    for v, (name, (u_sig, u_body)) in enumerate(split_unwrapped(graph, cg).items()):
-        if wrapped_metric == "tokens":
-            w_sig, w_body = graph.tokens_sig[v], graph.tokens_body[v]
-        else:
-            w_sig, w_body = (sum(ws[graph.off[v]:graph.off[v + 1]]) or None
-                             for ws in (graph.sig_w, graph.body_w))
-        out[name] = ElementSplit(w_sig, w_body, u_sig, u_body, graph.has_body(v))
-    return out
+    unwrapped = split_unwrapped(graph, cg)
+    off = graph.off
+    if wrapped_metric == "tokens":
+        wrapped = graph.tokens_sig, graph.tokens_body
+    else:
+        wrapped = ([sum(ws[lo:hi]) or None for lo, hi in zip(off, off[1:])]
+                   for ws in (graph.sig_w, graph.body_w))
+    has_body = map(graph.has_body, range(len(graph)))
+    return dict(zip(unwrapped, map(ElementSplit._make, zip(
+        *wrapped, *zip(*unwrapped.values()), has_body))))
 
 
 class CompressionScores(NamedTuple):
@@ -82,12 +83,14 @@ class CompressionScores(NamedTuple):
     j0: float  # convex mix of the min-max normalized ratios, floored above zero
 
 
-def _min_max(values: dict[str, float]) -> dict[str, float]:
-    lo = min(values.values(), default=0.0)
-    hi = max(values.values(), default=0.0)
+def _min_max(values: list[float | None]) -> list[float]:
+    """Each value scaled by the range of the values given, 0 for None or when
+    they are all equal."""
+    known = [v for v in values if v is not None]
+    lo, hi = min(known, default=0.0), max(known, default=0.0)
     if hi == lo:
-        return {k: 0.0 for k in values}
-    return {k: (v - lo) / (hi - lo) for k, v in values.items()}
+        return [0.0] * len(values)
+    return [0.0 if v is None else (v - lo) / (hi - lo) for v in values]
 
 
 def compression_scores(
@@ -95,30 +98,22 @@ def compression_scores(
     beta: float = 0.5,
 ) -> dict[str, CompressionScores]:
     """T0, I0, and the mixed teleport weight J0 for every element."""
-    t0: dict[str, float | None] = {}
-    i0: dict[str, float] = {}
-    for name, sp in splits.items():
-        wrapped = (sp.wrapped_sig or 0) + (sp.wrapped_body or 0)
-        if wrapped == 0:
-            t0[name] = None
-        else:
-            t0[name] = (sp.unwrapped_sig + sp.unwrapped_body) / wrapped
-        if not sp.has_body or not sp.wrapped_body:
-            i0[name] = 0.0
-        elif not sp.wrapped_sig:
+    t0: list[float | None] = []
+    i0: list[float] = []
+    for name, (w_sig, w_body, u_sig, u_body, has_body) in splits.items():
+        wrapped = (w_sig or 0) + (w_body or 0)
+        t0.append(None if wrapped == 0 else (u_sig + u_body) / wrapped)
+        if not has_body or not w_body:
+            i0.append(0.0)
+        elif not w_sig:
             raise MalformedElementError(
                 f"element {name!r} has a body but zero wrapped signature"
             )
         else:
-            i0[name] = sp.wrapped_body / sp.wrapped_sig
-
-    t0_norm = _min_max({k: v for k, v in t0.items() if v is not None})
-    i0_norm = _min_max(i0)
-    out: dict[str, CompressionScores] = {}
-    for name in splits:
-        j0 = beta * t0_norm.get(name, 0.0) + (1 - beta) * i0_norm.get(name, 0.0)
-        out[name] = CompressionScores(t0[name], i0[name], max(j0, J0_FLOOR))
-    return out
+            i0.append(w_body / w_sig)
+    j0 = [max(beta * t + (1 - beta) * i, J0_FLOOR)
+          for t, i in zip(_min_max(t0), _min_max(i0))]
+    return dict(zip(splits, map(CompressionScores._make, zip(t0, i0, j0))))
 
 
 def alt_deductive_scores(splits: dict[str, ElementSplit]) -> dict[str, float | None]:

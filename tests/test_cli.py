@@ -19,7 +19,7 @@ from macrolab import analytics, cli, interest
 from macrolab.cli import (
     COMMANDS, EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _merge, build_parser, main,
 )
-from macrolab.corpus import load_graph
+from macrolab.corpus import DepGraph, GraphNode, load_graph, save_graph
 
 WORKED_CORPUS = (
     '{"format":"macrolab-corpus","version":1}\n'
@@ -961,15 +961,43 @@ def test_rank_sweep_blocks(tmp_path, monkeypatch):
     assert main(["rank", "--graph", str(synth_out / "graph.jsonl"),
                  "--sweep", "0.5,0.85", "--out", str(rank_out)]) == EXIT_OK
     # scores and the condensation the walk runs on are shared by --alpha and
-    # both sweep alphas
+    # both sweep alphas, and the sweep's 0.85 is --alpha's walk, not a second one
     assert calls == {"unwrapped_lengths": 1, "element_splits": 1, "compression_scores": 1,
-                     "condense_scc": 1, "pagerank": 3}
+                     "condense_scc": 1, "pagerank": 2}
     sweep = read_csv(rank_out / "rank_sweep.csv")
     assert len(sweep) == 60
     assert {r["alpha"] for r in sweep} == {"0.5", "0.85"}
     for alpha in ("0.5", "0.85"):
         block = [float(r["pi"]) for r in sweep if r["alpha"] == alpha]
         assert sum(block) == pytest.approx(1.0)
+
+
+def test_rank_tables_read_back_through_csv(tmp_path, monkeypatch):
+    # Names holding a comma, a double quote and a newline come back whole from
+    # both tables, and a --sweep that repeats --alpha reuses its walk: that
+    # block is rank.csv's rows with the alpha in front.
+    nodes = [GraphNode("plain", "primitive", False, 1, None),
+             GraphNode("a,b", "definition", False, 2, 3, {"plain": 2}, {"plain": 1}),
+             GraphNode('say "hi"', "theorem", False, 4, 5, {"a,b": 1}, {"line\nbreak": 2}),
+             GraphNode("line\nbreak", "definition", False, 3, None, {"plain": 3, "a,b": 1})]
+    graph = tmp_path / "graph.jsonl"
+    save_graph(DepGraph(nodes), str(graph))
+    walks = []
+    walk = interest.pagerank
+    monkeypatch.setattr(interest, "pagerank", lambda *a: walks.append(a[2].alpha) or walk(*a))
+    out = tmp_path / "rank"
+    assert main(["rank", "--graph", str(graph), "--alpha", "0.7", "--sweep", "0.3,0.7",
+                 "--alt-deductive", "--out", str(out)]) == EXIT_OK
+    assert walks == [0.7, 0.3]
+    tables = {}
+    for name in ("rank", "rank_sweep"):
+        with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+            tables[name] = list(csv.reader(fh))
+    rank, sweep = tables["rank"], tables["rank_sweep"]
+    assert sweep[0] == ["alpha", *rank[0]] and rank[0][-1] == "i0_alt"
+    assert sorted(row[0] for row in rank[1:]) == sorted(nd.name for nd in nodes)
+    assert [row for row in sweep[1:] if row[0] == "0.7"] == [["0.7", *row] for row in rank[1:]]
+    assert sorted(row[1] for row in sweep[1:] if row[0] == "0.3") == sorted(nd.name for nd in nodes)
 
 
 @pytest.mark.parametrize("token_counts, metric", [(True, "tokens"), (False, "refs")])

@@ -224,6 +224,8 @@ def test_load_graph_rejects_referencing_primitives(tmp_path):
     ('"name":"a","kind":"conjecture"', "unknown element kind 'conjecture'"),
     ('"name":"a","kind":["theorem"]', "unknown element kind"),
     ('"name":"a","kind":"definition","token_count_body":0', "token_count_body must be"),
+    ('"name":"a","kind":"definition","generated":"no"', "generated must be true or false"),
+    ('"name":"a","kind":"definition","generated":0', "generated must be true or false"),
 ])
 def test_both_formats_apply_the_same_record_checks(tmp_path, fields, message):
     for fmt, load in (("graph", load_graph), ("corpus", load_corpus)):
