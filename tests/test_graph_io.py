@@ -180,7 +180,7 @@ def test_one_bad_record_reports_as_the_per_record_oracle(graph_file, graph, data
     '{"format":"macrolab-graph","version":1}\n{"name":"a","kind":"definition"',
     b'{"format":"macrolab-graph","version":1}\n{"name":"\xff"}\n',
 ], ids=["empty", "version", "blank lines", "cut off", "bad UTF-8"])
-def test_files_the_bulk_path_refuses_read_as_before(tmp_path, text):
+def test_edge_case_files_read_as_the_oracle_reads_them(tmp_path, text):
     path = tmp_path / "graph.jsonl"
     if isinstance(text, bytes):
         path.write_bytes(text)
