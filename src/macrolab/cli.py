@@ -9,10 +9,11 @@ Each command imports only the engine modules it runs.
 from __future__ import annotations
 
 import argparse
-import csv
+import gc
 import json
 import math
 import os
+import re
 import sys
 from itertools import chain
 from typing import Any, Callable, Iterable, NamedTuple
@@ -141,13 +142,27 @@ def _merge(args: argparse.Namespace) -> dict:
     return out
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable) -> None:
-    """Cells as given: csv.writer writes None as "" and any other value with
-    str(), which for a float is its repr."""
+_QUOTED = re.compile('[,"\n\r]').search
+
+
+def _csv_cell(value) -> str:
+    """None is empty; a string holding a comma, a double quote, a newline or a
+    carriage return is quoted, each quote doubled; else str(value), as csv.writer does."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"' if _QUOTED(value) else value
+    return str(value)
+
+
+def _write_lines(path: str, header: list[str], lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_csv_cell, header)) + "\n")
+        fh.writelines(lines)
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable) -> None:
+    _write_lines(path, header, (",".join(map(_csv_cell, row)) + "\n" for row in rows))
 
 
 def _write_jsonl(path: str, records: list[dict]) -> None:
@@ -476,30 +491,30 @@ def cmd_rank(args: argparse.Namespace) -> int:
     del splits
     out = _ensure_out(opts["out"])
 
-    # Columns in element order: each score is formatted once, for rank.csv and
-    # every sweep block, and each distinct RankParams is walked once.
+    # Each element's name,t0,i0,j0 prefix and i0_alt tail are formatted once,
+    # for rank.csv and every sweep block, and each distinct RankParams is walked once.
     teleport = {name: sc.j0 for name, sc in scores.items()}
-    cells = [(name, "" if t0 is None else repr(t0), repr(i0), repr(j0))
-             for name, (t0, i0, j0) in scores.items()]
-    tails = ([("" if alt[name] is None else repr(alt[name]),) for name in scores]
-             if alt is not None else [()] * len(cells))
+    prefixes = [f"{_csv_cell(name)},{'' if t0 is None else repr(t0)},{i0!r},{j0!r},"
+                for name, (t0, i0, j0) in scores.items()]
+    tails = ([f",{'' if alt[name] is None else repr(alt[name])}\n" for name in scores]
+             if alt is not None else ["\n"] * len(prefixes))
     header = ["name", "t0", "i0", "j0", "pi", "rank", *(["i0_alt"] if alt is not None else [])]
     del scores, alt
     walks: dict = {}
 
-    def table(p: interest.RankParams):
+    def lines(p: interest.RankParams, lead: str = ""):
         if p not in walks:
             pi = list(interest.pagerank(graph, teleport, p, cg).pi.values())
             walks[p] = sorted(range(len(pi)), key=pi.__getitem__, reverse=True), [*map(repr, pi)]
         order, pi = walks[p]  # pi descending, ties in name order
-        return ((*cells[i], pi[i], rank, *tails[i]) for rank, i in enumerate(order, start=1))
+        return (f"{lead}{prefixes[i]}{pi[i]},{rank}{tails[i]}"
+                for rank, i in enumerate(order, start=1))
 
     try:
-        _write_csv(os.path.join(out, "rank.csv"), header, table(params))
+        _write_lines(os.path.join(out, "rank.csv"), header, lines(params))
         if sweep:
-            blocks = [(repr(p.alpha), table(p)) for p in sweep]  # walked before the file opens
-            _write_csv(os.path.join(out, "rank_sweep.csv"), ["alpha", *header],
-                       ((a, *row) for a, rows in blocks for row in rows))
+            blocks = [lines(p, f"{p.alpha!r},") for p in sweep]  # walked before the file opens
+            _write_lines(os.path.join(out, "rank_sweep.csv"), ["alpha", *header], chain(*blocks))
     except interest.PowerIterationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -675,11 +690,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # macrolab's data holds no reference cycles, so reference counting frees all
+    # of it; the cyclic collector would only rescan the graph as it grows.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # InputError and CorpusError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

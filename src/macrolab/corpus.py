@@ -410,8 +410,9 @@ def load_graph(path: str) -> DepGraph:
 def _exprs(parse_expr, lineno: int, rec: dict, sig_refs: dict | None = None,
            body_refs: dict | None = None) -> tuple:
     """The signature and body of a corpus record (None where absent), parsed
-    by `exprs.parse_expr`, which the caller imports once per file; it counts
-    their references into `sig_refs` and `body_refs` when given."""
+    by `exprs.parse_expr`, which the caller imports once per file; given
+    `sig_refs` and `body_refs`, it counts their references into them and
+    builds no tree (both are None)."""
     out = []
     for key, refs in (("signature", sig_refs), ("body", body_refs)):
         text = rec.get(key)
@@ -439,8 +440,8 @@ def load_corpus(path: str) -> list[Element]:
 
 def ingest_corpus(path: str) -> DepGraph:
     """`build_graph(load_corpus(path))` in one pass over the file, with no
-    `Element` per record: each expression's references are counted while it
-    is parsed, and its tree is dropped at once."""
+    `Element` per record and no expression tree: each expression's
+    references are counted by the counting form of `parse_expr`."""
     from .exprs import parse_expr
 
     rows = []

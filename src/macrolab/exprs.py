@@ -15,10 +15,14 @@ The parser splits the text into bare token strings with one `str.split`
 into its node at once; an error's (line, column) is worked out from the text
 only once parsing has failed.  Nodes are immutable, so leaves are shared:
 `(sort)` and `(other)` are module-wide singletons, and repeated
-`(const NAME)` leaves of one parse are one object.  The parser can also
-count references as it goes (`parse_expr(text, refs)`), which is how corpus
-ingest gets each element's reference counts in its one parse;
-`collect_elems` counts those of a tree already built.
+`(const NAME)` leaves of one parse are one object.
+
+The counting form, `parse_expr(text, refs)`, builds no tree.  It walks the
+same tokens keeping only the number of children each open form still needs,
+counts each referenced name into `refs` and returns None; corpus ingest gets
+each element's reference counts this way.  Only when that walk fails does it
+run the tree parse, which raises the located error.  `collect_elems` counts
+the references of a tree already built.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def proj(struct: ExprNode) -> ExprNode:
 
 
 _LEAVES = {"sort": ExprNode("sort"), "other": ExprNode("other")}
-# parse_expr has checked an interior node's tag and arity by the time it
+# _parse_tree has checked an interior node's tag and arity by the time it
 # builds it, so it builds the node's tuple directly, without the checks.
 _new = tuple.__new__
 _PARENS = ("(", ")")
@@ -127,14 +131,64 @@ def _error(text: str, index: int, message: str) -> ExprParseError:
     return ExprParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def parse_expr(text: str, refs: dict[str, int] | None = None) -> ExprNode:
+def parse_expr(text: str, refs: dict[str, int] | None = None) -> ExprNode | None:
     """Parse one S-expression; trailing input or malformed forms are rejected.
 
-    With `refs`, every referenced name is counted into it as the parse meets
-    it, so it ends up holding `collect_elems` of the result without a second
-    walk over the tree.
+    With `refs`, no tree is built: every referenced name is counted into it,
+    as `collect_elems` of the tree would count it, and None is returned.  The
+    checks and the error raised on malformed text are the tree form's.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()  # what _TOKEN finds
+    if refs is not None and _count_refs(tokens, refs):
+        return None
+    return _parse_tree(text, tokens)  # raises the located error for a counting failure
+
+
+def _count_refs(tokens: list[str], refs: dict[str, int]) -> bool:
+    """Count the references of the tokens into `refs`, keeping only the number
+    of children each open form still needs; False (with `refs` partly
+    counted) when the tokens are not exactly one expression."""
+    pending: list[int] = []
+    pos = 0
+    try:
+        while True:
+            if tokens[pos] != "(":
+                return False
+            tag = tokens[pos + 1]
+            arity = _ARITY.get(tag)
+            if arity is None:
+                return False
+            pos += 2
+            if tag == "const":
+                name = tokens[pos]
+                if name in _PARENS:
+                    return False
+                refs[name] = refs.get(name, 0) + 1
+                pos += 1
+            elif tag == "sort":
+                refs[SORT_NAME] = refs.get(SORT_NAME, 0) + 1
+            if arity:
+                pending.append(arity)
+                continue
+            # a leaf: its ")", then one ")" for each form it completes
+            if tokens[pos] != ")":
+                return False
+            pos += 1
+            while pending:
+                pending[-1] -= 1
+                if pending[-1]:
+                    break
+                pending.pop()
+                if tokens[pos] != ")":
+                    return False
+                pos += 1
+            else:
+                return pos == len(tokens)
+    except IndexError:  # the tokens ran out inside a form
+        return False
+
+
+def _parse_tree(text: str, tokens: list[str]) -> ExprNode:
     end = len(tokens)
     if not end:
         raise ExprParseError("empty input", 1, 1)
@@ -159,14 +213,10 @@ def parse_expr(text: str, refs: dict[str, int] | None = None) -> ExprNode:
                 if name in _PARENS:
                     raise _error(text, at, "const needs a name")
                 pos += 1
-                if refs is not None:
-                    refs[name] = refs.get(name, 0) + 1
                 node = consts.get(name)
                 if node is None:
                     node = consts[name] = ExprNode("const", name)
             elif tag in _LEAVES:
-                if tag == "sort" and refs is not None:
-                    refs[SORT_NAME] = refs.get(SORT_NAME, 0) + 1
                 node = _LEAVES[tag]
             if not _ARITY[tag] and pos < end and tokens[pos] == ")":  # a whole leaf
                 children.append(node)

@@ -5,6 +5,8 @@ compare output bytes across repeated runs.
 """
 
 import csv
+import gc
+import io
 import json
 import shutil
 import os
@@ -14,8 +16,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macrolab import analytics, cli, interest
+from macrolab import analytics, cli, families, interest, synth
 from macrolab.cli import (
     COMMANDS, EXIT_BUDGET, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, _merge, build_parser, main,
 )
@@ -248,6 +252,23 @@ def test_sim_probabilistic_takes_a_huge_finite_window_constant(tmp_path):
                  "--big-c", "1e308", "--big-b", "inf", "--out", str(tmp_path)])
     assert code == EXIT_OK
     assert len(read_csv(tmp_path / "mc_parse.csv")) == 5
+
+
+def test_sim_probabilistic_reports_a_bound_violation(tmp_path, monkeypatch):
+    # With no random inclusions and the smallest B the checks allow, no macro
+    # halves a 64-letter word: the rate there fails, and the report says so.
+    monkeypatch.setattr(families.LazyFreeMacroSet, "inclusion_probability",
+                        staticmethod(lambda length: 0.0))
+    code = main(["sim", "--regime", "prob-free", "--n", "2", "--big-c", "2.8", "--big-b", "5.6",
+                 "--trials", "20", "--mc-r", "16,64", "--seed", "7", "--out", str(tmp_path)])
+    assert code == EXIT_VERIFY
+    report = read_jsonl(tmp_path / "report.jsonl")
+    assert report[1]["all_passed"] is False
+    assert report[-1] == {"status": "bound_violation"}
+    halving = read_csv(tmp_path / "mc_halving.csv")
+    assert any(float(row["rate"]) < 0.99 for row in halving)
+    failure_free = [int(row["r"]) for row in halving if row["successes"] == row["trials"]]
+    assert report[1]["smallest_failure_free_r"] == min(failure_free, default=None)
 
 
 def test_sim_probabilistic_runs_past_twenty_six_letters(tmp_path):
@@ -972,14 +993,22 @@ def test_rank_sweep_blocks(tmp_path, monkeypatch):
         assert sum(block) == pytest.approx(1.0)
 
 
+def _read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 def test_rank_tables_read_back_through_csv(tmp_path, monkeypatch):
-    # Names holding a comma, a double quote and a newline come back whole from
-    # both tables, and a --sweep that repeats --alpha reuses its walk: that
-    # block is rank.csv's rows with the alpha in front.
+    # Names holding a comma, a double quote, a newline and a carriage return
+    # come back whole from both rank tables and from metrics.csv, and a
+    # --sweep that repeats --alpha reuses its walk: that block is rank.csv's
+    # rows with the alpha in front.
     nodes = [GraphNode("plain", "primitive", False, 1, None),
              GraphNode("a,b", "definition", False, 2, 3, {"plain": 2}, {"plain": 1}),
              GraphNode('say "hi"', "theorem", False, 4, 5, {"a,b": 1}, {"line\nbreak": 2}),
-             GraphNode("line\nbreak", "definition", False, 3, None, {"plain": 3, "a,b": 1})]
+             GraphNode("line\nbreak", "definition", False, 3, None, {"plain": 3, "a,b": 1}),
+             GraphNode("carriage\rreturn", "definition", False, 2, 2, {"plain": 1},
+                       {"say \"hi\"": 1})]
     graph = tmp_path / "graph.jsonl"
     save_graph(DepGraph(nodes), str(graph))
     walks = []
@@ -988,16 +1017,47 @@ def test_rank_tables_read_back_through_csv(tmp_path, monkeypatch):
     out = tmp_path / "rank"
     assert main(["rank", "--graph", str(graph), "--alpha", "0.7", "--sweep", "0.3,0.7",
                  "--alt-deductive", "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--graph", str(graph), "--out", str(out)]) == EXIT_OK
     assert walks == [0.7, 0.3]
-    tables = {}
-    for name in ("rank", "rank_sweep"):
-        with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
-            tables[name] = list(csv.reader(fh))
-    rank, sweep = tables["rank"], tables["rank_sweep"]
+    rank, sweep = _read_rows(out / "rank.csv"), _read_rows(out / "rank_sweep.csv")
+    names = sorted(nd.name for nd in nodes)
     assert sweep[0] == ["alpha", *rank[0]] and rank[0][-1] == "i0_alt"
-    assert sorted(row[0] for row in rank[1:]) == sorted(nd.name for nd in nodes)
+    assert sorted(row[0] for row in rank[1:]) == names
     assert [row for row in sweep[1:] if row[0] == "0.7"] == [["0.7", *row] for row in rank[1:]]
-    assert sorted(row[1] for row in sweep[1:] if row[0] == "0.3") == sorted(nd.name for nd in nodes)
+    assert sorted(row[1] for row in sweep[1:] if row[0] == "0.3") == names
+    assert sorted(row[0] for row in _read_rows(out / "metrics.csv")[1:]) == names
+
+
+def test_a_name_holding_nul_is_written_bare(tmp_path):
+    # csv.writer raised on NUL on Python 3.10; the cell rule writes it as is.
+    # 3.10's csv.reader refuses any line holding NUL, so only later ones read it back.
+    nodes = [GraphNode("p", "primitive", False, 1, None),
+             GraphNode("nul\x00byte", "definition", False, 2, 2, {"p": 1}, {"p": 2})]
+    graph = tmp_path / "graph.jsonl"
+    save_graph(DepGraph(nodes), str(graph))
+    out = tmp_path / "out"
+    assert main(["rank", "--graph", str(graph), "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--graph", str(graph), "--out", str(out)]) == EXIT_OK
+    for table in ("rank.csv", "metrics.csv"):
+        assert "\nnul\x00byte," in (out / table).read_text(encoding="utf-8")
+        if sys.version_info >= (3, 11):
+            assert sorted(row[0] for row in _read_rows(out / table)[1:]) == ["nul\x00byte", "p"]
+
+
+CELLS = (st.none() | st.integers(-10**20, 10**20) | st.floats() | st.booleans()
+         | st.text(st.sampled_from(' ab,"\n\'\t\x85é'), max_size=5))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.lists(CELLS, min_size=2, max_size=5), max_size=5))
+def test_csv_lines_equal_csv_writer_output(tmp_path_factory, rows):
+    # Every table has at least two columns, and cells hold no carriage return
+    # or NUL: there the rule is the same as csv.writer's on every Python.
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    cli._write_csv(str(path), ["h", "x,y"], rows)
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([["h", "x,y"], *rows])
+    assert path.read_text(encoding="utf-8") == expected.getvalue()
 
 
 @pytest.mark.parametrize("token_counts, metric", [(True, "tokens"), (False, "refs")])
@@ -1320,6 +1380,108 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, forbidden, argv
 
 def test_free_and_abelian_kernels_import_only_the_monoid_engine(tmp_path):
     assert _run_fresh(KERNEL_GUARD_SCRIPT, tmp_path, SIM_ONLY).splitlines()[-1] == "loaded:"
+
+
+# --- the cyclic garbage collector ---
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 1", "raises"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_the_callers_state(tmp_path, monkeypatch,
+                                                                   collector, enabled, outcome):
+    seen = []
+    build = synth.synth_hierarchy
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        if outcome == "exit 1":
+            raise ValueError("bad input")
+        if outcome == "raises":
+            raise RuntimeError("not an input error")
+        return build(*args)
+
+    monkeypatch.setattr(synth, "synth_hierarchy", watched)
+    (gc.enable if enabled else gc.disable)()
+    argv = ["synth", "--kind", "hierarchy", "--height", "3", "--out", str(tmp_path)]
+    if outcome == "raises":
+        with pytest.raises(RuntimeError):
+            main(argv)
+    else:
+        assert main(argv) == (EXIT_OK if outcome == "exit 0" else EXIT_INPUT)
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def _chain_corpus(n: int) -> str:
+    """n definitions, each referencing the next, a primitive and Sort."""
+    lines = ['{"format":"macrolab-corpus","version":1}']
+    for i in range(n):
+        nxt = f"(const e{i + 1})" if i + 1 < n else "(other)"
+        lines.append(json.dumps({"name": f"e{i}", "kind": "definition",
+                                 "signature": f"(app (const p{i % 7}) (sort))",
+                                 "body": f"(lam {nxt} (app (sort) (other)))"}))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def sized_inputs(tmp_path_factory):
+    """A graph and a corpus at each of two sizes, 300 and 3,000 elements."""
+    root = tmp_path_factory.mktemp("sized")
+    for size in (1, 10):
+        assert main(["synth", "--kind", "mixed", "--nodes", str(300 * size), "--fanout", "6",
+                     "--seed", "1", "--out", str(root / f"graph{size}")]) == EXIT_OK
+        (root / f"corpus{size}.jsonl").write_text(_chain_corpus(300 * size))
+    return root
+
+
+# command family -> argv for an input size of 1 or 10, the inputs' folder and an --out
+SIZED_RUNS = {
+    "sim-place": lambda k, d: ["sim", "--regime", "place", "--b", "2", "--n", "1",
+                               "--s", "1:3", "--r-max", str(20 * k)],
+    "sim-poly-free": lambda k, d: ["sim", "--regime", "poly-free", "--c", "1", "--p", "2",
+                                   "--n", "2", "--s", "1:2", "--r-max", str(4 * k)],
+    "sim-prob-free": lambda k, d: ["sim", "--regime", "prob-free", "--n", "2",
+                                   "--trials", str(30 * k), "--mc-r", "16,32"],
+    "sim-finite-free": lambda k, d: ["sim", "--regime", "finite", "--monoid", "free",
+                                     "--n", "2", "--word", "aa;bb;ab;ba", "--s", "1:3",
+                                     "--r-max", str(4 * k)],
+    "synth-mixed": lambda k, d: ["synth", "--kind", "mixed", "--nodes", str(300 * k)],
+    "synth-hierarchy": lambda k, d: ["synth", "--kind", "hierarchy", "--height", str(6 * k)],
+    "ingest-corpus": lambda k, d: ["ingest", "--in", str(d / f"corpus{k}.jsonl")],
+    "ingest-graph": lambda k, d: ["ingest", "--format", "graph",
+                                  "--in", str(d / f"graph{k}" / "graph.jsonl")],
+    "analyze-percentile": lambda k, d: ["analyze", "--graph", str(d / f"graph{k}" / "graph.jsonl"),
+                                        "--filter-percentile", "50"],
+    "analyze-kinds": lambda k, d: ["analyze", "--graph", str(d / f"graph{k}" / "graph.jsonl"),
+                                   "--filter-kinds", "definition,theorem"],
+    "rank-sweep": lambda k, d: ["rank", "--graph", str(d / f"graph{k}" / "graph.jsonl"),
+                                "--sweep", "0.5,0.85"],
+}
+
+
+@pytest.mark.parametrize("family", list(SIZED_RUNS))
+def test_commands_leave_no_cyclic_garbage_that_grows_with_the_input(tmp_path, collector,
+                                                                    sized_inputs, family):
+    # Pausing the collector is safe only while a command's data holds no
+    # reference cycles: what a full collection finds after a command (the
+    # argument parser) must not depend on the input size.
+    gc.enable()
+
+    def run(size: int) -> int:
+        argv = SIZED_RUNS[family](size, sized_inputs) + ["--out", str(tmp_path / str(size))]
+        assert main(argv) == EXIT_OK
+        return gc.collect()
+
+    run(1)  # a warm-up, for the imports and caches of the first run
+    assert run(1) == run(10)
 
 
 PACKAGE_IMPORT_SCRIPT = """

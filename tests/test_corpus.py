@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrolab.corpus import (
     CorpusError,
@@ -16,7 +18,7 @@ from macrolab.corpus import (
     save_corpus,
     save_graph,
 )
-from macrolab.exprs import parse_expr
+from macrolab.exprs import app, const, lam, let_e, mdata, other, parse_expr, print_expr, sort
 
 WORKED_SIG = (
     "(forallE (sort) (forallE (sort) "
@@ -292,3 +294,58 @@ def test_load_corpus_reports_parse_errors_with_lines(tmp_path):
         load_corpus(str(path))
     assert err.value.line == 2
     assert "bad" in str(err.value)
+
+
+# --- ingest in one pass against load and build ---
+
+# A few names, so that consts repeat within an expression and across records.
+EXPORT_NAMES = st.sampled_from(["a", "b", "c.d", "e_1"])
+EXPORT_EXPRS = st.recursive(
+    st.one_of(EXPORT_NAMES.map(const), st.just(sort()), st.just(other())),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda t: app(*t)),
+        st.tuples(sub, sub).map(lambda t: lam(*t)),
+        st.tuples(sub, sub, sub).map(lambda t: let_e(*t)),
+        sub.map(mdata)),
+    max_leaves=12)
+# Whitespace the tokenizer splits at: tabs, CRLF, a no-break space, a line separator.
+SPACING = st.sampled_from([" ", "  ", "\t", "\r\n", "\u00a0", "\u2028"])
+
+
+@st.composite
+def exports(draw) -> list[dict]:
+    def text(node):
+        gap, inner, edge = draw(SPACING), draw(SPACING | st.just("")), draw(SPACING | st.just(""))
+        return edge + print_expr(node).replace(" ", gap).replace("(", "(" + inner) + edge
+
+    records = []
+    for name in draw(st.lists(EXPORT_NAMES, max_size=4, unique=True)):
+        if draw(st.integers(0, 4)) == 0:
+            records.append({"name": name, "kind": "primitive"})
+            continue
+        rec = {"name": name, "kind": draw(st.sampled_from(["definition", "lemma", "structure"])),
+               "signature": text(draw(EXPORT_EXPRS)),
+               "token_count_signature": draw(st.none() | st.integers(1, 9))}
+        body = draw(st.none() | EXPORT_EXPRS | st.just("absent"))
+        if body != "absent":
+            rec["body"] = None if body is None else text(body)
+        records.append(rec)
+    return records
+
+
+def graph_arrays(graph: DepGraph) -> tuple:
+    return (graph.sorted_names, graph.kinds, graph.generated, graph.tokens_sig,
+            graph.tokens_body, graph.off, graph.dst, graph.sig_w, graph.body_w, graph.ref_w)
+
+
+@settings(deadline=None, max_examples=150)
+@given(exports())
+def test_ingest_matches_build_graph_of_load_corpus(tmp_path_factory, records):
+    # ingest_corpus counts references without building trees; load_corpus
+    # builds them and build_graph counts them with collect_elems.
+    path = tmp_path_factory.mktemp("ingest") / "corpus.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in
+                            [{"format": "macrolab-corpus", "version": 1}, *records]),
+                    encoding="utf-8")
+    assert graph_arrays(ingest_corpus(str(path))) == graph_arrays(
+        build_graph(load_corpus(str(path))))

@@ -199,6 +199,7 @@ def test_parse_errors_match_the_oracle(text):
     expected = _outcome(slow_parse_expr, text)
     assert isinstance(expected, tuple)
     assert _outcome(parse_expr, text) == expected
+    assert _outcome(lambda t: parse_expr(t, {}), text) == expected
 
 
 def test_parse_survives_deep_nesting():
@@ -206,6 +207,9 @@ def test_parse_survives_deep_nesting():
     text = "(mdata " * depth + "(other)" + ")" * depth
     node = parse_expr(text)
     assert expr_size(node) == depth + 1
+    refs = {}
+    assert parse_expr(text.replace("(other)", "(sort)"), refs) is None
+    assert refs == {"Sort": 1}
 
 
 def test_node_constructor_validation():
@@ -277,7 +281,17 @@ def test_parse_matches_the_oracle_on_mangled_text(node, data):
             sep = " "  # two atoms need whitespace between them
         text += sep + tok
     text += data.draw(_separators)
-    assert _outcome(parse_expr, text) == _outcome(slow_parse_expr, text)
+    expected = _outcome(slow_parse_expr, text)
+    assert _outcome(parse_expr, text) == expected
+    # The counting form accepts and rejects the same texts, with the same
+    # error, and on success counts what collect_elems counts of the tree.
+    refs = {}
+    counted = _outcome(lambda t: parse_expr(t, refs), text)
+    if isinstance(expected, ExprNode):
+        assert counted is None
+        assert refs == collect_elems(expected)
+    else:
+        assert counted == expected
 
 
 def test_repeated_leaves_are_one_object():
