@@ -23,17 +23,21 @@ class CondensedGraph:
     ``blocks[i]`` holds the element indices of supernode i in ascending
     order, which is name order.  Supernode numbers are a dependency order:
     every edge i -> j has j < i, so a loop over ``range(len(cg))`` meets each
-    dependency before its dependents.  ``comp_of[v]`` is the supernode of the
-    graph's element ``v`` (-1 once it is inlined away); ``node_of``, the same
-    map keyed by name, is built from it on first use.
+    dependency before its dependents.  ``removed`` holds the supernodes a
+    filter took out: they keep their blocks and edges, and every pass reads
+    through them to the kept supernodes they reach.  ``comp_of[v]`` is the
+    supernode of the graph's element ``v``, or -1 when that supernode is
+    removed; ``node_of``, the same map keyed by name, is built from it on
+    first use.
     """
 
     def __init__(self, graph: DepGraph, blocks: list[list[int]], edges: list[dict[int, int]],
-                 comp_of: list[int]):
+                 comp_of: list[int], removed: frozenset[int] = frozenset()):
         self.graph = graph
         self.blocks = blocks
         self.edges = edges
         self.comp_of = comp_of
+        self.removed = removed
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -45,21 +49,34 @@ class CondensedGraph:
     def is_sink(self, i: int) -> bool:
         return not self.edges[i]
 
-    def out_weight(self, i: int) -> int:
-        return sum(self.edges[i].values())
-
     def in_degrees(self) -> list[int]:
-        degs = [0] * len(self.blocks)
-        for adj in self.edges:
-            for j in adj:
-                degs[j] += 1
+        """Distinct kept dependents of each supernode, whether the edge is
+        direct or runs through removed supernodes; a removed one reads 0."""
+        edges = self.edges
+        is_removed = [False] * len(edges)
+        for i in self.removed:
+            is_removed[i] = True
+        degs = [0] * len(edges)
+        seen = [-1] * len(edges)  # seen[t] == i: t is already reached from i
+        for i in range(len(edges)):
+            if is_removed[i]:
+                continue
+            stack = [i]
+            while stack:
+                for t in edges[stack.pop()]:
+                    if seen[t] != i:
+                        seen[t] = i
+                        if is_removed[t]:
+                            stack.append(t)
+                        else:
+                            degs[t] += 1
         return degs
 
     def label(self, i: int) -> str:
         return self.graph.sorted_names[self.blocks[i][0]]
 
     def per_element(self, values: list) -> dict:
-        """Name -> the value of its supernode, in name order, inlined elements left out."""
+        """Name -> the value of its supernode, in name order, removed elements left out."""
         return {name: values[c] for name, c in zip(self.graph.sorted_names, self.comp_of)
                 if c >= 0}
 
@@ -128,25 +145,46 @@ def condense_scc(graph: DepGraph) -> CondensedGraph:
     return CondensedGraph(graph, blocks, edges, comp)
 
 
+def _columns(cg: CondensedGraph) -> tuple[list[int], list[int], list[int]]:
+    """Unwrapped length, depth and wrapped reference count per supernode, in
+    one pass in dependency order.
+
+    A sink has length 1, depth 0 and no references; otherwise the length is
+    the weighted sum over dependencies and the depth one more than theirs.  A
+    removed supernode adds no depth level, and a reference to it counts its
+    own weighted reference sum, so a kept supernode reads as if the removed
+    ones were inlined into it.  Lengths do not depend on what is removed.
+    """
+    removed = cg.removed
+    value = [1] * len(cg)
+    depth = [0] * len(cg)
+    refs = [0] * len(cg)
+    carry = [1] * len(cg)  # what one reference to the supernode counts
+    for i, adj in enumerate(cg.edges):
+        if adj:
+            value[i] = sum(w * value[j] for j, w in adj.items())
+            depth[i] = max(depth[j] for j in adj) + (i not in removed)
+            refs[i] = sum(w * carry[j] for j, w in adj.items())
+            if i in removed:
+                carry[i] = refs[i]
+    return value, depth, refs
+
+
 def unwrapped_lengths(cg: CondensedGraph) -> dict[str, int]:
     """Exact fully-expanded length per element: sinks count 1, otherwise the
-    weighted sum over dependencies."""
-    value = [0] * len(cg)
-    for i in range(len(cg)):
-        if not cg.edges[i]:
-            value[i] = 1
-        else:
-            value[i] = sum(w * value[j] for j, w in cg.edges[i].items())
+    weighted sum over dependencies.  The same as ``_columns``' first column,
+    without the other two, which ``rank`` does not read."""
+    value = [1] * len(cg)
+    for i, adj in enumerate(cg.edges):
+        if adj:
+            value[i] = sum(w * value[j] for j, w in adj.items())
     return cg.per_element(value)
 
 
 def depths(cg: CondensedGraph) -> dict[str, int]:
-    """Longest edge-path length down to a sink; sinks sit at depth 0."""
-    depth = [0] * len(cg)
-    for i in range(len(cg)):
-        if cg.edges[i]:
-            depth[i] = 1 + max(depth[j] for j in cg.edges[i])
-    return cg.per_element(depth)
+    """Longest edge-path length down to a sink, not counting removed
+    supernodes; sinks sit at depth 0."""
+    return cg.per_element(_columns(cg)[1])
 
 
 def log2_exact(x: int) -> float:
@@ -174,29 +212,29 @@ class NodeMetrics(NamedTuple):
 def node_metrics(graph: DepGraph, cg: CondensedGraph | None = None) -> dict[str, NodeMetrics]:
     """Per-element metrics over the condensed graph (cycle members share values).
 
-    When ``cg`` is a filtered condensation, elements that were inlined away
-    are simply absent from the result.
+    Unwrapped length, depth and ``wrapped_refs`` come from one pass over the
+    supernodes, which reads through removed ones when ``cg`` is filtered;
+    removed elements are absent from the result.
     """
     if cg is None:
         cg = condense_scc(graph)
-    unwrapped = unwrapped_lengths(cg)
-    depth = depths(cg)
+    unwrapped, depth, refs = _columns(cg)
     out: dict[str, NodeMetrics] = {}
     for v, c in enumerate(cg.comp_of):
         if c < 0:
             continue
         name = graph.sorted_names[v]
         sig, body = graph.tokens_sig[v], graph.tokens_body[v]
-        u = unwrapped[name]
+        u = unwrapped[c]
         out[name] = NodeMetrics(
             name=name,
             kind=graph.kinds[v],
             generated=graph.generated[v],
             wrapped_tokens=None if sig is None and body is None else (sig or 0) + (body or 0),
-            wrapped_refs=cg.out_weight(c),
+            wrapped_refs=refs[c],
             unwrapped=u,
             log2_unwrapped=log2_exact(u),
-            depth=depth[name],
+            depth=depth[c],
         )
     return out
 
@@ -438,7 +476,7 @@ class _FilterPolicy(NamedTuple):
 
 
 class FilterPolicy(_FilterPolicy):
-    """Which non-sink elements to inline away.
+    """Which non-sink elements to remove; every pass then reads through them.
 
     mode "indegree_percentile": remove the bottom `percentile` percent by
     distinct-dependent count.  mode "kind": keep only elements whose kind is
@@ -462,50 +500,23 @@ class FilterPolicy(_FilterPolicy):
         return policy
 
 
-def inline_nodes(cg: CondensedGraph, remove: set[int]) -> CondensedGraph:
-    """Drop the given supernodes, rerouting every incoming edge through each
-    removed node's outgoing edges with multiplied weights.
-
-    Path weights into surviving nodes are preserved exactly, so unwrapped
-    lengths never change; sinks cannot be removed.  One pass in dependency
-    order merges each node's row in the new numbering: a kept node's row is
-    its edge dict, a removed node's row its expansion, which its dependents
-    read later.  Kept nodes keep their relative order, so the result is
-    numbered in dependency order too.
-    """
-    for i in remove:
-        if cg.is_sink(i):
-            raise ValueError(f"cannot remove sink element {cg.label(i)!r}")
-
-    keep = [i for i in range(len(cg)) if i not in remove]
-    new_index = [-1] * len(cg)
-    for new, old in enumerate(keep):
-        new_index[old] = new
-    rows: list[dict[int, int]] = []
-    for i in range(len(cg)):
-        adj: dict[int, int] = {}
-        for j, w in cg.edges[i].items():
-            if j in remove:
-                for t, wt in rows[j].items():
-                    adj[t] = adj.get(t, 0) + w * wt
-            else:
-                adj[new_index[j]] = adj.get(new_index[j], 0) + w
-        rows.append(adj)
-    blocks = [cg.blocks[i] for i in keep]
-    edges = [rows[i] for i in keep]
-    comp_of = [new_index[c] if c >= 0 else -1 for c in cg.comp_of]
-    return CondensedGraph(cg.graph, blocks, edges, comp_of)
-
-
 def filter_macro_set(cg: CondensedGraph, policy: FilterPolicy) -> CondensedGraph:
-    """Apply a removal policy and inline the removed elements."""
-    non_sinks = [i for i in range(len(cg)) if not cg.is_sink(i)]
+    """Apply a removal policy to the supernodes ``cg`` keeps.
+
+    The result shares ``cg``'s blocks and edges; its removed set is the union
+    of ``cg``'s and the policy's, so filters chain.  Sinks cannot be removed,
+    which leaves a kept supernode a sink exactly when it has no edges.
+    """
+    non_sinks = [i for i in range(len(cg)) if not cg.is_sink(i) and i not in cg.removed]
     if policy.mode == "explicit":
         remove = set()
         for name in policy.names:
             if name not in cg.node_of:
                 raise ValueError(f"unknown element {name!r}")
-            remove.add(cg.node_of[name])
+            i = cg.node_of[name]
+            if cg.is_sink(i):
+                raise ValueError(f"cannot remove sink element {cg.label(i)!r}")
+            remove.add(i)
     elif policy.mode == "kind":
         remove = {
             i for i in non_sinks
@@ -516,4 +527,5 @@ def filter_macro_set(cg: CondensedGraph, policy: FilterPolicy) -> CondensedGraph
         ranked = sorted(non_sinks, key=lambda i: (degs[i], cg.label(i)))
         cut = math.floor(len(ranked) * policy.percentile / 100.0)
         remove = set(ranked[:cut])
-    return inline_nodes(cg, remove)
+    comp_of = [-1 if c in remove else c for c in cg.comp_of]
+    return CondensedGraph(cg.graph, cg.blocks, cg.edges, comp_of, cg.removed | remove)

@@ -378,6 +378,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if not lo <= hi:  # written so that a NaN end fails too
             raise InputError(f"fit window needs fit_lo <= fit_hi, neither NaN; got [{lo}, {hi}]")
         scopes.append(("window", (lo, hi)))
+    if not all(0 < opts[key] < math.inf for key in ("bin_log2", "bin_wrapped", "bin_depth")):
+        raise InputError("bin width must be positive and finite")
     graph = load_graph(opts["graph"])
     if len(graph) == 0:
         raise InputError("graph has no elements")
@@ -389,40 +391,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         cg = analytics.filter_macro_set(
             cg, analytics.FilterPolicy("indegree_percentile",
                                        percentile=opts["filter_percentile"]))
-    if not all(0 < opts[key] < math.inf for key in ("bin_log2", "bin_wrapped", "bin_depth")):
-        raise InputError("bin width must be positive and finite")
     metrics = analytics.node_metrics(graph, cg)
     metric_name = _resolve_metric(opts["wrapped_metric"],
                                   (m.wrapped_tokens for m in metrics.values()))
 
-    header = ["name", "kind", "wrapped_tokens", "wrapped_refs", "log2_unwrapped",
-              "unwrapped_decimal_digits", "depth"]
-    if opts["full_unwrapped"]:
-        header.append("unwrapped")
-    rows = []
-    pairs = []  # (depth, wrapped, log2 unwrapped) of each element with a wrapped size
-    for m in metrics.values():  # in name order
-        row = [m.name, m.kind, m.wrapped_tokens, m.wrapped_refs,
-               m.log2_unwrapped, _decimal_digits(m.unwrapped), m.depth]
-        if opts["full_unwrapped"]:
-            row.append(m.unwrapped)
-        rows.append(row)
-        wrapped = _wrapped_of(m, metric_name)
-        if wrapped is not None:
-            pairs.append((m.depth, wrapped, m.log2_unwrapped))
+    # (depth, wrapped, log2 unwrapped) of each element with a wrapped size, in name order
+    pairs = [(m.depth, w, m.log2_unwrapped) for m in metrics.values()
+             if (w := _wrapped_of(m, metric_name)) is not None]
     hists = {name: analytics.histogram(values, opts[key]) for name, key, values in (
         ("log2_unwrapped", "bin_log2", [m.log2_unwrapped for m in metrics.values()]),
         ("wrapped", "bin_wrapped", [w for _, w, _ in pairs]),
         ("depth", "bin_depth", [m.depth for m in metrics.values()]))}
     out = _ensure_out(opts["out"])
+    full = opts["full_unwrapped"]
+    header = ["name", "kind", "wrapped_tokens", "wrapped_refs", "log2_unwrapped",
+              "unwrapped_decimal_digits", "depth", *(["unwrapped"] if full else [])]
+    # Kinds are ELEMENT_KINDS and the other cells numbers: only names need _csv_cell.
+    lines = (f"{_csv_cell(m.name)},{m.kind},{'' if m.wrapped_tokens is None else m.wrapped_tokens},"
+             f"{m.wrapped_refs},{m.log2_unwrapped},{_decimal_digits(m.unwrapped)},{m.depth}"
+             f"{f',{m.unwrapped}' if full else ''}\n" for m in metrics.values())
     # The unwrapped column holds every digit: CPython's int-to-str limit is
     # lifted while metrics.csv is written, and only then.
-    unlimited = opts["full_unwrapped"] and hasattr(sys, "set_int_max_str_digits")
+    unlimited = full and hasattr(sys, "set_int_max_str_digits")
     if unlimited:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        _write_csv(os.path.join(out, "metrics.csv"), header, rows)
+        _write_lines(os.path.join(out, "metrics.csv"), header, lines)
     finally:
         if unlimited:
             sys.set_int_max_str_digits(limit)

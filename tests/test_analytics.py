@@ -26,7 +26,6 @@ from macrolab.analytics import (
     depths,
     filter_macro_set,
     histogram,
-    inline_nodes,
     log2_exact,
     median_curve,
     node_metrics,
@@ -105,7 +104,7 @@ def test_condense_merges_cycles_and_drops_self_loops():
     assert cg.node_of["d"] == comp
     assert cg.blocks[comp] == [0, 1]  # c, d
     assert cg.edges[comp] == {cg.node_of["p"]: 3}
-    assert cg.out_weight(comp) == 3
+    assert node_metrics(graph, cg)["c"].wrapped_refs == 3
 
 
 def test_condense_in_degrees_count_distinct_dependents():
@@ -190,7 +189,7 @@ def test_node_metrics_values():
 def test_node_metrics_skips_inlined_elements():
     graph = chain_graph()
     cg = condense_scc(graph)
-    filtered = inline_nodes(cg, {cg.node_of["b"]})
+    filtered = filter_macro_set(cg, FilterPolicy("explicit", names=frozenset({"b"})))
     metrics = node_metrics(graph, filtered)
     assert set(metrics) == {"a", "p"}
     assert metrics["a"].unwrapped == 6
@@ -431,18 +430,21 @@ def test_regime_classify_log_density_signature():
 
 
 def test_inline_reroutes_with_multiplied_weights():
-    cg = condense_scc(chain_graph())
-    filtered = inline_nodes(cg, {cg.node_of["b"]})
+    # a -2-> b -3-> p with b removed reads as a -6-> p
+    graph = chain_graph()
+    cg = condense_scc(graph)
+    filtered = filter_macro_set(cg, FilterPolicy("explicit", names=frozenset({"b"})))
     a, p = filtered.node_of["a"], filtered.node_of["p"]
-    assert filtered.edges[a] == {p: 6}
+    assert node_metrics(graph, filtered)["a"].wrapped_refs == 6
+    assert filtered.in_degrees()[p] == 1 and filtered.in_degrees()[a] == 0
     assert unwrapped_lengths(filtered)["a"] == 6
     assert depths(filtered)["a"] == 1
 
 
 def test_inline_refuses_to_remove_sinks():
     cg = condense_scc(chain_graph())
-    with pytest.raises(ValueError):
-        inline_nodes(cg, {cg.node_of["p"]})
+    with pytest.raises(ValueError, match="cannot remove sink element 'p'"):
+        filter_macro_set(cg, FilterPolicy("explicit", names=frozenset({"p"})))
 
 
 def test_percentile_zero_keeps_everything():
@@ -450,32 +452,37 @@ def test_percentile_zero_keeps_everything():
     filtered = filter_macro_set(cg, FilterPolicy("indegree_percentile", percentile=0.0))
     assert filtered.blocks == cg.blocks
     assert filtered.edges == cg.edges
+    assert filtered.removed == frozenset()
 
 
 def test_percentile_hundred_leaves_only_sinks():
-    cg = condense_scc(synth_mixed(40, 6, 3, 3, seed=1))
+    graph = synth_mixed(40, 6, 3, 3, seed=1)
+    cg = condense_scc(graph)
     filtered = filter_macro_set(cg, FilterPolicy("indegree_percentile", percentile=100.0))
-    assert all(filtered.is_sink(i) for i in range(len(filtered)))
+    assert all(filtered.is_sink(i) for i in range(len(filtered)) if i not in filtered.removed)
+    assert all(m.wrapped_refs == 0 and m.depth == 0 for m in node_metrics(graph, filtered).values())
     assert all(v == 1 for v in unwrapped_lengths(filtered).values())
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("percentile", [20.0, 50.0, 80.0])
 def test_percentile_filter_invariants(seed, percentile):
-    cg = condense_scc(synth_mixed(60, 8, 4, 3, seed=seed))
+    graph = synth_mixed(60, 8, 4, 3, seed=seed)
+    cg = condense_scc(graph)
     before_unwrapped = unwrapped_lengths(cg)
     before_depth = depths(cg)
-    before_out = {name: cg.out_weight(cg.node_of[name]) for name in cg.node_of}
+    before_out = {name: m.wrapped_refs for name, m in node_metrics(graph, cg).items()}
     filtered = filter_macro_set(
         cg, FilterPolicy("indegree_percentile", percentile=percentile)
     )
     after_unwrapped = unwrapped_lengths(filtered)
     after_depth = depths(filtered)
-    assert len(filtered) < len(cg)
+    after_out = node_metrics(graph, filtered)
+    assert len(filtered.node_of) < len(cg.node_of)
     for name in filtered.node_of:
         assert after_unwrapped[name] == before_unwrapped[name]
         assert after_depth[name] <= before_depth[name]
-        assert filtered.out_weight(filtered.node_of[name]) >= before_out[name]
+        assert after_out[name].wrapped_refs >= before_out[name]
 
 
 def test_kind_filter_keeps_listed_kinds_and_sinks():

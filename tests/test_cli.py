@@ -12,6 +12,7 @@ import shutil
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -872,7 +873,7 @@ def mixed_graph(tmp_path):
 
 
 def test_analyze_kind_filter_reads_lemma_as_theorem(mixed_graph, tmp_path):
-    # Filtering on theorems inlines every definition; the theorems and the
+    # Filtering on theorems removes every definition; the theorems and the
     # primitives (sinks) stay, so the expected rows come from the graph file.
     kinds = Counter(load_graph(str(mixed_graph)).kinds)
     assert kinds["theorem"] and kinds["definition"]
@@ -898,6 +899,35 @@ def test_analyze_unknown_filter_kind_is_an_input_error(mixed_graph, tmp_path, ca
     assert main(argv) == EXIT_INPUT
     assert "unknown element kind 'nonsense'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_kind_filtered_analyze_peaks_with_the_unfiltered_run(tmp_path):
+    # A filter reads through the removed elements on the one condensation; an
+    # inlined second graph would grow with every rerouted path (2.2x here).
+    graph = tmp_path / "mixed" / "graph.jsonl"
+    assert main(["synth", "--kind", "mixed", "--nodes", "4000", "--fanout", "6", "--seed", "1",
+                 "--out", str(graph.parent)]) == EXIT_OK
+    base = ["analyze", "--graph", str(graph)]
+    assert main(base + ["--out", str(tmp_path / "warm-up")]) == EXIT_OK  # imports, caches
+
+    def peak(extra: list[str], out: str) -> int:
+        tracemalloc.start()
+        try:
+            assert main(base + extra + ["--out", str(tmp_path / out)]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    unfiltered = peak([], "unfiltered")
+    filtered = peak(["--filter-kinds", "definition,primitive"], "filtered")
+    assert filtered <= 1.1 * unfiltered, (filtered, unfiltered)
+
+
+def test_analyze_checks_bin_widths_before_reading_the_graph(tmp_path, capsys):
+    argv = ["analyze", "--graph", str(tmp_path / "missing.jsonl"), "--bin-log2", "0",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_INPUT
+    assert "bin width must be positive and finite" in capsys.readouterr().err
 
 
 def test_analyze_flat_corpus_matches_polynomial_row(tmp_path):

@@ -20,6 +20,7 @@ from macrolab.analytics import (
     condense_scc,
     depths,
     filter_macro_set,
+    node_metrics,
     split_unwrapped,
     unwrapped_lengths,
 )
@@ -132,7 +133,16 @@ def oracle_split(nodes: dict[str, GraphNode], cg: OracleCondensed) -> dict:
     return out
 
 
+def oracle_in_degrees(cg: OracleCondensed) -> list[int]:
+    degs = [0] * len(cg.members)
+    for adj in cg.edges:
+        for j in adj:
+            degs[j] += 1
+    return degs
+
+
 def oracle_filter(cg: OracleCondensed, policy: FilterPolicy) -> OracleCondensed:
+    """The filtered graph with every removed component inlined into its dependents."""
     n = len(cg.members)
     non_sinks = [i for i in range(n) if cg.edges[i]]
     if policy.mode == "explicit":
@@ -140,10 +150,7 @@ def oracle_filter(cg: OracleCondensed, policy: FilterPolicy) -> OracleCondensed:
     elif policy.mode == "kind":
         remove = {i for i in non_sinks if not any(k in policy.kinds for k in cg.kinds[i])}
     else:
-        degs = [0] * n
-        for adj in cg.edges:
-            for j in adj:
-                degs[j] += 1
+        degs = oracle_in_degrees(cg)
         ranked = sorted(non_sinks, key=lambda i: (degs[i], cg.members[i][0]))
         remove = set(ranked[:int(len(ranked) * policy.percentile / 100.0)])
     if any(not cg.edges[i] for i in remove):
@@ -254,24 +261,48 @@ def test_condensation_and_lengths_match_the_oracle(nodes):
     assert split_unwrapped(graph, cg) == oracle_split(by_name, oracle)
 
 
+def assert_reads_through(graph: DepGraph, filtered, expected: OracleCondensed) -> None:
+    """What `analyze` reads of a filtered condensation equals the inlined oracle."""
+    names = graph.sorted_names
+    kept = [i for i in range(len(filtered)) if i not in filtered.removed]
+    assert [tuple(names[v] for v in filtered.blocks[i]) for i in kept] == expected.members
+    assert list(filtered.node_of) == list(expected.node_of)
+    assert unwrapped_lengths(filtered) == oracle_unwrapped(expected)
+    assert depths(filtered) == oracle_depths(expected)
+    metrics = node_metrics(graph, filtered)
+    degs, expected_degs = filtered.in_degrees(), oracle_in_degrees(expected)
+    for name, i in expected.node_of.items():
+        assert metrics[name].wrapped_refs == sum(expected.edges[i].values())
+        assert degs[filtered.node_of[name]] == expected_degs[i]
+    assert all(degs[i] == 0 for i in filtered.removed)
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs(), st.data())
 def test_filters_match_the_oracle(nodes, data):
     graph = DepGraph(nodes)
     cg, oracle = condense_scc(graph), oracle_condense({nd.name: nd for nd in nodes})
-    non_sinks = sorted(name for name, i in oracle.node_of.items() if oracle.edges[i])
-    policies = [
-        FilterPolicy("indegree_percentile", percentile=data.draw(st.floats(0, 100))),
-        FilterPolicy("kind", kinds=frozenset(data.draw(
-            st.lists(st.sampled_from(KINDS), min_size=1, unique=True)))),
-        FilterPolicy("explicit", names=frozenset(data.draw(
-            st.lists(st.sampled_from(non_sinks), unique=True) if non_sinks else st.just([])))),
-    ]
-    for policy in policies:
-        filtered, expected = filter_macro_set(cg, policy), oracle_filter(oracle, policy)
-        assert_same(filtered, expected)
-        assert unwrapped_lengths(filtered) == oracle_unwrapped(expected)
-        assert depths(filtered) == oracle_depths(expected)
+
+    def percentile(_):
+        return FilterPolicy("indegree_percentile", percentile=data.draw(st.floats(0, 100)))
+
+    def kind(_):
+        return FilterPolicy("kind", kinds=frozenset(data.draw(
+            st.lists(st.sampled_from(KINDS), min_size=1, unique=True))))
+
+    def explicit(o: OracleCondensed):
+        non_sinks = sorted(name for name, i in o.node_of.items() if o.edges[i])
+        return FilterPolicy("explicit", names=frozenset(data.draw(
+            st.lists(st.sampled_from(non_sinks), unique=True) if non_sinks else st.just([]))))
+
+    # single policies, then chains: kind then percentile as `analyze` runs them
+    for chain in ([percentile], [kind], [explicit], [kind, percentile], [kind, explicit],
+                  [percentile, percentile]):
+        filtered, expected = cg, oracle
+        for make in chain:
+            policy = make(expected)
+            filtered, expected = filter_macro_set(filtered, policy), oracle_filter(expected, policy)
+            assert_reads_through(graph, filtered, expected)
 
 
 @settings(max_examples=100, deadline=None)

@@ -15,7 +15,10 @@ corpus-* digests come from the unseeded export and were kept.  The four
 `rank` digests (sweep/, alt/ and corpus-rank/) were re-pinned when the walk
 moved from a numpy power iteration to one pass over the condensation, and
 only they: every pi value moved by at most 3.3e-12, relative, and no rank
-moved.
+moved.  The analyze-kinds/, analyze-both/ and analyze-defs/ digests, filter
+chains of `--filter-kinds` alone and followed by `--filter-percentile`, were
+captured from the code that inlined removed components into a second
+condensation, before the filters read through them instead.
 """
 
 import hashlib
@@ -42,6 +45,12 @@ RUNS = [
     ("ingest", ["ingest", "--format", "graph", "--in", "{synth}/graph.jsonl"], 0),
     ("analyze", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
                  "--filter-percentile", "50"], 0),
+    ("analyze-kinds", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
+                       "--filter-kinds", "definition,theorem"], 0),
+    ("analyze-both", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
+                      "--filter-kinds", "definition,theorem", "--filter-percentile", "50"], 0),
+    ("analyze-defs", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
+                      "--filter-kinds", "definition,primitive", "--filter-percentile", "50"], 0),
     ("sweep", ["rank", "--graph", "{ingest}/graph.jsonl", "--sweep", "0.5,0.85"], 0),
     ("alt", ["rank", "--graph", "{ingest}/graph.jsonl", "--alt-deductive",
              "--wrapped-metric", "refs"], 0),
@@ -63,6 +72,39 @@ DIGESTS = {
     "analyze/hist_wrapped.csv": "0f107d8454d2d38ea608c549051f065eb3d3d7284b26ab723bbbdbefaefb7015",
     "analyze/metrics.csv": "ea641923113530e0ec810bf0397018bbaf5e7bb2e1616ab5e0365f2e955c313a",
     "analyze/regime.csv": "5de55eaaa0959f3a172ade7752e50c40675b25aa0d0cbb7614f0a9d85e081d0d",
+    "analyze-both/curve_log2_unwrapped_vs_depth.csv": "2ce1ee949a7eb13c1431e08dacd6f369d271c6fc2239522bd984f1e5823d6ebc",
+    "analyze-both/curve_log2_unwrapped_vs_wrapped.csv": "b2467726409ad7a40779949bfb9486ff7cb5566f3851caa751d80359d4dd0fd1",
+    "analyze-both/curve_wrapped_vs_depth.csv": "cac7dfe5117ede9b9eb5b34fb16707d2de229710ded9a33cb2d4519f66eff604",
+    "analyze-both/fit_log2_unwrapped_vs_depth.csv": "938cad342317a93fb2c70fb9b950142b0e53c6081081a3c235ea676f80359d03",
+    "analyze-both/fit_log2_unwrapped_vs_wrapped.csv": "eb3fd04602c96225933ead53d6d0271d6fcf972794f79be3d7e380bfd9dab676",
+    "analyze-both/fit_wrapped_vs_depth.csv": "826d58b895912ca2235f1f6be154de765b883884dfccdec671d552cb863a5390",
+    "analyze-both/hist_depth.csv": "8cf2fcdc32e1f43f537d748fff88175f53329e77d18fcebe57c37f35f8760ce5",
+    "analyze-both/hist_log2_unwrapped.csv": "7431cbd6ea0bd0ca7c0be9223ee8c4516399b435559cc6dece128b39784a61a7",
+    "analyze-both/hist_wrapped.csv": "0f107d8454d2d38ea608c549051f065eb3d3d7284b26ab723bbbdbefaefb7015",
+    "analyze-both/metrics.csv": "ea641923113530e0ec810bf0397018bbaf5e7bb2e1616ab5e0365f2e955c313a",
+    "analyze-both/regime.csv": "5de55eaaa0959f3a172ade7752e50c40675b25aa0d0cbb7614f0a9d85e081d0d",
+    "analyze-defs/curve_log2_unwrapped_vs_depth.csv": "af4a37eeb6b578a152c0491a8a2b31ccd5b133907f9737fa07d6aae9911ba2ec",
+    "analyze-defs/curve_log2_unwrapped_vs_wrapped.csv": "427d3dcb181e6d7139dcebe09ab4f95b12b0c3c3d45c4f5d9f27655c03bda162",
+    "analyze-defs/curve_wrapped_vs_depth.csv": "c13f8a5f63c560fe2ec3c10e732d8c005bfb69391321279ed258dd98eb32a5c8",
+    "analyze-defs/fit_log2_unwrapped_vs_depth.csv": "de4c6f5c4dedefe16eb384738e59ba0253e60889ec16dfc16d28f7dad5350ec6",
+    "analyze-defs/fit_log2_unwrapped_vs_wrapped.csv": "a08ceafde5e3bd135d0efe80d98dafaccfde7d683a57ed883868fd2b128ae316",
+    "analyze-defs/fit_wrapped_vs_depth.csv": "c28c7893272a669fe870b1aad2c2c331daa1f77b28e0b5b396642c595f51123d",
+    "analyze-defs/hist_depth.csv": "4d330ed7151484a7a11d057be2c0ac2d868f0ce9fb5aff52358588434404e392",
+    "analyze-defs/hist_log2_unwrapped.csv": "82420cc796f906868a2afc77a2ef0cddd4625c6f8ce4e92aa7ff660eb86750d0",
+    "analyze-defs/hist_wrapped.csv": "4ea7eae0a7c742bf5761fd71434efe258350274e93122c4a46e306b0eee42137",
+    "analyze-defs/metrics.csv": "ea4d05333c10a677effd8e619003e810fb92a94f78c3be4f3b24fe484254fe77",
+    "analyze-defs/regime.csv": "86877c10493638da381b8219ceaef1bbc5787d2b853d56959fd1f272303888d0",
+    "analyze-kinds/curve_log2_unwrapped_vs_depth.csv": "ad76a116e757057223fe2edd748a9f6afe0bd5d04f590e9db36b7da2af43df08",
+    "analyze-kinds/curve_log2_unwrapped_vs_wrapped.csv": "1712afe47d01a34590bf52c9b22d141e1d9918b6d42dd1ab42de4d58e0fa6455",
+    "analyze-kinds/curve_wrapped_vs_depth.csv": "0f48f51ba35c0d0338dbbb041cd81f3c1894668ef644c366ade0d0518fd71eb9",
+    "analyze-kinds/fit_log2_unwrapped_vs_depth.csv": "24764f2895545c686f819cc5959f2019d06a53d3dcc88dbc7121aec8bc15ab19",
+    "analyze-kinds/fit_log2_unwrapped_vs_wrapped.csv": "5ab82ec633f167280313e148a244c90cd7ecb587f052e0dd89bab7123bf1a9c4",
+    "analyze-kinds/fit_wrapped_vs_depth.csv": "4fbf318aa44f7dbadd60658afaff09c8f33849ac4472c2edcf59e3408b17d1ce",
+    "analyze-kinds/hist_depth.csv": "55e7c2a6d0db5d79ac9df1f36e23df96ecf179bb1aff181f119898c4026f43b9",
+    "analyze-kinds/hist_log2_unwrapped.csv": "43195d8f63fdd92937a76ef309846db2e553b7a2d40e9d325d3736d4b2c83357",
+    "analyze-kinds/hist_wrapped.csv": "119bb24e57a2cd060e7ae18c02c43367e4fad08e621ec4836626af8ef5e16adf",
+    "analyze-kinds/metrics.csv": "9adb5568e662e5a53afbfc3e4c7009cf0c71c8dbce022b280feb877bf0e25121",
+    "analyze-kinds/regime.csv": "967ef39fcd19315981d1b086572351e62f478ea2dd36f0dd6d76ba59a85cdb82",
     "corpus/graph.jsonl": "017bafb5341b2499dda381b765822a8ae4eb5eb8aaf034e2c65fec0bb09825ee",
     "corpus-analyze/curve_log2_unwrapped_vs_depth.csv": "a07ab3f9965afaf6c15a1312439fe3dacbf5e05bf805bb091795c85977388529",
     "corpus-analyze/curve_log2_unwrapped_vs_wrapped.csv": "a023777434b53bc2269f6d1ec2ecdceb4c398dc2f8fa39f21aaa0b9d62323f13",
