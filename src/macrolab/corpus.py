@@ -213,13 +213,6 @@ class DepGraph:
             for i, name in enumerate(self.sorted_names)
         }
 
-    def edges(self):
-        """Yield (source, target, summed weight), deterministic order."""
-        names = self.sorted_names
-        for i, name in enumerate(names):
-            for e in range(self.off[i], self.off[i + 1]):
-                yield name, names[self.dst[e]], self.ref_w[e]
-
     def total_edge_weight(self) -> int:
         return sum(self.ref_w)
 

@@ -47,19 +47,12 @@ class ExpansionValue(NamedTuple):
     value: int
     exact: bool
 
-    def __str__(self) -> str:
-        return str(self.value) if self.exact else f">={self.value}"
-
 
 class ExpansionProfile(NamedTuple):
-    """f(s) for each budget s in ``entries``; ``profile[s]`` reads one, so a
-    profile does not index as a tuple."""
+    """f(s) for each budget s in ``entries``."""
 
     spec: FamilySpec
     entries: dict[int, ExpansionValue]
-
-    def __getitem__(self, s: int) -> ExpansionValue:
-        return self.entries[s]
 
 
 class SphereBudgetError(Exception):
@@ -125,33 +118,50 @@ def _separable_firsts(axes, wanted: list[int], r_max: int, budget: int) -> dict[
     token counts, min of a_1(t_1) + ... + a_n(t_n) over t_1 + ... + t_n = s + 1
     (each a_i is nondecreasing, so the sum may be exactly s + 1).  A capped
     a_i only ever gives a sum past r_max, where the answer is a bound anyway.
+
+    Axis i stops growing at the first layer T_i whose frontier is empty, and
+    a_i(t) = a_i(T_i) from then on.  So the convolution keeps its value from
+    T_1 + ... + T_n on (the extra tokens go to an axis past its T_i), and it
+    is computed only that far, or to s + 1 for the largest s if that is less.
     """
     top = wanted[-1] + 1
-    conv = None
+    seqs = []
     for gens in axes:
-        lattice = AbelianLattice((r_max,), [v for v, _ in gens], budget)
-        reached = itertools.chain([1], (r for _, r, _ in lattice.layers()))
-        a = [0] + [((r + 1) & ~r).bit_length() - 1 for r in itertools.islice(reached, top)]
+        layers = AbelianLattice((r_max,), [v for v, _ in gens], budget).layers()
+        a = [0, 1]  # a_i(0), and a_i(1): no layer yet, only the origin is reached
+        while len(a) <= top:
+            frontier, reached, _ = next(layers)
+            if not frontier:
+                break
+            a.append(((reached + 1) & ~reached).bit_length() - 1)
+        seqs.append(a)
+    size = min(sum(len(a) - 1 for a in seqs), top)
+    conv = None
+    for a in seqs:
+        a += [a[-1]] * (size + 1 - len(a))
         conv = a if conv is None else [min(conv[u] + a[t - u] for u in range(t + 1))
-                                       for t in range(top + 1)]
-    return {s: min(conv[s + 1], r_max + 1) for s in wanted}
+                                       for t in range(size + 1)]
+    return {s: min(conv[min(s + 1, size)], r_max + 1) for s in wanted}
 
 
 def _simplex_firsts(M: MacroSet, vecs, wanted: list[int], r_max: int,
                     budget: int) -> dict[int, int]:
     """First unreached radius for each s (r_max + 1 past the simplex), by
     counting the reached points of radius at most R, the low bits of a
-    radius-major n-D layout, against the ball size."""
+    radius-major n-D layout, against the ball size.  Once a layer reaches no
+    new point no later one does, so that layer's answer holds for every
+    larger s."""
     lattice = AbelianLattice((r_max,) * M.monoid.n, vecs, budget, cap=r_max)
 
     def covered(reached: int, radius: int) -> bool:  # is every |p| <= radius reached?
         low = reached & ((1 << (radius + 1) * lattice.width) - 1)
         return low.bit_count() == ball_size(M.monoid, radius)
 
+    asked = set(wanted)
     firsts: dict[int, int] = {}
     first = 1  # the first radius with an unreached point never decreases
-    for s, (_, reached, _) in zip(range(1, wanted[-1] + 1), lattice.layers()):
-        if s not in wanted:
+    for s, (frontier, reached, _) in zip(range(1, wanted[-1] + 1), lattice.layers()):
+        if s not in asked and frontier:
             continue
         hi, step = first, 1  # gallop from the last answer, then bisect [first, hi]
         while hi <= r_max and covered(reached, hi):
@@ -160,6 +170,9 @@ def _simplex_firsts(M: MacroSet, vecs, wanted: list[int], r_max: int,
         while first < hi:
             mid = (first + hi) // 2
             first, hi = (mid + 1, hi) if covered(reached, mid) else (first, mid)
+        if not frontier:  # the fixpoint: every later layer is this one
+            firsts.update((t, first) for t in wanted if t >= s)
+            break
         firsts[s] = first
     return firsts
 
@@ -462,16 +475,13 @@ def halving_window(C: float, r: int) -> int:
     return math.ceil(k) if k < r else r
 
 
-def find_halving_macro(
-    letters: tuple[int, ...],
-    M: MacroSet | LazyFreeMacroSet,
-    C: float | None = None,
-) -> tuple[int, int] | None:
+def find_halving_macro(letters: tuple[int, ...], M: LazyFreeMacroSet) -> tuple[int, int] | None:
     """First (start, length) with start <= k(r), length >= ceil(r/2), and the
-    substring a macro; start is 1-based.  Scans starts ascending, lengths
-    descending, so the result is deterministic.
+    substring a macro; start is 1-based, and k(r) is the window of the
+    family's C.  Scans starts ascending, lengths descending, so the result is
+    deterministic.
 
-    A lazy set needs each candidate's minimal period only to ask whether it
+    Membership needs each candidate's minimal period only to ask whether it
     is at most B ln(e + length), which is at most cap = B ln(e + r).  The
     minimal period of a prefix never exceeds that of a longer one, so a
     failure-function pass over the first 2 * cap letters of a start (the
@@ -482,30 +492,20 @@ def find_halving_macro(
     r = len(letters)
     if r == 0:
         return None
-    if C is None:
-        if not isinstance(M, LazyFreeMacroSet):
-            raise ValueError("materialized macro sets need an explicit window constant")
-        C = M.big_c
-    k = halving_window(C, r)
+    k = halving_window(M.big_c, r)
     half = (r + 1) // 2
-    lazy = isinstance(M, LazyFreeMacroSet)
-    if lazy:
-        cap = M.big_b * math.log(math.e + r)
-        # the whole word when the window would not be shorter (B infinite or NaN too)
-        window = max(math.ceil(2 * cap), 1) if 2 * cap < r else r
+    cap = M.big_b * math.log(math.e + r)
+    # the whole word when the window would not be shorter (B infinite or NaN too)
+    window = max(math.ceil(2 * cap), 1) if 2 * cap < r else r
     for start in range(1, min(k, r) + 1):
         lengths = range(r - start + 1, max(half, 2) - 1, -1)
-        if lazy and lengths:
+        if lengths:
             periods = prefix_periods(letters[start - 1 : start - 1 + window])
             if periods[-1] <= cap and len(periods) < r - start + 1:
                 periods = prefix_periods(letters, start - 1)
         for length in lengths:
             sub = letters[start - 1 : start - 1 + length]
-            if lazy:
-                hit = M.contains_letters(sub, periods[min(length, len(periods)) - 1])
-            else:
-                hit = M.contains_letters(sub)
-            if hit:
+            if M.contains_letters(sub, periods[min(length, len(periods)) - 1]):
                 return start, length
     return None
 
@@ -521,11 +521,7 @@ def letters_of_str(s: str) -> tuple[int, ...]:
     return tuple(_ALPHABET.index(ch) for ch in s)
 
 
-def recursive_parse_free(
-    w: Word | tuple[int, ...],
-    M: MacroSet | LazyFreeMacroSet,
-    C: float | None = None,
-) -> tuple[list[str], int]:
+def recursive_parse_free(w: Word | tuple[int, ...], M: LazyFreeMacroSet) -> tuple[list[str], int]:
     """Greedy parse: repeatedly spell up to the first window macro covering at
     least half the remainder, then recurse on the suffix.
 
@@ -535,32 +531,30 @@ def recursive_parse_free(
     """
     if M.monoid.n > len(_ALPHABET):
         raise ValueError("letter tokens support up to 26 generators")
-    pieces, _, stuck = _greedy_parse(w.data if isinstance(w, Word) else tuple(w), M, C)
+    pieces, _, stuck = _greedy_parse(w.data if isinstance(w, Word) else tuple(w), M)
     if stuck is not None:
         raise HalvingFailure(stuck)
     return [word_str(piece) for piece in pieces], len(pieces)
 
 
-def _greedy_parse(letters: tuple[int, ...], M: MacroSet | LazyFreeMacroSet, C: float | None):
+def _greedy_parse(letters: tuple[int, ...], M: LazyFreeMacroSet):
     """The parse of `recursive_parse_free` as (pieces, first, stuck): the
     tokens as letter tuples, `find_halving_macro` of the whole word, and the
     remainder the parse failed on (None if it did not fail)."""
-    if C is None and isinstance(M, LazyFreeMacroSet):
-        C = M.big_c
     pieces: list[tuple[int, ...]] = []
     first = None
     rest = letters
     while rest:
         r = len(rest)
-        k = None if C is None else halving_window(C, r)
+        k = halving_window(M.big_c, r)
         if r == 1:
             pieces.append(rest)
             break
         # With k >= 1 the window search tries the whole word first, as (1, r).
-        if (k is None or k < 1) and M.contains_letters(rest):
+        if k < 1 and M.contains_letters(rest):
             pieces.append(rest)
             break
-        hit = find_halving_macro(rest, M, C)
+        hit = find_halving_macro(rest, M)
         if r == len(letters):
             first = hit
         if hit is None:
@@ -594,9 +588,7 @@ class SampledRates(NamedTuple):
         return self.halving_successes / self.trials
 
 
-def sampled_rates(
-    M: LazyFreeMacroSet, r: int, trials: int, seed: int, C: float | None = None
-) -> SampledRates:
+def sampled_rates(M: LazyFreeMacroSet, r: int, trials: int, seed: int) -> SampledRates:
     """Halving success rate and greedy parse token counts over random words."""
     if r < 2 or trials < 1:  # the parse constant divides by (ln r)^2, the rate by trials
         raise ValueError(f"sampled rates need r >= 2 and trials >= 1, got r={r}, trials={trials}")
@@ -606,7 +598,7 @@ def sampled_rates(
     failures = 0
     for letters in words:
         # The parse's first level is the halving check of the whole word.
-        pieces, first, stuck = _greedy_parse(letters, M, C)
+        pieces, first, stuck = _greedy_parse(letters, M)
         successes += first is not None
         if stuck is None:
             counts.append(len(pieces))

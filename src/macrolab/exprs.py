@@ -68,48 +68,12 @@ class ExprNode(_ExprNode):
         return tuple.__new__(cls, (tag, name, children))
 
 
-def const(name: str) -> ExprNode:
-    return ExprNode("const", name=name)
-
-
-def app(fn: ExprNode, arg: ExprNode) -> ExprNode:
-    return ExprNode("app", children=(fn, arg))
-
-
-def lam(binder_type: ExprNode, body: ExprNode) -> ExprNode:
-    return ExprNode("lam", children=(binder_type, body))
-
-
-def forall_e(binder_type: ExprNode, body: ExprNode) -> ExprNode:
-    return ExprNode("forallE", children=(binder_type, body))
-
-
-def let_e(binder_type: ExprNode, value: ExprNode, body: ExprNode) -> ExprNode:
-    return ExprNode("letE", children=(binder_type, value, body))
-
-
-def mdata(inner: ExprNode) -> ExprNode:
-    return ExprNode("mdata", children=(inner,))
-
-
-def proj(struct: ExprNode) -> ExprNode:
-    return ExprNode("proj", children=(struct,))
-
-
 _LEAVES = {"sort": ExprNode("sort"), "other": ExprNode("other")}
 # _parse_tree has checked an interior node's tag and arity by the time it
 # builds it, so it builds the node's tuple directly, without the checks.
 _new = tuple.__new__
 _PARENS = ("(", ")")
 _TOKEN = re.compile(r"[()]|[^\s()]+")
-
-
-def sort() -> ExprNode:
-    return _LEAVES["sort"]
-
-
-def other() -> ExprNode:
-    return _LEAVES["other"]
 
 
 class ExprParseError(ValueError):
@@ -287,13 +251,3 @@ def collect_elems(node: ExprNode) -> Counter[str]:
         stack.extend(e.children)
     return counts
 
-
-def expr_size(node: ExprNode) -> int:
-    """Node count, handy as a crude token count for synthetic corpora."""
-    size = 0
-    stack = [node]
-    while stack:
-        e = stack.pop()
-        size += 1
-        stack.extend(e.children)
-    return size

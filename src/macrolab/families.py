@@ -207,9 +207,13 @@ def seeded_words(n: int, length: int, seed: int, use: bytes):
     of one seed reads its own stream.  The blocks' bytes become letters by
     rejection: a byte b below 256 - 256 % n is the letter b % n, any other
     is skipped.  The letters, in order, are cut into words.  The stream is
-    defined by this code alone, so it is the same on every Python."""
+    defined by this code alone, so it is the same on every Python.  A length
+    of 2**64 or more has no 8-byte prefix and is rejected."""
     if not 1 <= n <= 256:
         raise ValueError(f"seeded words spell one letter per byte, so need n <= 256, got n={n}")
+    if length >= 2**64:
+        raise ValueError(f"seeded words prefix their stream with the length as 8 bytes, "
+                         f"so need a length below 2**64, got {length}")
     from .stream import blocks
 
     letters = bytes(b % n for b in range(256))

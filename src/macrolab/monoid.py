@@ -76,21 +76,10 @@ class Word(_Word):
         mults = tuple(mults)
         return Word(abelian(n if n is not None else len(mults)), mults)
 
-    @staticmethod
-    def from_letters(letters: tuple[int, ...] | list[int], n: int) -> Word:
-        return Word(free(n), tuple(letters))
-
     def g_length(self) -> int:
         if self.monoid.is_abelian:
             return sum(self.data)
         return len(self.data)
-
-    def concat(self, other: Word) -> Word:
-        if other.monoid != self.monoid:
-            raise ValueError("cannot combine words from different monoids")
-        if self.monoid.is_abelian:
-            return Word(self.monoid, tuple(a + b for a, b in zip(self.data, other.data)))
-        return Word(self.monoid, self.data + other.data)
 
     def is_identity(self) -> bool:
         return self.g_length() == 0
@@ -169,20 +158,11 @@ class MacroSet:
     def __iter__(self):
         return iter(self.macros)
 
-    def get(self, name: str) -> Macro:
-        return self._by_name[name]
-
     def find(self, name: str) -> Macro | None:
         return self._by_name.get(name)
 
     def macro_for_word(self, w: Word) -> Macro | None:
         return self._by_def.get(w.data)
-
-    def contains_letters(self, letters: tuple[int, ...]) -> bool:
-        return letters in self._by_def
-
-    def with_macro(self, m: Macro) -> MacroSet:
-        return MacroSet(self.monoid, self.macros + (m,))
 
     def trie(self, depth: int | None = None) -> Automaton:
         """The trie of the free-monoid definitions, grown in layers until it

@@ -118,6 +118,20 @@ def test_sim_finite_with_words(tmp_path):
     assert profile[0]["value"] == "8"
 
 
+@pytest.mark.parametrize("argv, code, last", [
+    (["--regime", "waring", "--k", "2", "--n", "1", "--r-max", "10"], EXIT_OK, "at_least,10"),
+    # the n-D lattice; the finite regime's lower bound s fails past the radius
+    (["--regime", "finite", "--monoid", "abelian", "--n", "2", "--word", "1,1;2,0",
+      "--r-max", "5"], EXIT_VERIFY, "at_least,5"),
+])
+def test_sim_profile_stops_once_the_lattice_stops_growing(tmp_path, argv, code, last):
+    """A budget s far past the layer that reaches every point of radius <=
+    r_max reads that layer's answer, without building the layers between."""
+    assert main(["sim", *argv, "--s", str(10**20), "--out", str(tmp_path)]) == code
+    rows = (tmp_path / "profile.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[-1].endswith(f",{10**20},{last}")
+
+
 def test_sim_finite_free_words(tmp_path):
     out = tmp_path / "free"
     code = main([
@@ -1136,7 +1150,8 @@ def test_synth_requires_a_kind(tmp_path):
     assert main(["synth", "--out", str(tmp_path)]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("argv", [
+# Bad input for each command, as argv naming the files `input_error_files` writes.
+INPUT_ERRORS = [
     ["sim", "--regime", "place", "--b", "2", "--s", "3"],  # this regime needs --r-max
     ["sim", "--regime", "finite", "--monoid", "abelian", "--n", "2", "--word", "1",
      "--s", "2", "--r-max", "5"],  # the word needs two multiplicities
@@ -1190,8 +1205,14 @@ def test_synth_requires_a_kind(tmp_path):
     ["analyze", "--graph", "{graph}", "--fit-lo", "nan"],
     ["analyze", "--graph", "{graph}", "--fit-hi", "nan"],
     ["analyze", "--graph", "{graph}", "--fit-lo", "3", "--fit-hi", "2"],
-])
-def test_input_error_leaves_no_output_directory(tmp_path, argv):
+    ["sim", "--regime", "prob-free", "--n", "2", "--trials", "5",
+     "--mc-r", "100000000000000000000"],  # no 8-byte stream prefix for this length
+    ["synth", "--kind", "flat", "--primitives", "0"],
+]
+
+
+def input_error_files(tmp_path):
+    """The files INPUT_ERRORS name, written under tmp_path, by placeholder."""
     paths = {"missing": tmp_path / "missing.jsonl", "bad_corpus": tmp_path / "bad.jsonl",
              "corpus": tmp_path / "corpus.jsonl", "graph": tmp_path / "graph" / "graph.jsonl",
              "bad_graph": tmp_path / "bad_graph.jsonl", "zero_sig": tmp_path / "zero_sig.jsonl"}
@@ -1206,6 +1227,12 @@ def test_input_error_leaves_no_output_directory(tmp_path, argv):
     paths["bad_corpus"].write_text(WORKED_CORPUS.replace("(const And)", "(const And"))
     assert main(["ingest", "--in", str(paths["corpus"]),
                  "--out", str(paths["graph"].parent)]) == EXIT_OK
+    return paths
+
+
+@pytest.mark.parametrize("argv", INPUT_ERRORS)
+def test_input_error_leaves_no_output_directory(tmp_path, argv):
+    paths = input_error_files(tmp_path)
     out = tmp_path / "nodir"
     assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
@@ -1253,7 +1280,7 @@ import sys
 import macrolab
 from macrolab.cli import main
 from macrolab.families import FamilySpec, build_macro_family
-from macrolab.monoid import Word, gprime_length, monoid_depth, wrapped_length
+from macrolab.monoid import Word, free, gprime_length, monoid_depth, wrapped_length
 
 assert "numpy" not in sys.modules, "import macrolab loaded numpy"
 with open("corpus.jsonl", "w") as fh:
@@ -1284,7 +1311,7 @@ for argv in (
     assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
 M = build_macro_family(FamilySpec.poly_density_free(1, 1, 2, 8))
-w = Word.from_letters((0, 1, 1, 0, 1, 0, 0, 1), 2)
+w = Word(free(2), (0, 1, 1, 0, 1, 0, 0, 1))
 print(gprime_length(w, M), monoid_depth(w, M))
 assert "numpy" not in sys.modules, "free kernels loaded numpy"
 M = build_macro_family(FamilySpec.place_notation(2, 3, 16))

@@ -1,6 +1,7 @@
 """Tests for corpus elements, graph assembly, and the JSONL formats."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from macrolab.corpus import (
     save_corpus,
     save_graph,
 )
-from macrolab.exprs import app, const, lam, let_e, mdata, other, parse_expr, print_expr, sort
+from macrolab.exprs import ExprNode, parse_expr, print_expr
 
 WORKED_SIG = (
     "(forallE (sort) (forallE (sort) "
@@ -129,7 +130,8 @@ def test_build_graph_rejects_referencing_primitives():
 
 def test_bodiless_const_signature_yields_one_edge():
     graph = build_graph([Element(name="x", kind="definition", signature=parse_expr("(const X)"))])
-    assert list(graph.edges()) == [("x", "X", 1)]
+    assert graph.sorted_names == ["X", "x"]  # X, the synthetic sink, sorts first
+    assert (graph.off, graph.dst, graph.ref_w) == ([0, 0, 1], [0], [1])
 
 
 def test_dep_graph_rejects_undeclared_references():
@@ -144,11 +146,12 @@ def test_dep_graph_rejects_undeclared_references():
 
 def test_edges_are_sorted_and_summed():
     graph = build_graph([worked_element()])
-    edges = [e for e in graph.edges() if e[0] == "simple_lemma"]
-    assert edges == [
-        ("simple_lemma", "And", 2),
-        ("simple_lemma", "And.right", 1),
-        ("simple_lemma", "Sort", 4),
+    i = graph.sorted_names.index("simple_lemma")
+    row = range(graph.off[i], graph.off[i + 1])
+    assert [(graph.sorted_names[graph.dst[e]], graph.ref_w[e]) for e in row] == [
+        ("And", 2),
+        ("And.right", 1),
+        ("Sort", 4),
     ]
 
 
@@ -301,12 +304,13 @@ def test_load_corpus_reports_parse_errors_with_lines(tmp_path):
 # A few names, so that consts repeat within an expression and across records.
 EXPORT_NAMES = st.sampled_from(["a", "b", "c.d", "e_1"])
 EXPORT_EXPRS = st.recursive(
-    st.one_of(EXPORT_NAMES.map(const), st.just(sort()), st.just(other())),
+    st.one_of(EXPORT_NAMES.map(partial(ExprNode, "const")),
+              st.just(ExprNode("sort")), st.just(ExprNode("other"))),
     lambda sub: st.one_of(
-        st.tuples(sub, sub).map(lambda t: app(*t)),
-        st.tuples(sub, sub).map(lambda t: lam(*t)),
-        st.tuples(sub, sub, sub).map(lambda t: let_e(*t)),
-        sub.map(mdata)),
+        st.tuples(sub, sub).map(partial(ExprNode, "app", None)),
+        st.tuples(sub, sub).map(partial(ExprNode, "lam", None)),
+        st.tuples(sub, sub, sub).map(partial(ExprNode, "letE", None)),
+        st.tuples(sub).map(partial(ExprNode, "mdata", None))),
     max_leaves=12)
 # Whitespace the tokenizer splits at: tabs, CRLF, a no-break space, a line separator.
 SPACING = st.sampled_from([" ", "  ", "\t", "\r\n", "\u00a0", "\u2028"])

@@ -2,27 +2,14 @@
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macrolab.exprs import (
-    ExprNode,
-    ExprParseError,
-    app,
-    collect_elems,
-    const,
-    expr_size,
-    forall_e,
-    lam,
-    let_e,
-    mdata,
-    other,
-    parse_expr,
-    print_expr,
-    proj,
-    sort,
-)
+from macrolab.exprs import ExprNode, ExprParseError, collect_elems, parse_expr, print_expr
+
+SORT, OTHER = ExprNode("sort"), ExprNode("other")
 
 SIMPLE_BODY = (
     "(lam (sort) (lam (sort) (lam (app (app (const And) (other)) (other)) "
@@ -132,7 +119,7 @@ def _outcome(parse, text: str):
 
 def test_parse_const():
     node = parse_expr("(const And)")
-    assert node == const("And")
+    assert node == ExprNode("const", "And")
     assert node.name == "And"
 
 
@@ -148,7 +135,7 @@ def test_parse_nested_body():
 
 
 def test_parse_accepts_arbitrary_whitespace():
-    assert parse_expr("( app\n  (sort)\n  (other) )") == app(sort(), other())
+    assert parse_expr("( app\n  (sort)\n  (other) )") == ExprNode("app", None, (SORT, OTHER))
 
 
 def test_parse_reports_unclosed_position():
@@ -206,7 +193,11 @@ def test_parse_survives_deep_nesting():
     depth = 40000
     text = "(mdata " * depth + "(other)" + ")" * depth
     node = parse_expr(text)
-    assert expr_size(node) == depth + 1
+    chain = 0
+    while node.tag == "mdata":
+        (node,) = node.children
+        chain += 1
+    assert (chain, node) == (depth, OTHER)
     refs = {}
     assert parse_expr(text.replace("(other)", "(sort)"), refs) is None
     assert refs == {"Sort": 1}
@@ -216,7 +207,7 @@ def test_node_constructor_validation():
     with pytest.raises(ValueError):
         ExprNode("nonsense")
     with pytest.raises(ValueError):
-        ExprNode("app", children=(sort(),))
+        ExprNode("app", children=(SORT,))
     with pytest.raises(ValueError):
         ExprNode("sort", name="Sort")
     with pytest.raises(ValueError):
@@ -227,7 +218,8 @@ def test_node_constructor_validation():
 
 
 def test_print_matches_canonical_form():
-    node = let_e(sort(), proj(other()), mdata(const("x")))
+    node = ExprNode("letE", None, (SORT, ExprNode("proj", None, (OTHER,)),
+                                   ExprNode("mdata", None, (ExprNode("const", "x"),))))
     assert print_expr(node) == "(letE (sort) (proj (other)) (mdata (const x)))"
 
 
@@ -238,15 +230,16 @@ def test_print_parse_round_trip_on_the_worked_body():
 
 expr_nodes = st.deferred(
     lambda: st.one_of(
-        st.just(sort()),
-        st.just(other()),
-        st.from_regex(r"[A-Za-z][A-Za-z0-9_.]{0,8}", fullmatch=True).map(const),
-        st.tuples(expr_nodes, expr_nodes).map(lambda t: app(*t)),
-        st.tuples(expr_nodes, expr_nodes).map(lambda t: lam(*t)),
-        st.tuples(expr_nodes, expr_nodes).map(lambda t: forall_e(*t)),
-        st.tuples(expr_nodes, expr_nodes, expr_nodes).map(lambda t: let_e(*t)),
-        st.tuples(expr_nodes).map(lambda t: mdata(*t)),
-        st.tuples(expr_nodes).map(lambda t: proj(*t)),
+        st.just(SORT),
+        st.just(OTHER),
+        st.from_regex(r"[A-Za-z][A-Za-z0-9_.]{0,8}", fullmatch=True).map(
+            partial(ExprNode, "const")),
+        st.tuples(expr_nodes, expr_nodes).map(partial(ExprNode, "app", None)),
+        st.tuples(expr_nodes, expr_nodes).map(partial(ExprNode, "lam", None)),
+        st.tuples(expr_nodes, expr_nodes).map(partial(ExprNode, "forallE", None)),
+        st.tuples(expr_nodes, expr_nodes, expr_nodes).map(partial(ExprNode, "letE", None)),
+        st.tuples(expr_nodes).map(partial(ExprNode, "mdata", None)),
+        st.tuples(expr_nodes).map(partial(ExprNode, "proj", None)),
     )
 )
 
@@ -299,13 +292,13 @@ def test_repeated_leaves_are_one_object():
     assert node.children[0] is node.children[1]
     assert collect_elems(node) == Counter({"a": 2})
     pair = parse_expr("(app (sort) (sort))")
-    assert pair.children[0] is pair.children[1] is sort()
+    assert pair.children[0] is pair.children[1] is parse_expr("(sort)")
     assert collect_elems(pair) == Counter({"Sort": 2})
 
 
 def test_nodes_have_no_instance_dict():
     assert not hasattr(parse_expr("(const a)"), "__dict__")
-    assert not hasattr(app(sort(), other()), "__dict__")
+    assert not hasattr(ExprNode("app", None, (SORT, OTHER)), "__dict__")
 
 
 # --- reference counting ---
@@ -326,11 +319,11 @@ def test_collect_counts_the_worked_body():
 
 
 def test_collect_single_const():
-    assert collect_elems(const("Nat")) == Counter({"Nat": 1})
+    assert collect_elems(ExprNode("const", "Nat")) == Counter({"Nat": 1})
 
 
 def test_collect_ignores_reference_free_nodes():
-    node = lam(other(), mdata(proj(other())))
+    node = parse_expr("(lam (other) (mdata (proj (other))))")
     assert collect_elems(node) == Counter()
 
 

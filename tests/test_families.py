@@ -229,7 +229,7 @@ def test_minimal_period_known_values():
 
 
 def test_minimal_period_accepts_words():
-    assert minimal_period(Word.from_letters((0, 1, 0, 1, 0), n=2)) == 2
+    assert minimal_period(Word(free(2), (0, 1, 0, 1, 0))) == 2
 
 
 @settings(deadline=None)

@@ -15,10 +15,15 @@ corpus-* digests come from the unseeded export and were kept.  The four
 `rank` digests (sweep/, alt/ and corpus-rank/) were re-pinned when the walk
 moved from a numpy power iteration to one pass over the condensation, and
 only they: every pi value moved by at most 3.3e-12, relative, and no rank
-moved.  The analyze-kinds/, analyze-both/ and analyze-defs/ digests, filter
-chains of `--filter-kinds` alone and followed by `--filter-percentile`, were
-captured from the code that inlined removed components into a second
-condensation, before the filters read through them instead.
+moved.  The analyze-kinds/ and analyze-defs/ digests, `--filter-kinds` alone
+and followed by `--filter-percentile`, were captured from the code that
+inlined removed components into a second condensation, before the filters
+read through them instead.  On this graph every non-sink is a definition or
+a theorem, so analyze-kinds/ (`definition,theorem`) removes nothing and
+pins the path of a kind filter that keeps every element, while analyze-no-theorems/
+(`definition,primitive` alone) removes the 154 theorems; its digests were
+taken from the code before it replaced a run that pinned the same bytes as
+analyze/.
 """
 
 import hashlib
@@ -47,8 +52,8 @@ RUNS = [
                  "--filter-percentile", "50"], 0),
     ("analyze-kinds", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
                        "--filter-kinds", "definition,theorem"], 0),
-    ("analyze-both", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
-                      "--filter-kinds", "definition,theorem", "--filter-percentile", "50"], 0),
+    ("analyze-no-theorems", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
+                             "--filter-kinds", "definition,primitive"], 0),
     ("analyze-defs", ["analyze", "--graph", "{ingest}/graph.jsonl", "--full-unwrapped",
                       "--filter-kinds", "definition,primitive", "--filter-percentile", "50"], 0),
     ("sweep", ["rank", "--graph", "{ingest}/graph.jsonl", "--sweep", "0.5,0.85"], 0),
@@ -72,17 +77,6 @@ DIGESTS = {
     "analyze/hist_wrapped.csv": "0f107d8454d2d38ea608c549051f065eb3d3d7284b26ab723bbbdbefaefb7015",
     "analyze/metrics.csv": "ea641923113530e0ec810bf0397018bbaf5e7bb2e1616ab5e0365f2e955c313a",
     "analyze/regime.csv": "5de55eaaa0959f3a172ade7752e50c40675b25aa0d0cbb7614f0a9d85e081d0d",
-    "analyze-both/curve_log2_unwrapped_vs_depth.csv": "2ce1ee949a7eb13c1431e08dacd6f369d271c6fc2239522bd984f1e5823d6ebc",
-    "analyze-both/curve_log2_unwrapped_vs_wrapped.csv": "b2467726409ad7a40779949bfb9486ff7cb5566f3851caa751d80359d4dd0fd1",
-    "analyze-both/curve_wrapped_vs_depth.csv": "cac7dfe5117ede9b9eb5b34fb16707d2de229710ded9a33cb2d4519f66eff604",
-    "analyze-both/fit_log2_unwrapped_vs_depth.csv": "938cad342317a93fb2c70fb9b950142b0e53c6081081a3c235ea676f80359d03",
-    "analyze-both/fit_log2_unwrapped_vs_wrapped.csv": "eb3fd04602c96225933ead53d6d0271d6fcf972794f79be3d7e380bfd9dab676",
-    "analyze-both/fit_wrapped_vs_depth.csv": "826d58b895912ca2235f1f6be154de765b883884dfccdec671d552cb863a5390",
-    "analyze-both/hist_depth.csv": "8cf2fcdc32e1f43f537d748fff88175f53329e77d18fcebe57c37f35f8760ce5",
-    "analyze-both/hist_log2_unwrapped.csv": "7431cbd6ea0bd0ca7c0be9223ee8c4516399b435559cc6dece128b39784a61a7",
-    "analyze-both/hist_wrapped.csv": "0f107d8454d2d38ea608c549051f065eb3d3d7284b26ab723bbbdbefaefb7015",
-    "analyze-both/metrics.csv": "ea641923113530e0ec810bf0397018bbaf5e7bb2e1616ab5e0365f2e955c313a",
-    "analyze-both/regime.csv": "5de55eaaa0959f3a172ade7752e50c40675b25aa0d0cbb7614f0a9d85e081d0d",
     "analyze-defs/curve_log2_unwrapped_vs_depth.csv": "af4a37eeb6b578a152c0491a8a2b31ccd5b133907f9737fa07d6aae9911ba2ec",
     "analyze-defs/curve_log2_unwrapped_vs_wrapped.csv": "427d3dcb181e6d7139dcebe09ab4f95b12b0c3c3d45c4f5d9f27655c03bda162",
     "analyze-defs/curve_wrapped_vs_depth.csv": "c13f8a5f63c560fe2ec3c10e732d8c005bfb69391321279ed258dd98eb32a5c8",
@@ -105,6 +99,17 @@ DIGESTS = {
     "analyze-kinds/hist_wrapped.csv": "119bb24e57a2cd060e7ae18c02c43367e4fad08e621ec4836626af8ef5e16adf",
     "analyze-kinds/metrics.csv": "9adb5568e662e5a53afbfc3e4c7009cf0c71c8dbce022b280feb877bf0e25121",
     "analyze-kinds/regime.csv": "967ef39fcd19315981d1b086572351e62f478ea2dd36f0dd6d76ba59a85cdb82",
+    "analyze-no-theorems/curve_log2_unwrapped_vs_depth.csv": "61017cb6be9d4abb3d81450a59595441d1c48e4611e128ccd71bda0a963a3503",
+    "analyze-no-theorems/curve_log2_unwrapped_vs_wrapped.csv": "5ca787719858963e0cd46de3be3397c91afd0c688d38c28273680e13a70e6b70",
+    "analyze-no-theorems/curve_wrapped_vs_depth.csv": "388f66611651034da5bbc805431f0c61dab6e87498180bfd1cf96fe44160aff3",
+    "analyze-no-theorems/fit_log2_unwrapped_vs_depth.csv": "434bc465a4182be2c3eef941821fe2b0aeb36cc25e6664f1eac568d12cee7615",
+    "analyze-no-theorems/fit_log2_unwrapped_vs_wrapped.csv": "2c14e7337ccb3e99f5c9b6dbabb93e6d300ba56500c06b4321e92516d19c6402",
+    "analyze-no-theorems/fit_wrapped_vs_depth.csv": "6e53d7ea2a44fc457924ae841b26dc33060ccbbb98c3edc8c9aba6f4684557f2",
+    "analyze-no-theorems/hist_depth.csv": "734ed77989822df21b8bded2dc641ae3b0358f42319b06d30738427468be47eb",
+    "analyze-no-theorems/hist_log2_unwrapped.csv": "51b28ac8b487b0d7593fb6f8764369b5804369f3e40ed6605b59c5c508ae3ee2",
+    "analyze-no-theorems/hist_wrapped.csv": "d55e5811c875b662e1149dcd50f91c05565df05246b529f1272562d69a5601b6",
+    "analyze-no-theorems/metrics.csv": "d12d36cf27c5f4c7c07b07eebea5749d536d96d7231540454b62fee57526aef8",
+    "analyze-no-theorems/regime.csv": "78b6dfa10e6f90cb494820d846dba427250261b97bd5ed480639e762a631c9e3",
     "corpus/graph.jsonl": "017bafb5341b2499dda381b765822a8ae4eb5eb8aaf034e2c65fec0bb09825ee",
     "corpus-analyze/curve_log2_unwrapped_vs_depth.csv": "a07ab3f9965afaf6c15a1312439fe3dacbf5e05bf805bb091795c85977388529",
     "corpus-analyze/curve_log2_unwrapped_vs_wrapped.csv": "a023777434b53bc2269f6d1ec2ecdceb4c398dc2f8fa39f21aaa0b9d62323f13",

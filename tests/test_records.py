@@ -8,7 +8,7 @@ import pytest
 
 from macrolab.analytics import FilterPolicy
 from macrolab.corpus import Element, GraphNode
-from macrolab.exprs import ExprNode, app, const, parse_expr, sort
+from macrolab.exprs import ExprNode, parse_expr
 from macrolab.families import FamilySpec, _free_macros
 from macrolab.interest import RankParams
 from macrolab.monoid import Kind, Macro, MonoidKind, Word, abelian, free
@@ -21,8 +21,10 @@ def _records():
         (Word(abelian(2), (3, 1)), Word.from_multiplicities([3, 1])),
         (Macro("m", Word(free(2), (0, 1))), Macro(name="m", definition=Word(free(2), (0, 1)))),
         (FamilySpec.place_notation(2, 1, 8), FamilySpec("place", abelian(1), 8, b=2)),
-        (ExprNode("app", None, (const("f"), sort())), app(const("f"), sort())),
-        (Element("x", "lemma", const("y")), Element(name="x", kind="theorem", signature=const("y"))),
+        (ExprNode("app", None, (ExprNode("const", "f"), ExprNode("sort"))),
+         parse_expr("(app (const f) (sort))")),
+        (Element("x", "lemma", ExprNode("const", "y")),
+         Element(name="x", kind="theorem", signature=parse_expr("(const y)"))),
         (RankParams(), RankParams(0.85, 0.5, 1e-12, 10_000)),
         (FilterPolicy("kind", kinds=frozenset({"theorem"})),
          FilterPolicy("kind", None, frozenset({"theorem"}))),
@@ -39,10 +41,11 @@ BAD_FIELDS = [  # (a constructor call, its error message)
     (lambda: FamilySpec("nope", free(2), 3), "unknown regime 'nope'"),
     (lambda: FamilySpec("place", abelian(1), 0), "r_max must be at least 1"),
     (lambda: ExprNode("bogus"), "unknown expression tag 'bogus'"),
-    (lambda: ExprNode("app", children=(sort(),)), "app takes 2 children, got 1"),
+    (lambda: ExprNode("app", children=(ExprNode("sort"),)), "app takes 2 children, got 1"),
     (lambda: ExprNode("sort", "x"), "exactly const nodes carry a name"),
     (lambda: Element("x", "conjecture"), "unknown element kind 'conjecture'"),
-    (lambda: Element("x", "primitive", body=sort()), "primitive element 'x' cannot have a body"),
+    (lambda: Element("x", "primitive", body=ExprNode("sort")),
+     "primitive element 'x' cannot have a body"),
     (lambda: RankParams(alpha=1.0), r"alpha must lie in \[0, 1\)"),
     (lambda: RankParams(max_iterations=0), "max_iterations must be at least 1"),
     (lambda: FilterPolicy("bogus"), "unknown filter mode 'bogus'"),
@@ -62,7 +65,8 @@ def test_checked_records_keep_value_semantics():
     assert bulk == checked and list(map(hash, bulk)) == list(map(hash, checked))
     assert [type(m.definition) for m in bulk] == [Word, Word] and {*map(type, bulk)} == {Macro}
     tree = parse_expr("(app (app (const f) (sort)) (const g))")
-    assert tree == app(app(const("f"), sort()), const("g")) and type(tree) is ExprNode
+    f_sort = ExprNode("app", None, (ExprNode("const", "f"), ExprNode("sort")))
+    assert tree == ExprNode("app", None, (f_sort, ExprNode("const", "g"))) and type(tree) is ExprNode
     assert type(tree.children[0]) is ExprNode
     # A reference map left out of a GraphNode is a fresh dict, never a shared one.
     left_out = [GraphNode("a", "primitive", False, None, None) for _ in range(2)]
