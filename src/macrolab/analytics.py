@@ -11,7 +11,8 @@ once per node from the exact value, never accumulated in floating point.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 from .corpus import DepGraph
@@ -198,6 +199,13 @@ def log2_exact(x: int) -> float:
     return math.log2(x >> shift) + shift
 
 
+def float_sum(xs) -> float:
+    """The floats added one by one, left to right.  Builtin `sum` does so up
+    to Python 3.11 but compensates floats from 3.12, which moves the last
+    bits of scores and fits; this gives the same bits on every Python."""
+    return reduce(operator.add, xs, 0.0)
+
+
 class NodeMetrics(NamedTuple):
     name: str
     kind: str
@@ -338,7 +346,7 @@ def slope_fit(curve: MedianCurve, x_range: tuple[float, float] | None = None) ->
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     mx = math.fsum(xs) / len(xs)
-    if sum((x - mx) ** 2 for x in xs) == 0:
+    if float_sum((x - mx) ** 2 for x in xs) == 0:
         raise DegenerateFitError("x variance is zero")
     slope, intercept = _ols(xs, ys)
     r2 = 1.0 - _lack_of_fit(xs, ys)
@@ -369,15 +377,15 @@ class ClassifyConfig(NamedTuple):
 def _ols(xs: list[float], ys: list[float]) -> tuple[float, float]:
     mx = math.fsum(xs) / len(xs)  # statistics.fmean, to the last bit
     my = math.fsum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
+    sxx = float_sum((x - mx) ** 2 for x in xs)
     if sxx == 0:
         return 0.0, my
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    slope = float_sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
     return slope, my - slope * mx
 
 
 def _sse(ys: list[float], preds: list[float]) -> float:
-    return sum((y - p) ** 2 for y, p in zip(ys, preds))
+    return float_sum((y - p) ** 2 for y, p in zip(ys, preds))
 
 
 def _lack_of_fit(us: list[float], vs: list[float]) -> float:
@@ -385,7 +393,7 @@ def _lack_of_fit(us: list[float], vs: list[float]) -> float:
     a, b = _ols(us, vs)
     sse = _sse(vs, [a * u + b for u in us])
     mv = math.fsum(vs) / len(vs)
-    ssv = sum((v - mv) ** 2 for v in vs)
+    ssv = float_sum((v - mv) ** 2 for v in vs)
     if ssv == 0.0:
         return 0.0 if sse == 0.0 else math.inf
     return sse / ssv

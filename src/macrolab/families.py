@@ -191,9 +191,11 @@ class LazyFreeMacroSet:
             self.is_log_periodic(letters, period) or self.random_included(letters))
 
 
-def _lex_words(length: int, count: int, n: int) -> list[tuple[int, ...]]:
-    """The `count` lexicographically smallest length-`length` words on n letters."""
-    return list(itertools.islice(itertools.product(range(n), repeat=length), count))
+def _lex_words(length: int, count: int, n: int) -> list:
+    """The `count` lexicographically smallest length-`length` words on n
+    letters, as bytes (tuples of ints past 256 letters)."""
+    words = itertools.islice(itertools.product(range(n), repeat=length), count)
+    return list(map(bytes, words) if n <= 256 else words)
 
 
 def seeded_words(n: int, length: int, seed: int, use: bytes):
@@ -235,30 +237,6 @@ def _sampled_words(length: int, count: int, n: int, seed: int) -> list[tuple[int
     while len(drawn) < count:
         drawn.update(itertools.islice(words, count - len(drawn)))
     return sorted(drawn)
-
-
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
-def _free_macros(monoid: MonoidKind, words: list[tuple[int, ...]]) -> list[Macro]:
-    """Macros "w" + the letters' digits (separated by "_" past 10 letters)
-    for generated free words, checked in bulk.
-
-    When every letter lies in [0, n) and every word has at least two, the
-    checks of `Word` and `Macro` cannot fail, so their tuples are built
-    directly; otherwise the checked constructors raise their usual errors.
-    """
-    n = monoid.n
-    sep = "_" if n > 10 else ""  # past 10 letters "w010" could be (0, 10) or (0, 1, 0)
-    letters = set().union(*words)
-    if words and (min(map(len, words)) < 2 or min(letters) < 0 or max(letters) >= n):
-        return [Macro("w" + sep.join(map(str, w)), Word(monoid, w)) for w in words]
-    if sep:
-        names = ["w" + sep.join(map(str, w)) for w in words]
-    else:
-        names = ["w" + bytes(w).translate(_DIGITS).decode() for w in words]
-    new = tuple.__new__
-    return [new(Macro, (name, new(Word, (monoid, w)))) for name, w in zip(names, words)]
 
 
 def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
@@ -311,8 +289,8 @@ def build_macro_family(spec: FamilySpec) -> MacroSet | LazyFreeMacroSet:
             if spec.sampler == "lex":
                 words += _lex_words(length, count, n)
             else:
-                words += _sampled_words(length, count, n, spec.seed)
-        return MacroSet(spec.monoid, _free_macros(spec.monoid, words))
+                words += map(bytes, _sampled_words(length, count, n, spec.seed))
+        return MacroSet.from_words(spec.monoid, words)
 
     assert spec.regime == "prob_free"
     return LazyFreeMacroSet(spec.monoid, spec.big_b, spec.big_c, spec.seed)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analytics import CondensedGraph, condense_scc, split_unwrapped
+from .analytics import CondensedGraph, condense_scc, float_sum, split_unwrapped
 from .corpus import DepGraph
 
 J0_FLOOR = 1e-9
@@ -172,7 +172,7 @@ def pagerank(
     todo = [j0[name] for name in names]  # mass each element has still to push
     if min(todo) <= 0:
         raise ValueError("teleport weights must be positive (J0 is floored above zero)")
-    z = sum(todo)
+    z = float_sum(todo)
     if cg is None:
         cg = condense_scc(graph)
     off, dst, ref_w, alpha = graph.off, graph.dst, graph.ref_w, params.alpha
@@ -195,7 +195,7 @@ def pagerank(
         if len(block) > 1 or todo[block[0]]:  # mass came back: a cycle
             for k in range(1, params.max_iterations + 1):
                 # the most that the mass left could still add to y, over sum(j0)
-                left = sum(todo[v] for v in block) / (z * (1 - alpha))
+                left = float_sum(todo[v] for v in block) / (z * (1 - alpha))
                 if left < params.tolerance:
                     break
                 if k == params.max_iterations:
@@ -203,5 +203,5 @@ def pagerank(
                 sweep(block)
             iterations += k - 1
             residual = max(residual, left)
-    total = sum(y)
+    total = float_sum(y)
     return RankResult({name: v / total for name, v in zip(names, y)}, iterations, residual)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 # Lattice points of one abelian lattice, or (match state, letter) transitions
@@ -132,28 +133,96 @@ def _reject(monoid: MonoidKind, macros: tuple[Macro, ...]) -> None:
         seen_defs.add(m.definition.data)
 
 
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _word_name(w, n: int) -> str:
+    """The name of a generated free word: "w" and its letters' digits,
+    joined by "_" past 10 letters, where "w010" could be (0, 10) or (0, 1, 0)."""
+    if isinstance(w, bytes) and n <= 10:
+        return "w" + w.translate(_DIGITS).decode()
+    return "w" + ("_" if n > 10 else "").join(map(str, w))
+
+
+def _generated(words: list, n: int) -> bool:
+    """Whether each word has at least two letters, all in [0, n), and comes
+    after the one before it in (length, letters) order."""
+    inside = bytes(range(min(n, 256)))  # deleted from a bytes word, its letters in [0, n)
+    last = (0, None)
+    for w in words:
+        if len(w) < 2 or (w.translate(None, inside) if isinstance(w, bytes)
+                          else min(w) < 0 or max(w) >= n):
+            return False
+        key = len(w), w
+        if key <= last:
+            return False
+        last = key
+    return True
+
+
 class MacroSet:
     """An ordered collection of macros over one ambient monoid.
 
-    Its name and definition indexes are built first; only when one of them
-    came out short, or some macro lives in another monoid, are the macros
-    read again one by one to name the first offender."""
+    A set built from `Macro` objects builds its name and definition indexes
+    first; only when one of them came out short, or some macro lives in
+    another monoid, are the macros read again one by one to name the first
+    offender.  A free set built from generated words (`from_words`) keeps
+    only their letters, as bytes (tuples of ints past 256 letters), and
+    builds its `Macro` objects and both indexes the first time `macros`,
+    `find`, `macro_for_word` or iteration reads them; `len` and `trie` read
+    the letters alone, and the trie names only the states that end a
+    definition."""
 
     def __init__(self, monoid: MonoidKind, macros: list[Macro] | tuple[Macro, ...] = ()):
-        self.monoid = monoid
-        self.macros = tuple(macros)
-        self._by_name = {m.name: m for m in self.macros}
-        self._by_def = {m.definition.data: m for m in self.macros}
+        self.macros = tuple(macros)  # fills in the cached property
+        self._start(monoid, [m.definition.data for m in self.macros], False)
         if (len(self._by_name) < len(self.macros) or len(self._by_def) < len(self.macros)
                 or any(m.definition.monoid is not monoid and m.definition.monoid != monoid
                        for m in self.macros)):
             _reject(monoid, self.macros)
+
+    @classmethod
+    def from_words(cls, monoid: MonoidKind, words: list) -> MacroSet:
+        """The free set of macros named by `_word_name` for generated words,
+        each bytes or a tuple of ints, checked in bulk.
+
+        Generated words come in (length, letters) order, so they are
+        distinct when that order is strict.  When it is, and every word has
+        at least two letters, all in [0, n), no check of `Word`, `Macro` or
+        the set can fail, and the words are kept as they are; otherwise the
+        set is built from checked `Macro` objects, which raise their usual
+        errors."""
+        n = monoid.n
+        if not _generated(words, n):
+            return cls(monoid, [Macro(_word_name(w, n), Word(monoid, tuple(w))) for w in words])
+        M = cls.__new__(cls)
+        M._start(monoid, words, True)
+        return M
+
+    def _start(self, monoid: MonoidKind, defs: list, words: bool) -> None:
+        self.monoid = monoid
+        self._defs = defs  # the definitions' letters, in order
+        self._words = words  # named by `_word_name`, or else by their macros
         self._automaton: Automaton | None = None
         self._front: tuple[list, list[int]] = ([], [])  # what `Automaton.grow` reads next
         self._depths: dict[str, int] = {}  # macro name -> depth, as far as filled in
 
+    @cached_property
+    def macros(self) -> tuple[Macro, ...]:
+        new, n = tuple.__new__, self.monoid.n
+        return tuple(new(Macro, (_word_name(w, n), new(Word, (self.monoid, tuple(w)))))
+                     for w in self._defs)
+
+    @cached_property
+    def _by_name(self) -> dict[str, Macro]:
+        return {m.name: m for m in self.macros}
+
+    @cached_property
+    def _by_def(self) -> dict[tuple[int, ...], Macro]:
+        return {m.definition.data: m for m in self.macros}
+
     def __len__(self) -> int:
-        return len(self.macros)
+        return len(self._defs)
 
     def __iter__(self):
         return iter(self.macros)
@@ -164,6 +233,10 @@ class MacroSet:
     def macro_for_word(self, w: Word) -> Macro | None:
         return self._by_def.get(w.data)
 
+    def _name(self, w) -> str:
+        """The name of definition w."""
+        return _word_name(w, self.monoid.n) if self._words else self._by_def[w].name
+
     def trie(self, depth: int | None = None) -> Automaton:
         """The trie of the free-monoid definitions, grown in layers until it
         holds every prefix of length <= `depth` (every prefix when None).
@@ -171,15 +244,16 @@ class MacroSet:
         Each call grows the same table further, one `Automaton.grow` per
         layer, so a reader that goes one letter deeper at a time pays only
         for the layers it reaches; `automaton` grows it to the end and then
-        completes it in place."""
+        completes it in place.  A layer names only the states that end a
+        definition, so a set built from words builds no `Macro` for it."""
         if self.monoid.is_abelian:
             raise ValueError("automata index free-monoid macro sets only")
         if self._automaton is None:
             self._automaton = Automaton([0] * self.monoid.n, [0], [None], [])
-            self._front = [m.definition.data for m in self.macros], [0] * len(self.macros)
+            self._front = self._defs, [0] * len(self._defs)
         a = self._automaton
         while self._front[0] and (depth is None or a.depth[-1] < depth):
-            self._front = a.grow(*self._front, self._by_def)
+            self._front = a.grow(*self._front, self._name)
         return a
 
     def automaton(self) -> Automaton:
@@ -215,14 +289,14 @@ class Automaton(NamedTuple):
     name: list[str | None]
     out: list[int]
 
-    def grow(self, words: list[tuple[int, ...]], states: list[int],
-             owner: dict[tuple[int, ...], Macro]) -> tuple[list[tuple[int, ...]], list[int]]:
+    def grow(self, words: list, states: list[int], name_of) -> tuple[list, list[int]]:
         """Add the next layer of trie states, at depth d one past the deepest.
 
         `words` are the definitions longer than d - 1, in macro set order,
         and states[i] is the state spelling the first d - 1 letters of
-        words[i]; `owner` maps each definition to its macro.  Returns the
-        same pair for the definitions longer than d, for the next layer."""
+        words[i]; `name_of` gives a definition's name, and is asked only for
+        the definitions this layer ends.  Returns the same pair for the
+        definitions longer than d, for the next layer."""
         goto, depth, name, _ = self
         n = len(goto) // len(depth)
         d = depth[-1] + 1
@@ -240,7 +314,7 @@ class Automaton(NamedTuple):
                 longer.append(w)
                 reached.append(t)
             else:
-                name[t] = owner[w].name
+                name[t] = name_of(w)
         return longer, reached
 
     def complete(self) -> Automaton:

@@ -33,6 +33,7 @@ from macrolab.monoid import (
     monoid_depth,
     wrapped_length,
 )
+from test_families import poly_free_specs
 
 # --- the from-every-start oracle ---
 
@@ -280,15 +281,19 @@ def test_trie_edges_are_the_depth_increasing_edges_of_the_automaton(case):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.one_of(chained_cases().map(lambda c: c[:2]), stemmed_cases()), st.integers(0, 13))
+@given(st.one_of(chained_cases().map(lambda c: c[:2]), stemmed_cases(), poly_free_specs),
+       st.integers(0, 13))
 def test_a_trie_grown_partway_is_the_full_trie_cut_at_that_depth(case, cut):
     """Growing to depth `cut` numbers the states of length <= cut as the
     full builder does; their rows hold the edges among them alone, and
-    growing on to the end gives the full trie."""
-    n, defs = case
-    M = macro_set(n, defs)
-    full = oracle_trie(n, M.macros)
+    growing on to the end gives the full trie.  A polynomial family is
+    built from its words, so its trie is grown before any `Macro` is."""
+    if isinstance(case, FamilySpec):
+        n, M = case.monoid.n, build_macro_family(case)
+    else:
+        n, M = case[0], macro_set(*case)
     grown = M.trie(cut)
+    full = oracle_trie(n, M.macros)
     k = sum(d <= cut for d in full.depth)
     assert (grown.depth, grown.name, grown.out) == (full.depth[:k], full.name[:k], [])
     assert grown.goto == [t if t < k else 0 for t in full.goto[:k * n]]

@@ -937,6 +937,22 @@ def test_kind_filtered_analyze_peaks_with_the_unfiltered_run(tmp_path):
     assert filtered <= 1.1 * unfiltered, (filtered, unfiltered)
 
 
+def test_poly_free_sim_keeps_its_words_as_bytes(tmp_path):
+    # The profile stops at r = 4 and reads a trie of depth 5, so the 22,139
+    # generated definitions stay bytes; built as Macro objects with their
+    # names and two indexes, the same run peaked at 14 MB.
+    argv = ["sim", "--regime", "poly-free", "--c", "1", "--p", "2", "--n", "3", "--s", "1:3",
+            "--r-max", "40"]
+    assert main(argv + ["--out", str(tmp_path / "warm-up")]) == EXIT_OK  # imports, caches
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "traced")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, peak
+
+
 def test_analyze_checks_bin_widths_before_reading_the_graph(tmp_path, capsys):
     argv = ["analyze", "--graph", str(tmp_path / "missing.jsonl"), "--bin-log2", "0",
             "--out", str(tmp_path / "o")]

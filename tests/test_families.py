@@ -14,15 +14,22 @@ from hypothesis import given, settings, strategies as st
 from macrolab.families import (
     FamilySpec,
     LazyFreeMacroSet,
-    _free_macros,
     _sampled_words,
     build_macro_family,
     minimal_period,
     prefix_periods,
     seeded_words,
 )
-from macrolab.expansion import halving_window, sample_words
-from macrolab.monoid import Word, abelian, free
+from macrolab.expansion import SphereBudgetError, expansion_profile, halving_window, sample_words
+from macrolab.monoid import (
+    Macro,
+    MacroSet,
+    Word,
+    abelian,
+    free,
+    gprime_length,
+    monoid_depth,
+)
 
 
 def slow_minimal_period(letters):
@@ -144,10 +151,63 @@ def test_poly_family_random_names_spell_each_letter(n, r_max):
     ([(0, 1), (0, 2)], "letters must lie in [0, 2)"),
     ([(0, 1), (1, -1)], "letters must lie in [0, 2)"),
     ([(0, 1), (1,), (0, 2)], "macro 'w1' has length 1; a length-1 macro duplicates a primitive"),
+    ([b"\x00\x01", b"\x01\x01", b"\x00\x01"], "duplicate macro name 'w01'"),
 ])
 def test_generated_words_failing_the_bulk_check_raise_the_usual_errors(words, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        _free_macros(free(2), words)
+        MacroSet.from_words(free(2), words)
+
+
+poly_free_specs = st.builds(
+    FamilySpec.poly_density_free, c=st.sampled_from([0.5, 1.0, 3.0]),
+    p=st.sampled_from([0.0, 1.0, 1.5, 2.0]), n=st.integers(2, 12), r_max=st.integers(2, 8),
+    seed=st.integers(0, 2**32), sampler=st.sampled_from(["lex", "random"]))
+
+
+def poly_set_from_macros(spec) -> MacroSet:
+    """The family `build_macro_family(spec)` builds, made here from checked
+    `Macro` objects."""
+    n = spec.monoid.n
+    words = []
+    for length, count in spec.poly_counts():
+        if spec.sampler == "lex":
+            words += itertools.islice(itertools.product(range(n), repeat=length), count)
+        else:
+            words += _sampled_words(length, count, n, spec.seed)
+    return MacroSet(spec.monoid, [Macro(poly_name(w, n), Word(spec.monoid, w)) for w in words])
+
+
+def profile_or_budget(M, r_max):
+    try:
+        return expansion_profile(M, [1, 2], r_max).entries
+    except SphereBudgetError as exc:
+        return exc.largest_completed
+
+
+@settings(deadline=None, max_examples=100)
+@given(poly_free_specs, st.lists(st.integers(0, 11), max_size=16))
+def test_a_free_set_built_from_words_equals_one_built_from_macros(spec, letters):
+    n = spec.monoid.n
+    M, ref = build_macro_family(spec), poly_set_from_macros(spec)
+    assert len(M) == len(ref)
+    for depth in range(spec.r_max + 1):
+        assert M.trie(depth) == ref.trie(depth)
+    assert "macros" not in vars(M)  # neither len nor the trie built a Macro
+    assert M.automaton() == ref.automaton()
+    assert M.macros == ref.macros and list(M) == list(ref)
+    assert all(type(m.definition.data) is tuple for m in M)
+    names = [m.name for m in ref] + ["w", "w00", "w0_0", "m0"]
+    assert [M.find(name) for name in names] == [ref.find(name) for name in names]
+    w = Word(free(n), tuple(a % n for a in letters))
+    words = [m.definition for m in ref] + [w]
+    assert [M.macro_for_word(v) for v in words] == [ref.macro_for_word(v) for v in words]
+    assert gprime_length(w, M) == gprime_length(w, ref)
+    assert monoid_depth(w, M) == monoid_depth(w, ref)
+    assert [monoid_depth(m, M) for m in ref] == [monoid_depth(m, ref) for m in ref]
+    fresh = build_macro_family(spec)
+    assert profile_or_budget(fresh, spec.r_max + 2) == profile_or_budget(
+        poly_set_from_macros(spec), spec.r_max + 2)
+    assert "macros" not in vars(fresh)  # a profile reads the trie alone
 
 
 def test_family_constructor_validation():

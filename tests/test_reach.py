@@ -59,6 +59,7 @@ ALLOWED = {
     "monoid.MacroSet.__len__": KERNEL,
     "monoid.MacroSet.automaton": FROM_ACCEPTANCE,
     "monoid.MacroSet.find": KERNEL,
+    "monoid.MacroSet.macros": KERNEL,  # a poly family's depths name its macros
     "monoid.MacroSet.macro_for_word": KERNEL,
     "monoid.Word.from_multiplicities": ACCEPTANCE,
     "monoid.Word.is_identity": FROM_ACCEPTANCE,

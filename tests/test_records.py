@@ -9,9 +9,9 @@ import pytest
 from macrolab.analytics import FilterPolicy
 from macrolab.corpus import Element, GraphNode
 from macrolab.exprs import ExprNode, parse_expr
-from macrolab.families import FamilySpec, _free_macros
+from macrolab.families import FamilySpec
 from macrolab.interest import RankParams
-from macrolab.monoid import Kind, Macro, MonoidKind, Word, abelian, free
+from macrolab.monoid import Kind, Macro, MacroSet, MonoidKind, Word, abelian, free
 
 
 def _records():
@@ -60,7 +60,7 @@ def test_checked_records_keep_value_semantics():
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
     # The bulk builders skip the checks but build the same records.
-    bulk = _free_macros(free(3), [(0, 1), (2, 1, 0)])
+    bulk = list(MacroSet.from_words(free(3), [b"\x00\x01", b"\x02\x01\x00"]))
     checked = [Macro("w01", Word(free(3), (0, 1))), Macro("w210", Word(free(3), (2, 1, 0)))]
     assert bulk == checked and list(map(hash, bulk)) == list(map(hash, checked))
     assert [type(m.definition) for m in bulk] == [Word, Word] and {*map(type, bulk)} == {Macro}
